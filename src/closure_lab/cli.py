@@ -64,7 +64,7 @@ def _resolve_ring_and_ideal(args):
         literals = tuple(int(part) for part in args.ideal.split(",") if part.strip())
     gens = []
     for literal in literals:
-        if literal >= ring.order:
+        if not 0 <= literal < ring.order:
             raise SpecError(
                 f"ideal literal {literal} is out of range for {ring.spec_str}"
             )
@@ -108,7 +108,7 @@ def _cmd_profile(args) -> int:
     spec, _ = parse_ring_with_ideal(args.ring)
     ring = build_ring(spec, args.max_order)
     if args.element is not None:
-        if args.element >= ring.order:
+        if not 0 <= args.element < ring.order:
             raise SpecError(f"element literal {args.element} is out of range")
         element = ring.elements[args.element]
         profile = vnr_profile_element(ring, element)

@@ -3,10 +3,13 @@
 A proper ideal I is (m,n)-closed when x**m in I forces x**n in I, and
 weakly (m,n)-closed when that is only required for x**m nonzero.  The
 gap between the two notions is witnessed by unbreakable-zero elements:
-a with a**m == 0 but a**n not in I.  `classify` reports which of the
-three mutually exclusive situations holds, together with the first
-witness in canonical element order, and large cyclic rings take a
-vectorized path that the tests pin against the generic one.
+a with a**m == 0 but a**n not in I.
+
+All three closedness deciders (`classify`, `is_mn_closed`,
+`is_weakly_mn_closed`) read one sweep, `_failure_scan`, which finds the
+first failing x and the first failing x with x**m != 0 in canonical
+element order.  On large cyclic rings that sweep runs over numpy power
+tables instead; the tests pin that branch to the definition.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .ideals import Ideal
-from .rings import CyclicRing
+from .rings import CyclicRing, _serialize
 
 STATUS_CLOSED = "closed"
 STATUS_WEAKLY_ONLY = "weakly_only"
@@ -66,12 +69,6 @@ class ClosednessReport:
         return record
 
 
-def _serialize(element):
-    if isinstance(element, tuple):
-        return [_serialize(part) for part in element]
-    return element
-
-
 def _require_proper(ideal: Ideal):
     if not ideal.is_proper:
         raise ValueError("property is only defined for proper ideals")
@@ -83,68 +80,30 @@ def _require_positive(*values):
             raise ValueError("exponents must be positive")
 
 
-def is_mn_closed(ideal: Ideal, m: int, n: int):
-    """Exhaustive test of x**m in I implies x**n in I; returns
-    (ok, first failing x or None)."""
-    _require_proper(ideal)
-    _require_positive(m, n)
-    ring = ideal.ring
-    members = ideal.elements
-    for x in ring.elements:
-        if ring.power(x, m) in members and ring.power(x, n) not in members:
-            return False, x
-    return True, None
+def _failure_scan(ideal: Ideal, m: int, n: int):
+    """The one sweep behind every (m,n)-closedness decision.
 
-
-def is_weakly_mn_closed(ideal: Ideal, m: int, n: int):
-    """Exhaustive test of 0 != x**m in I implies x**n in I; returns
-    (ok, first failing x or None)."""
-    _require_proper(ideal)
-    _require_positive(m, n)
-    ring = ideal.ring
-    members = ideal.elements
-    zero = ring.zero
-    for x in ring.elements:
-        xm = ring.power(x, m)
-        if xm != zero and xm in members and ring.power(x, n) not in members:
-            return False, x
-    return True, None
-
-
-def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
-    """All a with a**m == 0 and a**n not in I, in canonical order."""
-    _require_proper(ideal)
-    _require_positive(m, n)
-    ring = ideal.ring
-    members = ideal.elements
-    zero = ring.zero
-    return tuple(
-        a
-        for a in ring.elements
-        if ring.power(a, m) == zero and ring.power(a, n) not in members
-    )
-
-
-def classify(ideal: Ideal, m: int, n: int) -> ClosednessReport:
-    """One pass over the ring deciding closed / weakly_only / not_weakly."""
+    Returns ``(first, nonzero)``: the first x in canonical order with
+    x**m in I and x**n not in I, and the first such x with x**m != 0
+    (None when there is none).  The sweep stops at the latter.  Large
+    cyclic rings take the vectorized branch.
+    """
     _require_proper(ideal)
     _require_positive(m, n)
     ring = ideal.ring
     if isinstance(ring, CyclicRing) and ring.order >= _VECTOR_MIN_ORDER:
-        return _classify_cyclic_vectorized(ideal, m, n)
+        return _failure_scan_cyclic(ideal, m, n)
     members = ideal.elements
     zero = ring.zero
-    first_unbreakable = None
+    first = None
     for x in ring.elements:
         xm = ring.power(x, m)
         if xm in members and ring.power(x, n) not in members:
+            if first is None:
+                first = x
             if xm != zero:
-                return ClosednessReport(ideal, m, n, STATUS_NOT_WEAKLY, x)
-            if first_unbreakable is None:
-                first_unbreakable = x
-    if first_unbreakable is not None:
-        return ClosednessReport(ideal, m, n, STATUS_WEAKLY_ONLY, first_unbreakable)
-    return ClosednessReport(ideal, m, n, STATUS_CLOSED, None)
+                return first, x
+    return first, None
 
 
 @lru_cache(maxsize=64)
@@ -171,22 +130,58 @@ def _cyclic_membership(ideal: Ideal, values: np.ndarray) -> np.ndarray:
     return values % d == 0
 
 
-def _classify_cyclic_vectorized(ideal: Ideal, m: int, n: int) -> ClosednessReport:
+def _failure_scan_cyclic(ideal: Ideal, m: int, n: int):
+    """`_failure_scan` over power tables of Z_n; callable on any modulus
+    so the tests can pin it to the definition on small ones."""
     modulus = ideal.ring.n
     xm = _power_table(modulus, m)
-    xn = _power_table(modulus, n)
-    in_m = _cyclic_membership(ideal, xm)
-    out_n = ~_cyclic_membership(ideal, xn)
-    not_weakly = in_m & (xm != 0) & out_n
-    if not_weakly.any():
-        return ClosednessReport(
-            ideal, m, n, STATUS_NOT_WEAKLY, int(np.argmax(not_weakly))
-        )
-    unbreakable = (xm == 0) & out_n
-    if unbreakable.any():
-        return ClosednessReport(
-            ideal, m, n, STATUS_WEAKLY_ONLY, int(np.argmax(unbreakable))
-        )
+    failing = _cyclic_membership(ideal, xm) & ~_cyclic_membership(
+        ideal, _power_table(modulus, n)
+    )
+    if not failing.any():
+        return None, None
+    nonzero = failing & (xm != 0)
+    return (
+        int(np.argmax(failing)),
+        int(np.argmax(nonzero)) if nonzero.any() else None,
+    )
+
+
+def is_mn_closed(ideal: Ideal, m: int, n: int):
+    """Exhaustive test of x**m in I implies x**n in I; returns
+    (ok, first failing x or None)."""
+    first, _ = _failure_scan(ideal, m, n)
+    return first is None, first
+
+
+def is_weakly_mn_closed(ideal: Ideal, m: int, n: int):
+    """Exhaustive test of 0 != x**m in I implies x**n in I; returns
+    (ok, first failing x or None)."""
+    _, nonzero = _failure_scan(ideal, m, n)
+    return nonzero is None, nonzero
+
+
+def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
+    """All a with a**m == 0 and a**n not in I, in canonical order."""
+    _require_proper(ideal)
+    _require_positive(m, n)
+    ring = ideal.ring
+    members = ideal.elements
+    zero = ring.zero
+    return tuple(
+        a
+        for a in ring.elements
+        if ring.power(a, m) == zero and ring.power(a, n) not in members
+    )
+
+
+def classify(ideal: Ideal, m: int, n: int) -> ClosednessReport:
+    """closed / weakly_only / not_weakly, read off one failure scan."""
+    first, nonzero = _failure_scan(ideal, m, n)
+    if nonzero is not None:
+        return ClosednessReport(ideal, m, n, STATUS_NOT_WEAKLY, nonzero)
+    if first is not None:
+        return ClosednessReport(ideal, m, n, STATUS_WEAKLY_ONLY, first)
     return ClosednessReport(ideal, m, n, STATUS_CLOSED, None)
 
 

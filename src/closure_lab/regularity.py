@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .closure import classify, STATUS_CLOSED, STATUS_NOT_WEAKLY
 from .ideals import DEFAULT_MAX_GENERATORS, enumerate_ideals
-from .rings import FiniteRing
+from .rings import FiniteRing, _serialize
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,15 @@ def is_mn_regular_ring(ring: FiniteRing, m: int, n: int) -> bool:
     return all(is_mn_vnr(ring, x, m, n)[0] for x in ring.elements)
 
 
+def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
+    """Element-level form of "every proper ideal is weakly (m,n)-closed":
+    w**m == 0 on the nilradical and every non-nilpotent is (m,n)-vnr."""
+    nil = ring.nilpotents
+    return all(ring.power(w, m) == ring.zero for w in nil) and all(
+        is_mn_vnr(ring, x, m, n)[0] for x in ring.elements if x not in nil
+    )
+
+
 def all_proper_ideals_weakly_closed(
     ring: FiniteRing, m: int, n: int, max_generators: int = DEFAULT_MAX_GENERATORS
 ) -> bool:
@@ -130,10 +139,7 @@ def all_proper_ideals_weakly_closed(
     """
     if m <= n:
         raise ValueError("requires m > n")
-    nil = ring.nilpotents
-    characterization = all(ring.power(w, m) == ring.zero for w in nil) and all(
-        is_mn_vnr(ring, x, m, n)[0] for x in ring.elements if x not in nil
-    )
+    characterization = _weakly_closed_characterization(ring, m, n)
     enumeration = enumerate_ideals(ring, max_generators)
     if enumeration.complete:
         direct = all(
@@ -191,11 +197,5 @@ def regularity_record(ring: FiniteRing) -> dict:
         "ring_spec": ring.spec_str,
         "k": profile.k,
         "strongly_pi_regular": strongly,
-        "per_element_max_witness": _serialize_element(witness),
+        "per_element_max_witness": _serialize(witness),
     }
-
-
-def _serialize_element(element):
-    if isinstance(element, tuple):
-        return [_serialize_element(part) for part in element]
-    return element

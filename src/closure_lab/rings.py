@@ -29,12 +29,18 @@ from .specs import (
 )
 
 DEFAULT_ORDER_CAP = 2 ** 20
-EAGER_CACHE_THRESHOLD = 2 ** 16
 
 #: canonical element encodings: residues for cyclic rings, pairs for
 #: products and trivial extensions, minimal coset representatives for
 #: quotients.  Equality is encoding equality.
 Element = object
+
+
+def _serialize(element):
+    """JSON form of an element encoding: tuples become nested lists."""
+    if isinstance(element, tuple):
+        return [_serialize(part) for part in element]
+    return element
 
 
 class OrderCapError(ValueError):
@@ -168,13 +174,6 @@ class FiniteRing:
             acc = self.add(acc, self.one)
             k += 1
         return k
-
-    def _warm_caches(self):
-        self.elements
-        self.nilpotents
-        self.units
-        self.zero_divisors
-        self.characteristic
 
 
 @lru_cache(maxsize=None)
@@ -511,14 +510,12 @@ def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
         ring = QuotientRing(spec, base, members, max_order)
     else:
         raise TypeError(f"not a ring spec: {spec!r}")
-    if ring.order <= EAGER_CACHE_THRESHOLD:
-        ring._warm_caches()
     return ring
 
 
 def build_ring(spec: RingSpec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Realize a spec.  Structural sets are computed eagerly for orders up
-    to 2**16 and lazily above; the default order cap is 2**20."""
+    """Realize a spec.  Elements and structural sets are computed on first
+    use and then cached on the ring; the default order cap is 2**20."""
     return _build_cached(spec, max_order)
 
 

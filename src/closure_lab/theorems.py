@@ -2,11 +2,13 @@
 
 Every catalog entry sweeps its hypothesis-conclusion (or biconditional)
 over all instances drawn from a family and returns a `TheoremVerdict`.
-Implications count an instance as vacuous when the hypothesis fails;
-biconditionals count it as vacuous when every compared statement is
-false (nothing positive was exercised).  Budget-limited sweeps are
-skipped, never silently truncated: a verdict only reads "pass" when at
-least something was checked and nothing failed.
+Implications count an instance as vacuous when the hypothesis fails.
+Biconditionals share one tally rule, `_Tally.agree`: the compared
+statements must agree, and the instance is substantive when they all
+hold and vacuous when they all fail (nothing positive was exercised).
+Budget-limited sweeps are skipped, never silently truncated: a verdict
+only reads "pass" when at least something was checked and nothing
+failed.
 
 Verdicts are deterministic for a fixed family: instances are generated
 in canonical order, the first failure wins, and worker parallelism is
@@ -41,6 +43,7 @@ from .ideals import (
     split_product_ideal,
 )
 from .regularity import (
+    _weakly_closed_characterization,
     is_mn_regular_ring,
     is_mn_vnr,
     is_strongly_pi_regular,
@@ -48,7 +51,15 @@ from .regularity import (
     vnr_profile_element,
     vnr_profile_ring,
 )
-from .rings import CyclicRing, FiniteRing, IdealizationRing, ProductRing, build_ring, _factorize
+from .rings import (
+    CyclicRing,
+    FiniteRing,
+    IdealizationRing,
+    ProductRing,
+    _factorize,
+    _serialize,
+    build_ring,
+)
 from .specs import CyclicZ, Idealization, Product, parse_ring_spec
 
 PASS = "pass"
@@ -96,6 +107,19 @@ class _Tally:
 
     def skip(self):
         self.skipped += 1
+
+    def agree(self, *statements) -> bool:
+        """The biconditional rule: the compared statements must agree.
+        When they do, the instance counts as substantive if they all hold
+        and vacuous if they all fail; returns False on disagreement, and
+        the caller then reports the failure."""
+        if any(s != statements[0] for s in statements[1:]):
+            return False
+        if statements[0]:
+            self.substantive()
+        else:
+            self.vacuous()
+        return True
 
     def fail(self, **record) -> TheoremVerdict:
         self.checked += 1
@@ -153,12 +177,6 @@ def _proper_ideals(ring: FiniteRing, family: InstanceFamily):
 def _complete_proper_ideals(ring: FiniteRing, family: InstanceFamily):
     enumeration = enumerate_ideals(ring, family.max_generators)
     return (enumeration.proper, enumeration.complete)
-
-
-def _serialize(value):
-    if isinstance(value, tuple):
-        return [_serialize(part) for part in value]
-    return value
 
 
 def _instance(ring, ideal=None, m=None, n=None, **extra) -> dict:
@@ -376,15 +394,11 @@ def _check_prod_closed(family):
                 condition = (not left.is_proper or _closed(left, m, n)) and (
                     not right.is_proper or _closed(right, m, n)
                 )
-                if direct != condition:
+                if not tally.agree(direct, condition):
                     return tally.fail(
                         **_instance(ring, ideal, m, n),
                         detail=f"direct closedness {direct} but factor condition {condition}",
                     )
-                if direct:
-                    tally.substantive()
-                else:
-                    tally.vacuous()
     return tally.done()
 
 
@@ -406,7 +420,7 @@ def _check_prod_factor(family):
                 weak_lifted = _weakly(lifted, m, n)
                 closed_factor = _closed(factor, m, n)
                 closed_lifted = _closed(lifted, m, n)
-                if not (weak_lifted == closed_factor == closed_lifted):
+                if not tally.agree(weak_lifted, closed_factor, closed_lifted):
                     return tally.fail(
                         **_instance(ring, lifted, m, n),
                         detail=(
@@ -414,14 +428,11 @@ def _check_prod_factor(family):
                             f"closed(I)={closed_factor}, closed(IxR)={closed_lifted}"
                         ),
                     )
-                if weak_lifted:
-                    tally.substantive()
-                else:
-                    tally.vacuous()
     return tally.done()
 
 
-def _nonzero_power_lands_in(ring, ideal, m) -> bool:
+def _nonzero_power_lands_in(ideal, m) -> bool:
+    ring = ideal.ring
     zero = ring.zero
     for x in ring.elements:
         xm = ring.power(x, m)
@@ -430,24 +441,12 @@ def _nonzero_power_lands_in(ring, ideal, m) -> bool:
     return False
 
 
-def _powers_into_ideal_vanish(ring, ideal, m) -> bool:
-    # y**m in I forces y**m == 0
-    zero = ring.zero
-    for y in ring.elements:
-        ym = ring.power(y, m)
-        if ym in ideal.elements and ym != zero:
-            return False
-    return True
-
-
 def _add2_condition(side_ideal, other_ideal, m, n) -> bool:
-    side_ring = side_ideal.ring
-    other_ring = other_ideal.ring
     if not _weakly_only(side_ideal, m, n):
         return False
-    if not _powers_into_ideal_vanish(other_ring, other_ideal, m):
+    if _nonzero_power_lands_in(other_ideal, m):
         return False
-    if _nonzero_power_lands_in(side_ring, side_ideal, m):
+    if _nonzero_power_lands_in(side_ideal, m):
         return _closed(other_ideal, m, n)
     return True
 
@@ -467,15 +466,11 @@ def _check_prod_weak(family):
                         or _add2_condition(right, left, m, n)
                     )
                 )
-                if direct != condition:
+                if not tally.agree(direct, condition):
                     return tally.fail(
                         **_instance(ring, ideal, m, n),
                         detail=f"direct weakly-only {direct} but factor conditions {condition}",
                     )
-                if direct:
-                    tally.substantive()
-                else:
-                    tally.vacuous()
     return tally.done()
 
 
@@ -511,16 +506,12 @@ def _check_idealization(family):
                     _module_annihilated(ring, a, m)
                     for a in unbreakable_zero_elements(base_ideal, m, n)
                 )
-                if direct != condition:
+                if not tally.agree(direct, condition):
                     return tally.fail(
                         **_instance(ring, extended, m, n),
                         base_ideal=[_serialize(e) for e in base_ideal.members],
                         detail=f"direct weakly-only {direct} but module criterion {condition}",
                     )
-                if direct:
-                    tally.substantive()
-                else:
-                    tally.vacuous()
     return tally.done()
 
 
@@ -541,7 +532,7 @@ def _check_principal(family):
                 q, r = divmod(k, m)
                 condition = r != 0 and k + 1 <= c <= m * (q + 1) and n * (q + 1) < k
                 direct = _weakly_only(ideal, m, n)
-                if direct != condition:
+                if not tally.agree(direct, condition):
                     return tally.fail(
                         **_instance(ring, ideal, m, n),
                         p=p,
@@ -549,10 +540,6 @@ def _check_principal(family):
                         k=k,
                         detail=f"arithmetic conditions {condition} but direct status {direct}",
                     )
-                if direct:
-                    tally.substantive()
-                else:
-                    tally.vacuous()
     return tally.done()
 
 
@@ -571,16 +558,12 @@ def _check_nilideal(family):
         for m, n in family.mn_pairs:
             all_weak = all(_weakly(i, m, n) for i in nil_ideals)
             vanishing = all(ring.power(w, m) == ring.zero for w in nil)
-            if all_weak != vanishing:
+            if not tally.agree(all_weak, vanishing):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
                     detail=f"nil-contained ideals all weakly closed: {all_weak}, "
                     f"w**m == 0 on the nilradical: {vanishing}",
                 )
-            if all_weak:
-                tally.substantive()
-            else:
-                tally.vacuous()
     return tally.done()
 
 
@@ -815,19 +798,12 @@ def _check_strong(family):
     return tally.done()
 
 
-def _nonnil_vnr_and_mth_powers_vanish(ring, m, n) -> bool:
-    nil = ring.nilpotents
-    if any(ring.power(w, m) != ring.zero for w in nil):
-        return False
-    return all(is_mn_vnr(ring, x, m, n)[0] for x in ring.elements if x not in nil)
-
-
 def _check_allweak(family):
     tally = _Tally("T-ALLWEAK")
     for ring in _family_rings(family):
         ideals, complete = _complete_proper_ideals(ring, family)
         for m, n in family.mn_pairs:
-            characterization = _nonnil_vnr_and_mth_powers_vanish(ring, m, n)
+            characterization = _weakly_closed_characterization(ring, m, n)
             if not complete:
                 # can only assert one direction without the full ideal list
                 if characterization and not all(_weakly(i, m, n) for i in ideals):
@@ -838,16 +814,12 @@ def _check_allweak(family):
                 tally.vacuous()
                 continue
             direct = all(_weakly(i, m, n) for i in ideals)
-            if direct != characterization:
+            if not tally.agree(direct, characterization):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
                     detail=f"all ideals weakly closed: {direct}, "
                     f"element characterization: {characterization}",
                 )
-            if direct:
-                tally.substantive()
-            else:
-                tally.vacuous()
     return tally.done()
 
 
@@ -866,15 +838,11 @@ def _check_allclosed(family):
                 tally.vacuous()
                 continue
             direct = all(_closed(i, m, n) for i in ideals)
-            if direct != regular:
+            if not tally.agree(direct, regular):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
                     detail=f"all ideals closed: {direct}, ring regular: {regular}",
                 )
-            if direct:
-                tally.substantive()
-            else:
-                tally.vacuous()
     return tally.done()
 
 
@@ -891,7 +859,7 @@ def _check_dim0(family):
             all_closed = all(_closed(i, m, n) for i in ideals)
             regular = is_mn_regular_ring(ring, m, n)
             structural = dim == 0 and all(ring.power(w, n) == ring.zero for w in nil)
-            if not (all_closed == regular == structural):
+            if not tally.agree(all_closed, regular, structural):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
                     detail=(
@@ -899,10 +867,6 @@ def _check_dim0(family):
                         f"regular {regular}, dim-0-with-vanishing-nil {structural}"
                     ),
                 )
-            if all_closed:
-                tally.substantive()
-            else:
-                tally.vacuous()
     return tally.done()
 
 
@@ -920,7 +884,7 @@ def _check_reduced(family):
             all_weak = all(_weakly(i, m, n) for i in ideals)
             all_closed = all(_closed(i, m, n) for i in ideals)
             regular = is_mn_regular_ring(ring, m, n)
-            if not (all_weak == all_closed == regular):
+            if not tally.agree(all_weak, all_closed, regular):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
                     detail=(
@@ -928,7 +892,6 @@ def _check_reduced(family):
                         f"closed {all_closed}, regular {regular}"
                     ),
                 )
-            tally.substantive()
     return tally.done()
 
 

@@ -116,6 +116,18 @@ def brute_is_weakly_mn_closed(ring, members, m, n):
     return True
 
 
+def brute_first_failures(ring, members, m, n):
+    """(first x with x**m in I and x**n not in I, first such x with
+    x**m != 0), each None when there is none."""
+    failing = [
+        x
+        for x in ring.elements
+        if brute_power(ring, x, m) in members and brute_power(ring, x, n) not in members
+    ]
+    nonzero = [x for x in failing if brute_power(ring, x, m) != ring.zero]
+    return (failing[0] if failing else None, nonzero[0] if nonzero else None)
+
+
 def brute_unbreakable(ring, members, m, n):
     return tuple(
         a

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from closure_lab.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -76,6 +74,13 @@ def test_max_order_violation_named(capsys):
     assert "cap" in err
 
 
+def test_negative_ideal_literal_rejected(capsys):
+    code, out, err = run_cli(capsys, "check", "--ring", "Z8", "--ideal", "-4", "--m", "2", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "ideal literal -4 is out of range" in err
+
+
 def test_classify_grid(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--ring", "Z16", "--ideal", "8", "--m", "2..3", "--n", "1..2"
@@ -107,20 +112,11 @@ def test_profile_element(capsys):
     assert json.loads(out.strip()) == {"ring_spec": "Z8", "element": 2, "k": 3}
 
 
-@pytest.fixture(scope="module")
-def family_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("families") / "small.family"
-    path.write_text(
-        "# a small family\n"
-        "cyclic_max = 12\n"
-        "product_moduli = 2, 3\n"
-        "idealization_max = 4\n"
-        "principal_primes = 2\n"
-        "principal_max_exponent = 6\n"
-        "m_max = 3\n",
-        encoding="utf-8",
-    )
-    return str(path)
+def test_negative_element_literal_rejected(capsys):
+    code, out, err = run_cli(capsys, "profile", "--ring", "Z8", "--element", "-1", "--format", "machine")
+    assert code == 1
+    assert out == ""
+    assert "element literal -1 is out of range" in err
 
 
 def test_verify_small_family(capsys, family_file):

@@ -24,9 +24,10 @@ from closure_lab import (
     quotient_ring,
     unbreakable_zero_elements,
 )
-from closure_lab.closure import _classify_cyclic_vectorized
+from closure_lab.closure import _failure_scan, _failure_scan_cyclic
 
 from _oracles import (
+    brute_first_failures,
     brute_is_mn_closed,
     brute_is_n_absorbing,
     brute_is_weakly_mn_closed,
@@ -156,6 +157,9 @@ def test_deciders_match_oracles(r, data):
     assert is_mn_closed(i, m, n)[0] == brute_is_mn_closed(r, i.elements, m, n)
     assert is_weakly_mn_closed(i, m, n)[0] == brute_is_weakly_mn_closed(r, i.elements, m, n)
     assert unbreakable_zero_elements(i, m, n) == brute_unbreakable(r, i.elements, m, n)
+    first, nonzero = brute_first_failures(r, i.elements, m, n)
+    assert is_mn_closed(i, m, n)[1] == first
+    assert is_weakly_mn_closed(i, m, n)[1] == nonzero
     rep = classify(i, m, n)
     assert (rep.status == "closed") == is_mn_closed(i, m, n)[0]
     assert (rep.status != "not_weakly") == is_weakly_mn_closed(i, m, n)[0]
@@ -166,17 +170,9 @@ def test_deciders_match_oracles(r, data):
 def test_vectorized_path_matches_generic(modulus, m, n, data):
     r = build_ring(CyclicZ(modulus))
     i = data.draw(st.sampled_from(enumerate_ideals(r).proper))
-    fast = _classify_cyclic_vectorized(i, m, n)
-    slow_status = (
-        "not_weakly"
-        if not is_weakly_mn_closed(i, m, n)[0]
-        else ("closed" if is_mn_closed(i, m, n)[0] else "weakly_only")
-    )
-    assert fast.status == slow_status
-    if fast.status == "not_weakly":
-        assert fast.witness == is_weakly_mn_closed(i, m, n)[1]
-    elif fast.status == "weakly_only":
-        assert fast.witness == unbreakable_zero_elements(i, m, n)[0]
+    expected = brute_first_failures(r, i.elements, m, n)
+    generic = _failure_scan(i, m, n)  # orders below 2048 take the generic branch
+    assert _failure_scan_cyclic(i, m, n) == generic == expected
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,0 +1,38 @@
+"""Machine output pinned byte for byte across versions.
+
+Each fixture under `golden/` is the stdout of one CLI invocation with
+`--format machine`, recorded before the deciders and the theorem layer
+were consolidated.  Refactors must reproduce them exactly; a fixture
+changes only together with an intended change of output.  The two
+classify grids run on cyclic rings of order >= 2048, so they also pin
+the vectorized branch of the closure scan.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from closure_lab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FAMILY = object()  # placeholder for the small family config path
+
+CASES = {
+    "verify_all": ("verify", "--theorems", "all", "--family", FAMILY, "--workers", "1"),
+    "search_weak-not-closed-exists": ("search", "weak-not-closed-exists", "--family", FAMILY),
+    "search_weak-not-monotone-in-m": ("search", "weak-not-monotone-in-m", "--family", FAMILY),
+    "search_weakly-closed-not-weakly-radical": (
+        "search", "weakly-closed-not-weakly-radical", "--family", FAMILY,
+    ),
+    "classify_z8192": ("classify", "--ring", "Z8192", "--ideal", "4096", "--m", "1..6", "--n", "1..5"),
+    "classify_z6561": ("classify", "--ring", "Z6561", "--ideal", "729", "--m", "1..6", "--n", "1..5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_machine_output_matches_golden(name, family_file, capsys):
+    argv = [family_file if arg is FAMILY else arg for arg in CASES[name]]
+    code = main([*argv, "--format", "machine"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

@@ -210,6 +210,6 @@ def test_build_is_cached():
 
 def test_large_ring_is_lazy_but_usable():
     r = build_ring(CyclicZ(2 ** 17))
-    assert "units" not in r.__dict__  # not computed eagerly above 2**16
+    assert "units" not in r.__dict__  # nothing structural is computed at build time
     assert r.power(3, 5) == 243
     assert 3 in r.units  # computed on demand
