@@ -51,9 +51,12 @@ def _emit(record: dict, fmt: str, text_lines):
 def _parse_range(raw: str):
     if ".." in raw:
         lo, _, hi = raw.partition("..")
-        return range(int(lo), int(hi) + 1)
-    value = int(raw)
-    return range(value, value + 1)
+        lo, hi = int(lo), int(hi)
+    else:
+        lo = hi = int(raw)
+    if hi < lo:
+        raise ValueError(f"empty exponent range {raw!r}: {hi} < {lo}")
+    return range(lo, hi + 1)
 
 
 def _resolve_ring_and_ideal(args):
@@ -122,15 +125,16 @@ def _cmd_profile(args) -> int:
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    workers = args.workers
+    if workers is None:
+        workers = int(os.environ.get(WORKERS_ENV) or os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError(f"--workers / {WORKERS_ENV} must be at least 1, got {workers}")
+    return workers
 
 
 def _cmd_verify(args) -> int:
+    workers = _resolve_workers(args)
     family = load_family(args.family)
     if args.max_order != DEFAULT_ORDER_CAP:
         family = with_max_order(family, args.max_order)
@@ -141,7 +145,7 @@ def _cmd_verify(args) -> int:
         unknown = [i for i in ids if i not in CATALOG]
         if unknown:
             raise SpecError(f"unknown theorem ids: {', '.join(unknown)}")
-    verdicts = verify_many(ids, family, workers=_resolve_workers(args))
+    verdicts = verify_many(ids, family, workers=workers)
     for verdict in verdicts:
         if args.format == "machine":
             print(_machine_line(verdict.to_record()))

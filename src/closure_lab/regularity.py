@@ -1,10 +1,13 @@
 """(m,n)-von Neumann regularity of elements and rings.
 
-An element x is (m,n)-vnr when x**m * r == x**n is solvable for r; a ring
-is (m,n)-regular when every element is.  For a fixed element the set of
-solvable pairs always has the shape B_k = {(m, n): m <= n or n >= k}, and
-`vnr_profile_element` finds the k.  B_omega (pairs with m <= n only) is
-representable for API completeness but unreachable from finite rings:
+An element x is (m,n)-vnr when x**m * r == x**n is solvable for r, that
+is, when x**m divides x**n (x**n lies in x**m R).  Every decision here
+goes through that one divisibility test, `FiniteRing.divides`; only
+`is_mn_vnr` goes on to search for the witness r.  A ring is
+(m,n)-regular when every element is.  For a fixed element the set of
+solvable pairs always has the shape B_k = {(m, n): m <= n or n >= k},
+and `vnr_profile_element` finds the k.  B_omega (pairs with m <= n only)
+is representable for API completeness but unreachable from finite rings:
 every finite commutative ring is strongly pi-regular, which the profile
 computation asserts by always terminating with a finite k.
 """
@@ -49,45 +52,29 @@ class ConsistencyError(RuntimeError):
     """Two independently computed routes to the same answer disagreed."""
 
 
-_solve_cache: dict = {}
-
-
-def _solve(ring: FiniteRing, a, b):
-    """First r in canonical order with a*r == b, or None."""
-    key = (ring, a, b)
-    try:
-        return _solve_cache[key]
-    except KeyError:
-        pass
-    witness = None
-    for r in ring.elements:
-        if ring.mul(a, r) == b:
-            witness = r
-            break
-    _solve_cache[key] = witness
-    return witness
+def _is_vnr(ring: FiniteRing, x, m: int, n: int) -> bool:
+    """x is (m,n)-vnr: x**m divides x**n."""
+    if m < 1 or n < 1:
+        raise ValueError("exponents must be positive")
+    return ring.divides(ring.power(x, m), ring.power(x, n))
 
 
 def is_mn_vnr(ring: FiniteRing, x, m: int, n: int):
-    """Exhaustive search for r with x**m * r == x**n; returns
-    (ok, first such r or None)."""
-    if m < 1 or n < 1:
-        raise ValueError("exponents must be positive")
-    r = _solve(ring, ring.power(x, m), ring.power(x, n))
-    return (r is not None), r
+    """Whether x**m * r == x**n is solvable; returns (ok, the first such r
+    in canonical order, or None)."""
+    if not _is_vnr(ring, x, m, n):
+        return False, None
+    xm, xn = ring.power(x, m), ring.power(x, n)
+    return True, next(r for r in ring.elements if ring.mul(xm, r) == xn)
 
 
 def vnr_grid(ring: FiniteRing, x, max_m: int = 6, max_n: int = 6) -> dict:
     """Solvability table {(m, n): bool} for 1 <= m <= max_m, 1 <= n <= max_n."""
-    top = max(max_m, max_n)
-    powers = [ring.one]
-    for _ in range(top):
-        powers.append(ring.mul(powers[-1], x))
-    grid = {}
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            grid[(m, n)] = _solve(ring, powers[m], powers[n]) is not None
-    return grid
+    return {
+        (m, n): _is_vnr(ring, x, m, n)
+        for m in range(1, max_m + 1)
+        for n in range(1, max_n + 1)
+    }
 
 
 def vnr_profile_element(ring: FiniteRing, x) -> VnrProfile:
@@ -95,7 +82,7 @@ def vnr_profile_element(ring: FiniteRing, x) -> VnrProfile:
     finite ring because power sequences are eventually periodic."""
     ring.require_member(x)
     for n in range(1, ring.order + 2):
-        if is_mn_vnr(ring, x, n + 1, n)[0]:
+        if _is_vnr(ring, x, n + 1, n):
             return VnrProfile(n)
     raise ConsistencyError(
         f"no profile within order bound for {x!r} in {ring.spec_str}"
@@ -114,8 +101,8 @@ def vnr_profile_ring(ring: FiniteRing) -> VnrProfile:
 
 @lru_cache(maxsize=None)
 def is_mn_regular_ring(ring: FiniteRing, m: int, n: int) -> bool:
-    """Every element is (m,n)-vnr (direct search, no profile shortcut)."""
-    return all(is_mn_vnr(ring, x, m, n)[0] for x in ring.elements)
+    """Every element is (m,n)-vnr (element by element, no profile shortcut)."""
+    return all(_is_vnr(ring, x, m, n) for x in ring.elements)
 
 
 def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
@@ -123,7 +110,7 @@ def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
     w**m == 0 on the nilradical and every non-nilpotent is (m,n)-vnr."""
     nil = ring.nilpotents
     return all(ring.power(w, m) == ring.zero for w in nil) and all(
-        is_mn_vnr(ring, x, m, n)[0] for x in ring.elements if x not in nil
+        _is_vnr(ring, x, m, n) for x in ring.elements if x not in nil
     )
 
 
@@ -183,11 +170,7 @@ def regularity_record(ring: FiniteRing) -> dict:
     ring's k (the witness that k cannot be lowered)."""
     profile = vnr_profile_ring(ring)
     strongly, smallest = is_strongly_pi_regular(ring)
-    witness = None
-    for x in ring.elements:
-        if vnr_profile_element(ring, x).k == profile.k:
-            witness = x
-            break
+    witness = next(x for x in ring.elements if vnr_profile_element(ring, x).k == profile.k)
     if strongly and smallest != profile.k:
         raise ConsistencyError(
             f"{ring.spec_str}: profile k={profile.k} but smallest strongly "

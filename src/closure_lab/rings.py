@@ -1,14 +1,16 @@
 """Finite commutative rings realized from symbolic specs.
 
 Every ring exposes a canonical element tuple (`elements`), unchecked fast
-arithmetic (`add`/`mul`/`neg`/`power`), and cached structural sets: the
-nilradical, the unit group, the zero-divisors, and the characteristic.
+arithmetic (`add`/`mul`/`neg`/`power`), divisibility (`divides`: b in
+aR), and cached structural sets: the nilradical, the unit group, the
+zero-divisors, and the characteristic.
 Rings are immutable once built; `build_ring` memoizes on the spec, so
 repeated builds of the same spec share one object (and its caches).
 
-Structural sets are computed with per-kind shortcuts (gcd tests for
-cyclic rings, componentwise products, and so on); the test suite checks
-each shortcut against the exhaustive definition on small rings.
+Divisibility and structural sets are computed with per-kind shortcuts
+(gcd tests for cyclic rings, componentwise products, and so on); the
+test suite checks each shortcut against the exhaustive definition on
+small rings.
 """
 
 from __future__ import annotations
@@ -120,6 +122,10 @@ class FiniteRing:
         self.require_member(x)
         return self._index[x]
 
+    def divides(self, a, b) -> bool:
+        """Whether b lies in the principal ideal aR: a*r == b for some r."""
+        return any(self.mul(a, r) == b for r in self.elements)
+
     # -- structure ----------------------------------------------------------
 
     def nilpotency_index(self, x):
@@ -222,6 +228,10 @@ class CyclicRing(FiniteRing):
     def contains(self, x):
         return isinstance(x, int) and 0 <= x < self.n
 
+    def divides(self, a, b):
+        # aZ_n = gcd(a, n)Z_n, the rule `ideal_closure` uses too
+        return b % math.gcd(a, self.n) == 0
+
     @cached_property
     def elements(self):
         return tuple(range(self.n))
@@ -282,6 +292,9 @@ class ProductRing(FiniteRing):
             and self.left.contains(x[0])
             and self.right.contains(x[1])
         )
+
+    def divides(self, a, b):
+        return self.left.divides(a[0], b[0]) and self.right.divides(a[1], b[1])
 
     @cached_property
     def elements(self):

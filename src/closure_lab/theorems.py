@@ -43,9 +43,9 @@ from .ideals import (
     split_product_ideal,
 )
 from .regularity import (
+    _is_vnr,
     _weakly_closed_characterization,
     is_mn_regular_ring,
-    is_mn_vnr,
     is_strongly_pi_regular,
     vnr_grid,
     vnr_profile_element,
@@ -201,8 +201,10 @@ def _is_prime_number(n: int) -> bool:
 # --- basic closure facts (T-BASIC-1..4) ---------------------------------------
 
 
-def _check_basic_1(family):
-    tally = _Tally("T-BASIC-1")
+def _absorbing_implies_weakly(theorem_id, family, m_values, detail):
+    """Weakly n-absorbing ideals are weakly (m,n)-closed for every m in
+    `m_values(n)`; the shared body of T-BASIC-1 and T-BASIC-3."""
+    tally = _Tally(theorem_id)
     for ring in _family_rings(family):
         for ideal in _proper_ideals(ring, family):
             for n in family.n_values:
@@ -214,13 +216,20 @@ def _check_basic_1(family):
                 if not hyp:
                     tally.vacuous()
                     continue
-                if not _weakly(ideal, n + 1, n):
-                    return tally.fail(
-                        **_instance(ring, ideal, n + 1, n),
-                        detail="weakly n-absorbing ideal is not weakly (n+1,n)-closed",
-                    )
+                for m in m_values(n):
+                    if not _weakly(ideal, m, n):
+                        return tally.fail(**_instance(ring, ideal, m, n), detail=detail)
                 tally.substantive()
     return tally.done()
+
+
+def _check_basic_1(family):
+    return _absorbing_implies_weakly(
+        "T-BASIC-1",
+        family,
+        lambda n: (n + 1,),
+        "weakly n-absorbing ideal is not weakly (n+1,n)-closed",
+    )
 
 
 def _check_basic_2(family):
@@ -243,26 +252,12 @@ def _check_basic_2(family):
 
 
 def _check_basic_3(family):
-    tally = _Tally("T-BASIC-3")
-    for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring, family):
-            for n in family.n_values:
-                try:
-                    hyp, _ = is_n_absorbing(ideal, n, weak=True, budget=family.absorbing_budget)
-                except AbsorbingBudgetError:
-                    tally.skip()
-                    continue
-                if not hyp:
-                    tally.vacuous()
-                    continue
-                for m in range(1, family.grid_max + 1):
-                    if not _weakly(ideal, m, n):
-                        return tally.fail(
-                            **_instance(ring, ideal, m, n),
-                            detail="weakly n-absorbing ideal is not weakly (m,n)-closed",
-                        )
-                tally.substantive()
-    return tally.done()
+    return _absorbing_implies_weakly(
+        "T-BASIC-3",
+        family,
+        lambda n: range(1, family.grid_max + 1),
+        "weakly n-absorbing ideal is not weakly (m,n)-closed",
+    )
 
 
 def _check_basic_4(family):
@@ -708,7 +703,7 @@ def _check_vnrfacts_7(family):
                 if not (ok and m > n):
                     tally.vacuous()
                     continue
-                if not is_mn_vnr(ring, x, m + 1, n)[0]:
+                if not _is_vnr(ring, x, m + 1, n):
                     return tally.fail(
                         **_instance(ring, m=m, n=n),
                         element=_serialize(x),
@@ -754,7 +749,7 @@ def _check_bk(family):
                         k=profile.k,
                         detail="grid does not match the B_k shape",
                     )
-            if profile.k > 1 and is_mn_vnr(ring, x, profile.k, profile.k - 1)[0]:
+            if profile.k > 1 and _is_vnr(ring, x, profile.k, profile.k - 1):
                 return tally.fail(
                     **_instance(ring),
                     element=_serialize(x),

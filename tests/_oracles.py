@@ -137,10 +137,21 @@ def brute_unbreakable(ring, members, m, n):
     )
 
 
-def brute_is_mn_vnr(ring, x, m, n):
+def brute_multiples(ring, a):
+    """The principal ideal aR, listed product by product."""
+    return frozenset(ring.mul(a, r) for r in ring.elements)
+
+
+def brute_divides(ring, a, b):
+    """b in aR: some r has a*r == b."""
+    return any(ring.mul(a, r) == b for r in ring.elements)
+
+
+def brute_vnr_witness(ring, x, m, n):
+    """First r in canonical order with x**m * r == x**n, or None."""
     xm = brute_power(ring, x, m)
     xn = brute_power(ring, x, n)
-    return any(ring.mul(xm, r) == xn for r in ring.elements)
+    return next((r for r in ring.elements if ring.mul(xm, r) == xn), None)
 
 
 def brute_is_n_absorbing(ring, members, n, weak):

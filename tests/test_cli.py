@@ -65,6 +65,15 @@ def test_usage_error_exits_one(capsys):
     assert code == 1
 
 
+def test_reversed_range_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--ring", "Z8", "--ideal", "4", "--m", "3..1", "--n", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "3..1" in err
+
+
 def test_max_order_violation_named(capsys):
     code, _, err = run_cli(
         capsys, "check", "--ring", "Z64", "--ideal", "2", "--m", "2", "--n", "1",
@@ -170,6 +179,25 @@ def test_workers_env_fallback(capsys, family_file, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--theorems", "T-ZPK", "--family", family_file)
     assert code == 0
     assert "1/1 pass" in out
+
+
+def test_nonpositive_workers_rejected(capsys, family_file):
+    for count in ("0", "-2"):
+        code, out, err = run_cli(
+            capsys, "verify", "--theorems", "T-ZPK", "--family", family_file, "--workers", count
+        )
+        assert code == 1
+        assert out == ""
+        assert "--workers" in err
+
+
+def test_nonpositive_workers_env_rejected(capsys, family_file, monkeypatch):
+    for count in ("0", "-2"):
+        monkeypatch.setenv("CLOSURE_LAB_WORKERS", count)
+        code, out, err = run_cli(capsys, "verify", "--theorems", "T-ZPK", "--family", family_file)
+        assert code == 1
+        assert out == ""
+        assert "CLOSURE_LAB_WORKERS" in err
 
 
 def test_module_entry_point(family_file):

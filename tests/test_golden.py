@@ -1,11 +1,15 @@
 """Machine output pinned byte for byte across versions.
 
 Each fixture under `golden/` is the stdout of one CLI invocation with
-`--format machine`, recorded before the deciders and the theorem layer
-were consolidated.  Refactors must reproduce them exactly; a fixture
-changes only together with an intended change of output.  The two
+`--format machine`, recorded before the refactor it guards: the
+consolidation of the deciders and the theorem layer, and the move of
+the regularity layer onto `FiniteRing.divides`.  Refactors must
+reproduce them exactly; a fixture changes only together with an
+intended change of output.  The two
 classify grids run on cyclic rings of order >= 2048, so they also pin
-the vectorized branch of the closure scan.
+the vectorized branch of the closure scan.  The profile cases pin the
+regularity layer on every ring kind, cyclic rings of order 2048 and a
+product of order 1152 among them.
 """
 
 from pathlib import Path
@@ -26,6 +30,11 @@ CASES = {
     ),
     "classify_z8192": ("classify", "--ring", "Z8192", "--ideal", "4096", "--m", "1..6", "--n", "1..5"),
     "classify_z6561": ("classify", "--ring", "Z6561", "--ideal", "729", "--m", "1..6", "--n", "1..5"),
+    "profile_z2048": ("profile", "--ring", "Z2048"),
+    "profile_z9xz128": ("profile", "--ring", "Z9 x Z128"),
+    "profile_z12_ext_z6": ("profile", "--ring", "Z12 (+) Z6"),
+    "profile_z64_mod8": ("profile", "--ring", "Z64/(8)"),
+    "profile_z8_element2": ("profile", "--ring", "Z8", "--element", "2"),
 }
 
 

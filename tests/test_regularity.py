@@ -22,7 +22,7 @@ from closure_lab import (
     vnr_profile_ring,
 )
 
-from _oracles import brute_is_mn_vnr
+from _oracles import brute_vnr_witness
 from _strategies import small_rings
 
 
@@ -112,13 +112,16 @@ def test_regularity_record_fields():
 @settings(max_examples=30, deadline=None)
 @given(small_rings, st.data())
 def test_vnr_matches_oracle(r, data):
-    x = data.draw(st.sampled_from(r.elements))
     m = data.draw(st.integers(1, 5))
     n = data.draw(st.integers(1, 5))
-    ok, witness = is_mn_vnr(r, x, m, n)
-    assert ok == brute_is_mn_vnr(r, x, m, n)
-    if ok:
-        assert r.mul(r.power(x, m), witness) == r.power(x, n)
+    for x in r.elements:
+        ok, witness = is_mn_vnr(r, x, m, n)
+        expected = brute_vnr_witness(r, x, m, n)
+        # divisibility decides, and the witness is the first solution
+        assert ok == r.divides(r.power(x, m), r.power(x, n)) == (expected is not None)
+        assert witness == expected
+        if ok:
+            assert r.mul(r.power(x, m), witness) == r.power(x, n)
 
 
 @settings(max_examples=25, deadline=None)

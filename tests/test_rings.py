@@ -24,6 +24,8 @@ from closure_lab import (
 
 from _oracles import (
     brute_additive_order,
+    brute_divides,
+    brute_multiples,
     brute_nilpotents,
     brute_power,
     brute_units,
@@ -128,6 +130,44 @@ def test_structure_sets_match_oracles(r):
     assert r.units == brute_units(r)
     assert r.nilpotents == brute_nilpotents(r)
     assert r.zero_divisors == brute_zero_divisors(r)
+
+
+def _assert_divides_matches_definition(r):
+    for a in r.elements:
+        multiples = brute_multiples(r, a)
+        for b in r.elements:
+            assert r.divides(a, b) == (b in multiples), (r, a, b)
+
+
+@pytest.mark.parametrize(
+    "text", ["Z12", "Z27", "Z4 x Z6", "Z2 x Z9", "Z6 (+) Z3", "Z8 (+) Z2", "Z24/(4)", "(Z4 x Z2)/(2)"]
+)
+def test_divides_matches_definition_on_every_kind(text):
+    _assert_divides_matches_definition(ring(text))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings)
+def test_divides_matches_definition(r):
+    _assert_divides_matches_definition(r)
+
+
+@pytest.mark.parametrize(
+    "text, pairs",
+    [
+        (
+            "Z8192",
+            [(4096, 0), (4096, 2048), (6, 2), (6, 3), (2048, 6144), (8191, 1), (1024, 512), (0, 1)],
+        ),
+        # both factors above 1000: 1033216 elements in the brute-force scan
+        ("Z1009 x Z1024", [((0, 8), (0, 4)), ((0, 1), (1, 0)), ((3, 6), (5, 2)), ((1008, 512), (1, 0))]),
+    ],
+)
+def test_divides_spot_pairs_on_large_rings(text, pairs):
+    r = ring(text)
+    answers = [r.divides(a, b) for a, b in pairs]
+    assert answers == [brute_divides(r, a, b) for a, b in pairs]
+    assert True in answers and False in answers
 
 
 @settings(max_examples=40, deadline=None)
