@@ -10,13 +10,21 @@ All three closedness deciders (`classify`, `is_mn_closed`,
 first failing x and the first failing x with x**m != 0 in canonical
 element order.  On large cyclic rings that sweep runs over numpy power
 tables instead; the tests pin that branch to the definition.
+
+`is_n_absorbing` sweeps multisets of n+1 factors depth first and cuts
+every prefix of at most n factors whose product already lies in I:
+each completion of it has an n-subproduct in I (leave out a factor
+after the prefix), so no failure is lost and the first failing multiset
+is the same as in a plain ``combinations_with_replacement`` scan.  The
+answer of each (ideal, n, weak) sweep is kept in a bounded memo; the
+budget check runs before that memo is read, so an over-budget call
+always raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -231,34 +239,64 @@ def is_n_absorbing(
     """Whenever a product of n+1 elements lies in I (nonzero, for the weak
     variant), some n of them already multiply into I.
 
-    Products are symmetric, so tuples are swept as multisets; a failing
-    multiset is returned sorted.  Raises `AbsorbingBudgetError` when
-    order**(n+1) exceeds the budget.
+    Products are symmetric, so tuples are swept as multisets, in
+    ``combinations_with_replacement`` order over the canonical elements;
+    the first failing multiset is returned sorted.  The sweep is depth
+    first and cuts every prefix of at most n factors whose product
+    already lies in I: every completion of it has an n-subproduct in I
+    (leave out a factor after the prefix), so the cut holds no failure
+    and the first witness is the one a full scan finds.
+
+    The answer of each (ideal, n, weak) sweep is remembered (up to 4096
+    of them).  Raises `AbsorbingBudgetError` when order**(n+1) exceeds
+    the budget, checked before any remembered answer is read.
     """
     _require_proper(ideal)
     _require_positive(n)
-    ring = ideal.ring
-    required = ring.order ** (n + 1)
+    required = ideal.ring.order ** (n + 1)
     if required > budget:
         raise AbsorbingBudgetError(required, budget)
+    witness = _first_absorbing_failure(ideal, n, weak)
+    return witness is None, witness
+
+
+# bounded; holds the 1795 in-budget weak (ideal, n) sweeps of the default family
+@lru_cache(maxsize=4096)
+def _first_absorbing_failure(ideal: Ideal, n: int, weak: bool):
+    """The first failing multiset of `is_n_absorbing`, or None: the
+    pruned depth-first search over nondecreasing index sequences."""
+    ring = ideal.ring
+    elements = ring.elements
     members = ideal.elements
+    mul = ring.mul
     zero = ring.zero
-    for combo in combinations_with_replacement(ring.elements, n + 1):
-        total = combo[0]
-        for factor in combo[1:]:
-            total = ring.mul(total, factor)
-        if total not in members:
-            continue
-        if weak and total == zero:
-            continue
-        if not any(_subproduct(ring, combo, skip) in members for skip in range(n + 1)):
-            return False, combo
-    return True, None
+    size = len(elements)
 
+    def extend(start, prefix, left_out, chosen):
+        # prefix: product of `chosen`; left_out[j]: that product without chosen[j]
+        if len(chosen) < n:
+            for i in range(start, size):
+                x = elements[i]
+                product = mul(prefix, x)
+                if product in members:
+                    continue
+                found = extend(
+                    i, product, [mul(q, x) for q in left_out] + [prefix], chosen + (x,)
+                )
+                if found is not None:
+                    return found
+            return None
+        # last factor; leaving it out gives `prefix`, which the cut keeps outside I
+        for i in range(start, size):
+            x = elements[i]
+            total = mul(prefix, x)
+            if total not in members or (weak and total == zero):
+                continue
+            for q in left_out:
+                if mul(q, x) in members:
+                    break
+            else:
+                return chosen + (x,)
+        return None
 
-def _subproduct(ring, combo, skip):
-    total = ring.one
-    for i, factor in enumerate(combo):
-        if i != skip:
-            total = ring.mul(total, factor)
-    return total
+    return extend(0, ring.one, [], ())

@@ -358,6 +358,19 @@ class IdealizationRing(FiniteRing):
             and 0 <= x[1] < self.d
         )
 
+    def divides(self, a, b):
+        # (a0, a1)(r0, r1) = (b0, b1) needs a0 r0 = b0 mod n, one of the
+        # g = gcd(a0, n) residues r0, and then a0 r1 = b1 - r0 a1 mod d,
+        # solvable iff gcd(a0, d) divides b1 - r0 a1 (d | n)
+        (a0, a1), (b0, b1) = a, b
+        g = math.gcd(a0, self.n)
+        if b0 % g:
+            return False
+        step = self.n // g
+        first = (b0 // g) * pow(a0 // g, -1, step) % step
+        h = math.gcd(a0, self.d)
+        return any((b1 - r0 * a1) % h == 0 for r0 in range(first, self.n, step))
+
     @cached_property
     def elements(self):
         return tuple((r, m) for r in range(self.n) for m in range(self.d))

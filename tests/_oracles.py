@@ -5,7 +5,7 @@ loops and no shared code paths with the package, so oracle/implementation
 agreement is a real check.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 
 def brute_units(ring):
@@ -175,6 +175,28 @@ def brute_is_n_absorbing(ring, members, n, weak):
         if not good:
             return False
     return True
+
+
+def brute_first_absorbing_failure(ring, members, n, weak):
+    """First multiset of n+1 elements, in combinations_with_replacement
+    order, whose product lies in I (nonzero, if weak) while no product of
+    n of them does; None when there is none."""
+    for combo in combinations_with_replacement(ring.elements, n + 1):
+        total = ring.one
+        for f in combo:
+            total = ring.mul(total, f)
+        if total not in members or (weak and total == ring.zero):
+            continue
+        subproducts = []
+        for skip in range(n + 1):
+            sub = ring.one
+            for i, f in enumerate(combo):
+                if i != skip:
+                    sub = ring.mul(sub, f)
+            subproducts.append(sub)
+        if all(sub not in members for sub in subproducts):
+            return combo
+    return None
 
 
 def exhaustive_ring_axioms(ring):

@@ -24,9 +24,10 @@ from closure_lab import (
     quotient_ring,
     unbreakable_zero_elements,
 )
-from closure_lab.closure import _failure_scan, _failure_scan_cyclic
+from closure_lab.closure import _failure_scan, _failure_scan_cyclic, _first_absorbing_failure
 
 from _oracles import (
+    brute_first_absorbing_failure,
     brute_first_failures,
     brute_is_mn_closed,
     brute_is_n_absorbing,
@@ -145,6 +146,46 @@ def test_n_absorbing_examples():
 def test_n_absorbing_budget():
     with pytest.raises(AbsorbingBudgetError):
         is_n_absorbing(ideal("Z8"), 2, budget=100)
+
+
+def test_n_absorbing_budget_checked_after_a_remembered_answer():
+    i = ideal("Z16", 8)
+    for weak in (True, False):
+        is_n_absorbing(i, 2, weak=weak, budget=262144)
+        with pytest.raises(AbsorbingBudgetError):
+            is_n_absorbing(i, 2, weak=weak, budget=1)
+
+
+def test_n_absorbing_weak_and_plain_answers_kept_apart():
+    _first_absorbing_failure.cache_clear()
+    zero = ideal("Z8")
+    assert is_n_absorbing(zero, 2, weak=True) == (True, None)
+    assert is_n_absorbing(zero, 2, weak=False) == (False, (2, 2, 2))
+    assert _first_absorbing_failure.cache_info().hits == 0
+
+
+def test_n_absorbing_sweep_runs_once_per_instance():
+    _first_absorbing_failure.cache_clear()
+    i = ideal("Z12", 6)
+    first = is_n_absorbing(i, 2, weak=True)
+    assert is_n_absorbing(i, 2, weak=True) == first
+    info = _first_absorbing_failure.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["Z8", "Z12", "Z16", "Z2 x Z4", "Z3 x Z4", "Z4 (+) Z2", "Z4 (+) Z4", "Z24/(8)", "(Z4 x Z4)/(2)"]
+)
+def test_n_absorbing_first_witness_matches_oracle(text):
+    r = ring(text)
+    verdicts = set()
+    for i in enumerate_ideals(r).proper:
+        for n in (1, 2, 3):
+            for weak in (False, True):
+                expected = brute_first_absorbing_failure(r, i.elements, n, weak)
+                assert is_n_absorbing(i, n, weak=weak) == (expected is None, expected), (i, n, weak)
+                verdicts.add(expected is None)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=30, deadline=None)

@@ -140,7 +140,21 @@ def _assert_divides_matches_definition(r):
 
 
 @pytest.mark.parametrize(
-    "text", ["Z12", "Z27", "Z4 x Z6", "Z2 x Z9", "Z6 (+) Z3", "Z8 (+) Z2", "Z24/(4)", "(Z4 x Z2)/(2)"]
+    "text",
+    [
+        "Z12",
+        "Z27",
+        "Z4 x Z6",
+        "Z2 x Z9",
+        "Z6 (+) Z3",
+        "Z8 (+) Z2",
+        "Z16 (+) Z8",
+        "Z12 (+) Z6",
+        "Z9 (+) Z3",
+        "Z8 (+) Z1",
+        "Z24/(4)",
+        "(Z4 x Z2)/(2)",
+    ],
 )
 def test_divides_matches_definition_on_every_kind(text):
     _assert_divides_matches_definition(ring(text))
