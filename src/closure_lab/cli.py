@@ -142,6 +142,8 @@ def _cmd_verify(args) -> int:
         ids = list(THEOREM_IDS)
     else:
         ids = [part.strip() for part in args.theorems.split(",") if part.strip()]
+        if not ids:
+            raise SpecError(f"--theorems {args.theorems!r} names no theorem")
         unknown = [i for i in ids if i not in CATALOG]
         if unknown:
             raise SpecError(f"unknown theorem ids: {', '.join(unknown)}")

@@ -8,8 +8,9 @@ a with a**m == 0 but a**n not in I.
 All three closedness deciders (`classify`, `is_mn_closed`,
 `is_weakly_mn_closed`) read one sweep, `_failure_scan`, which finds the
 first failing x and the first failing x with x**m != 0 in canonical
-element order.  On large cyclic rings that sweep runs over numpy power
-tables instead; the tests pin that branch to the definition.
+element order.  On cyclic rings Z_N it visits only the divisors of N,
+one per valuation class, instead of all N elements; the tests pin that
+branch to the definition.
 
 `is_n_absorbing` sweeps multisets of n+1 factors depth first and cuts
 every prefix of at most n factors whose product already lies in I:
@@ -26,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .ideals import Ideal
+from .ideals import Ideal, _divisors
 from .rings import CyclicRing, _serialize
 
 STATUS_CLOSED = "closed"
@@ -36,7 +35,6 @@ STATUS_WEAKLY_ONLY = "weakly_only"
 STATUS_NOT_WEAKLY = "not_weakly"
 
 DEFAULT_ABSORBING_BUDGET = 2 ** 24
-_VECTOR_MIN_ORDER = 2048
 
 
 class AbsorbingBudgetError(RuntimeError):
@@ -93,13 +91,13 @@ def _failure_scan(ideal: Ideal, m: int, n: int):
 
     Returns ``(first, nonzero)``: the first x in canonical order with
     x**m in I and x**n not in I, and the first such x with x**m != 0
-    (None when there is none).  The sweep stops at the latter.  Large
-    cyclic rings take the vectorized branch.
+    (None when there is none).  The sweep stops at the latter.  Cyclic
+    rings are decided by valuation classes instead of elements.
     """
     _require_proper(ideal)
     _require_positive(m, n)
     ring = ideal.ring
-    if isinstance(ring, CyclicRing) and ring.order >= _VECTOR_MIN_ORDER:
+    if isinstance(ring, CyclicRing):
         return _failure_scan_cyclic(ideal, m, n)
     members = ideal.elements
     zero = ring.zero
@@ -114,45 +112,23 @@ def _failure_scan(ideal: Ideal, m: int, n: int):
     return first, None
 
 
-@lru_cache(maxsize=64)
-def _power_table(modulus: int, exponent: int) -> np.ndarray:
-    """pow(x, exponent, modulus) for every residue, square-and-multiply so
-    intermediates stay below 2**40 (modulus is capped at 2**20)."""
-    result = np.ones(modulus, dtype=np.int64)
-    base = np.arange(modulus, dtype=np.int64)
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * base % modulus
-        e >>= 1
-        if e:
-            base = base * base % modulus
-    return result
-
-
-def _cyclic_membership(ideal: Ideal, values: np.ndarray) -> np.ndarray:
-    if ideal.is_zero:
-        return values == 0
-    # every ideal of Z_n is dZ_n for d its least positive member
-    d = ideal.members[1] if ideal.members[0] == 0 else ideal.members[0]
-    return values % d == 0
-
-
 def _failure_scan_cyclic(ideal: Ideal, m: int, n: int):
-    """`_failure_scan` over power tables of Z_n; callable on any modulus
-    so the tests can pin it to the definition on small ones."""
+    """`_failure_scan` on Z_N, one step per valuation class.
+
+    The ideal is dZ_N, with d | N its least positive member (N for the
+    zero ideal), so x**t lies in it iff d divides x**t: for each p**e
+    exactly dividing N, t * min(v_p(x), e) >= v_p(d).  And x**t == 0 iff
+    t * min(v_p(x), e) >= e for each p.  Both depend only on the capped
+    valuations of x, which x shares with g = gcd(x, N), and g <= x; so
+    the first failures are divisors of N, one per class.
+    """
     modulus = ideal.ring.n
-    xm = _power_table(modulus, m)
-    failing = _cyclic_membership(ideal, xm) & ~_cyclic_membership(
-        ideal, _power_table(modulus, n)
-    )
-    if not failing.any():
-        return None, None
-    nonzero = failing & (xm != 0)
-    return (
-        int(np.argmax(failing)),
-        int(np.argmax(nonzero)) if nonzero.any() else None,
-    )
+    d = ideal.members[1] if len(ideal.members) > 1 else modulus
+    failing = [
+        g for g in _divisors(modulus) if pow(g, m, modulus) % d == 0 and pow(g, n, modulus) % d
+    ]
+    nonzero = [g for g in failing if pow(g, m, modulus)]
+    return (failing[0] if failing else None), (nonzero[0] if nonzero else None)
 
 
 def is_mn_closed(ideal: Ideal, m: int, n: int):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .rings import DEFAULT_ORDER_CAP
+from .rings import DEFAULT_ORDER_CAP, _is_prime_number
 from .specs import CyclicZ, Idealization, Product, parse_ring_spec
 
 DEFAULT_PRODUCT_MODULI = (2, 3, 4, 8, 9, 16)
@@ -67,6 +67,8 @@ def _family_specs(cyclic_moduli, product_moduli, idealization_max, extra_specs):
 def _principal_cases(primes, max_exponent, max_order):
     cases = []
     for p in primes:
+        if not _is_prime_number(p):
+            raise ValueError(f"principal_primes must be primes, got {p}")
         for c in range(2, max_exponent + 1):
             if p ** c <= max_order:
                 cases.append((p, c))

@@ -201,6 +201,11 @@ def _factorize(n: int) -> tuple:
     return tuple(factors)
 
 
+def _is_prime_number(n: int) -> bool:
+    factors = _factorize(n)
+    return len(factors) == 1 and factors[0][1] == 1
+
+
 def squarefree_radical(n: int) -> int:
     """Product of the distinct primes dividing n."""
     return reduce(lambda acc, pe: acc * pe[0], _factorize(n), 1)

@@ -57,6 +57,7 @@ from .rings import (
     IdealizationRing,
     ProductRing,
     _factorize,
+    _is_prime_number,
     _serialize,
     build_ring,
 )
@@ -191,11 +192,6 @@ def _instance(ring, ideal=None, m=None, n=None, **extra) -> dict:
     for key, value in extra.items():
         record[key] = _serialize(value) if isinstance(value, tuple) else value
     return record
-
-
-def _is_prime_number(n: int) -> bool:
-    factors = _factorize(n)
-    return len(factors) == 1 and factors[0][1] == 1
 
 
 # --- basic closure facts (T-BASIC-1..4) ---------------------------------------

@@ -161,6 +161,25 @@ def test_verify_rejects_unknown_ids(capsys, family_file):
     assert "T-NOPE" in err
 
 
+def test_verify_rejects_an_empty_theorem_list(capsys, family_file):
+    for raw in ("", ",", " , "):
+        code, out, err = run_cli(capsys, "verify", "--theorems", raw, "--family", family_file)
+        assert code == 1
+        assert out == ""
+        assert "names no theorem" in err
+
+
+def test_non_prime_principal_prime_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.family"
+    path.write_text("cyclic_max = 8\nprincipal_primes = 4\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "verify", "--theorems", "T-PRINCIPAL", "--family", str(path), "--workers", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "principal_primes" in err and "4" in err
+
+
 def test_search_finds_the_z8_witness(capsys, family_file):
     code, out, _ = run_cli(
         capsys, "search", "weak-not-closed-exists", "--family", family_file,
@@ -210,4 +229,23 @@ def test_module_entry_point(family_file):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.strip())["status"] == "weakly_only"
+    assert result.stderr == ""
+
+
+def test_cli_runs_without_numpy():
+    # closure-lab has no runtime dependencies; a large cyclic classify must
+    # not reach for numpy
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from closure_lab.cli import main\n"
+        "sys.exit(main(['classify', '--ring', 'Z8192', '--ideal', '4096',"
+        " '--m', '1..6', '--n', '1..5', '--format', 'machine']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 30
     assert result.stderr == ""

@@ -24,7 +24,7 @@ from closure_lab import (
     quotient_ring,
     unbreakable_zero_elements,
 )
-from closure_lab.closure import _failure_scan, _failure_scan_cyclic, _first_absorbing_failure
+from closure_lab.closure import _failure_scan, _first_absorbing_failure
 
 from _oracles import (
     brute_first_absorbing_failure,
@@ -206,14 +206,38 @@ def test_deciders_match_oracles(r, data):
     assert (rep.status != "not_weakly") == is_weakly_mn_closed(i, m, n)[0]
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(2, 300), st.integers(1, 6), st.integers(1, 6), st.data())
-def test_vectorized_path_matches_generic(modulus, m, n, data):
+def _assert_cyclic_matches_oracle(i, m, n):
+    first, nonzero = brute_first_failures(i.ring, i.elements, m, n)
+    assert _failure_scan(i, m, n) == (first, nonzero), (i.ring, i, m, n)
+    rep = classify(i, m, n)
+    if nonzero is not None:
+        assert (rep.status, rep.witness) == ("not_weakly", nonzero)
+    elif first is not None:
+        assert (rep.status, rep.witness) == ("weakly_only", first)
+    else:
+        assert (rep.status, rep.witness) == ("closed", None)
+
+
+def test_cyclic_scan_matches_oracle_on_every_small_instance():
+    # cyclic rings are decided by valuation classes, not element by element
+    for modulus in range(2, 129):
+        r = build_ring(CyclicZ(modulus))
+        for i in enumerate_ideals(r).proper:
+            for m in range(1, 7):
+                for n in range(1, 7):
+                    _assert_cyclic_matches_oracle(i, m, n)
+
+
+@pytest.mark.parametrize(
+    "modulus, gens",
+    [(8192, (4096, 512)), (6561, (729, 27)), (2000, (40, 1000, 0)), (900, (30, 450, 0))],
+)
+def test_cyclic_scan_matches_oracle_on_large_rings(modulus, gens):
     r = build_ring(CyclicZ(modulus))
-    i = data.draw(st.sampled_from(enumerate_ideals(r).proper))
-    expected = brute_first_failures(r, i.elements, m, n)
-    generic = _failure_scan(i, m, n)  # orders below 2048 take the generic branch
-    assert _failure_scan_cyclic(i, m, n) == generic == expected
+    for g in gens:
+        i = ideal_from_generators(r, [g])
+        for m, n in ((3, 1), (2, 1), (5, 2), (4, 3)):
+            _assert_cyclic_matches_oracle(i, m, n)
 
 
 @settings(max_examples=15, deadline=None)

@@ -7,6 +7,7 @@ from closure_lab.families import (
     FamilyConfigError,
     default_family,
     load_family,
+    make_family,
     parse_family_config,
     with_max_order,
 )
@@ -63,6 +64,18 @@ def test_config_errors():
         parse_family_config("just some words")
     with pytest.raises(FamilyConfigError):
         parse_family_config("m_max = banana")
+
+
+def test_non_prime_principal_primes_rejected():
+    # T-PRINCIPAL's exponent arithmetic only holds for Z_(p**c) with p prime
+    for bad in (4, 1, 0, 9):
+        with pytest.raises(ValueError, match=f"principal_primes must be primes, got {bad}"):
+            make_family(principal_primes=(2, bad))
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            parse_family_config(f"cyclic_max = 4\nprincipal_primes = 3, {bad}\n")
+    assert make_family(principal_primes=(5,), principal_max_exponent=3).principal_cases == (
+        (5, 2), (5, 3),
+    )
 
 
 def test_load_family_default_and_file(tmp_path):

@@ -5,11 +5,12 @@ Each fixture under `golden/` is the stdout of one CLI invocation with
 consolidation of the deciders and the theorem layer, and the move of
 the regularity layer onto `FiniteRing.divides`.  Refactors must
 reproduce them exactly; a fixture changes only together with an
-intended change of output.  The two
-classify grids run on cyclic rings of order >= 2048, so they also pin
-the vectorized branch of the closure scan.  The profile cases pin the
-regularity layer on every ring kind, cyclic rings of order 2048 and a
-product of order 1152 among them.
+intended change of output.  The two classify grids run on cyclic rings
+of order 8192 and 6561; they were recorded while such rings took a
+numpy branch of the closure scan, and now pin the valuation-class scan
+that replaced it.  The profile cases pin the regularity layer on every
+ring kind, cyclic rings of order 2048 and a product of order 1152 among
+them.
 """
 
 from pathlib import Path
