@@ -8,7 +8,7 @@ sorted keys, so identical invocations are byte-identical.
 
 Exit codes: 0 for success (for `check`: the ideal is weakly closed;
 for `verify`: every theorem passed), 1 for usage or parse errors, 2 when
-the queried property is false or a theorem failed.
+the queried property is false or a theorem did not pass.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from .closure import STATUS_NOT_WEAKLY, classify
 from .families import load_family, with_max_order
 from .ideals import ideal_from_generators
-from .regularity import regularity_record, vnr_profile_element, vnr_profile_ring
+from .regularity import VnrProfile, regularity_record, vnr_profile_element
 from .rings import DEFAULT_ORDER_CAP, build_ring
 from .specs import SpecError, parse_ring_with_ideal
 from .theorems import (
@@ -118,8 +118,8 @@ def _cmd_profile(args) -> int:
         record = {"ring_spec": ring.spec_str, "element": args.element, "k": profile.k}
         _emit(record, args.format, [f"{profile} (element {element} of {ring.spec_str})"])
     else:
-        profile = vnr_profile_ring(ring)
         record = regularity_record(ring)
+        profile = VnrProfile(record["k"])
         _emit(record, args.format, [f"{profile} ({profile.k}-regular: {ring.spec_str})"])
     return 0
 
@@ -147,6 +147,9 @@ def _cmd_verify(args) -> int:
         unknown = [i for i in ids if i not in CATALOG]
         if unknown:
             raise SpecError(f"unknown theorem ids: {', '.join(unknown)}")
+        repeated = [i for i in dict.fromkeys(ids) if ids.count(i) > 1]
+        if repeated:
+            raise SpecError(f"repeated theorem ids: {', '.join(repeated)}")
     verdicts = verify_many(ids, family, workers=workers)
     for verdict in verdicts:
         if args.format == "machine":

@@ -8,18 +8,12 @@ a with a**m == 0 but a**n not in I.
 All three closedness deciders (`classify`, `is_mn_closed`,
 `is_weakly_mn_closed`) read one sweep, `_failure_scan`, which finds the
 first failing x and the first failing x with x**m != 0 in canonical
-element order.  On cyclic rings Z_N it visits only the divisors of N,
-one per valuation class, instead of all N elements; the tests pin that
-branch to the definition.
+element order.  Like every first-witness sweep here, it runs over the
+class table `FiniteRing.representatives` (one entry per associate
+class) and finds the first witness a scan of all elements finds.
 
-`is_n_absorbing` sweeps multisets of n+1 factors depth first and cuts
-every prefix of at most n factors whose product already lies in I:
-each completion of it has an n-subproduct in I (leave out a factor
-after the prefix), so no failure is lost and the first failing multiset
-is the same as in a plain ``combinations_with_replacement`` scan.  The
-answer of each (ideal, n, weak) sweep is kept in a bounded memo; the
-budget check runs before that memo is read, so an over-budget call
-always raises.
+`is_n_absorbing` prunes its multiset sweep and remembers each answer in
+a bounded memo; its docstring says why the first witness is unchanged.
 """
 
 from __future__ import annotations
@@ -27,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ideals import Ideal, _divisors
-from .rings import CyclicRing, _serialize
+from .ideals import Ideal, _prime_failure_scan
+from .rings import _serialize
 
 STATUS_CLOSED = "closed"
 STATUS_WEAKLY_ONLY = "weakly_only"
@@ -91,18 +85,16 @@ def _failure_scan(ideal: Ideal, m: int, n: int):
 
     Returns ``(first, nonzero)``: the first x in canonical order with
     x**m in I and x**n not in I, and the first such x with x**m != 0
-    (None when there is none).  The sweep stops at the latter.  Cyclic
-    rings are decided by valuation classes instead of elements.
+    (None when there is none).  The sweep runs over the class table and
+    stops at the latter.
     """
     _require_proper(ideal)
     _require_positive(m, n)
     ring = ideal.ring
-    if isinstance(ring, CyclicRing):
-        return _failure_scan_cyclic(ideal, m, n)
     members = ideal.elements
     zero = ring.zero
     first = None
-    for x in ring.elements:
+    for x in ring.representatives:
         xm = ring.power(x, m)
         if xm in members and ring.power(x, n) not in members:
             if first is None:
@@ -110,25 +102,6 @@ def _failure_scan(ideal: Ideal, m: int, n: int):
             if xm != zero:
                 return first, x
     return first, None
-
-
-def _failure_scan_cyclic(ideal: Ideal, m: int, n: int):
-    """`_failure_scan` on Z_N, one step per valuation class.
-
-    The ideal is dZ_N, with d | N its least positive member (N for the
-    zero ideal), so x**t lies in it iff d divides x**t: for each p**e
-    exactly dividing N, t * min(v_p(x), e) >= v_p(d).  And x**t == 0 iff
-    t * min(v_p(x), e) >= e for each p.  Both depend only on the capped
-    valuations of x, which x shares with g = gcd(x, N), and g <= x; so
-    the first failures are divisors of N, one per class.
-    """
-    modulus = ideal.ring.n
-    d = ideal.members[1] if len(ideal.members) > 1 else modulus
-    failing = [
-        g for g in _divisors(modulus) if pow(g, m, modulus) % d == 0 and pow(g, n, modulus) % d
-    ]
-    nonzero = [g for g in failing if pow(g, m, modulus)]
-    return (failing[0] if failing else None), (nonzero[0] if nonzero else None)
 
 
 def is_mn_closed(ideal: Ideal, m: int, n: int):
@@ -172,19 +145,8 @@ def classify(ideal: Ideal, m: int, n: int) -> ClosednessReport:
 def is_weakly_prime(ideal: Ideal):
     """0 != xy in I forces x in I or y in I; returns (ok, (x, y) or None)."""
     _require_proper(ideal)
-    ring = ideal.ring
-    members = ideal.elements
-    zero = ring.zero
-    for x in ring.elements:
-        if x in members:
-            continue
-        for y in ring.elements:
-            if y in members:
-                continue
-            xy = ring.mul(x, y)
-            if xy != zero and xy in members:
-                return False, (x, y)
-    return True, None
+    _, nonzero = _prime_failure_scan(ideal)
+    return nonzero is None, nonzero
 
 
 def is_weakly_radical(ideal: Ideal):
@@ -195,7 +157,7 @@ def is_weakly_radical(ideal: Ideal):
     ring = ideal.ring
     members = ideal.elements
     zero = ring.zero
-    for x in ring.elements:
+    for x in ring.representatives:
         if x in members:
             continue
         y = x
@@ -216,12 +178,13 @@ def is_n_absorbing(
     variant), some n of them already multiply into I.
 
     Products are symmetric, so tuples are swept as multisets, in
-    ``combinations_with_replacement`` order over the canonical elements;
-    the first failing multiset is returned sorted.  The sweep is depth
-    first and cuts every prefix of at most n factors whose product
-    already lies in I: every completion of it has an n-subproduct in I
-    (leave out a factor after the prefix), so the cut holds no failure
-    and the first witness is the one a full scan finds.
+    ``combinations_with_replacement`` order over the class table; the
+    first failing multiset is returned sorted, and it is the first over
+    all elements.  The sweep is depth first and cuts every prefix of at
+    most n factors whose product already lies in I: every completion of
+    it has an n-subproduct in I (leave out a factor after the prefix),
+    so the cut holds no failure and the first witness is the one a full
+    scan finds.
 
     The answer of each (ideal, n, weak) sweep is remembered (up to 4096
     of them).  Raises `AbsorbingBudgetError` when order**(n+1) exceeds
@@ -240,9 +203,10 @@ def is_n_absorbing(
 @lru_cache(maxsize=4096)
 def _first_absorbing_failure(ideal: Ideal, n: int, weak: bool):
     """The first failing multiset of `is_n_absorbing`, or None: the
-    pruned depth-first search over nondecreasing index sequences."""
+    pruned depth-first search over nondecreasing index sequences of the
+    class table."""
     ring = ideal.ring
-    elements = ring.elements
+    elements = ring.representatives
     members = ideal.elements
     mul = ring.mul
     zero = ring.zero

@@ -55,10 +55,6 @@ class Ideal:
     def is_proper(self) -> bool:
         return self.ring.one not in self.elements
 
-    @property
-    def is_zero(self) -> bool:
-        return len(self.elements) == 1
-
     def __eq__(self, other):
         return (
             isinstance(other, Ideal)
@@ -130,9 +126,7 @@ def enumerate_ideals(ring: FiniteRing, max_generators: int = DEFAULT_MAX_GENERAT
     if max_generators < 1:
         raise ValueError("max_generators must be >= 1")
     if isinstance(ring, CyclicRing):
-        ideals = []
-        for d in sorted(_divisors(ring.n), reverse=True):
-            ideals.append(ideal_from_generators(ring, (d % ring.n,)))
+        ideals = [ideal_from_generators(ring, (g,)) for g in ring.representatives]
         return IdealEnumeration(ring, _sorted_ideals(ideals), True)
     if isinstance(ring, ProductRing):
         left = enumerate_ideals(ring.left, max_generators)
@@ -172,8 +166,9 @@ def split_product_ideal(ring: ProductRing, ideal: Ideal):
 
 
 def _enumerate_by_generators(ring: FiniteRing, max_generators: int) -> IdealEnumeration:
+    # associates generate the same principal ideal; setdefault keeps the least
     found: dict = {}
-    for x in ring.elements:
+    for x in ring.representatives:
         members = ideal_closure(ring, (x,))
         found.setdefault(members, (x,))
     principal = dict(found)
@@ -223,12 +218,6 @@ def _all_ideal_element_sets(ring: FiniteRing) -> set:
     return ideal_sets
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple:
-    small = [d for d in range(1, int(n ** 0.5) + 1) if n % d == 0]
-    return tuple(sorted(set(small) | {n // d for d in small}))
-
-
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
     """The ring of cosets R/I, with `project` as the natural map.
 
@@ -258,17 +247,33 @@ def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:
     return Ideal(quotient, elements, tuple(gens))
 
 
+def _prime_failure_scan(ideal: Ideal):
+    """The one pair sweep behind primality and weak primality: the first
+    (x, y) with x, y outside I and xy in I, and the first such pair with
+    xy != 0, in nested-loop order over the class table (None when there
+    is none).  The sweep stops at the latter."""
+    ring = ideal.ring
+    members = ideal.elements
+    zero = ring.zero
+    outside = [x for x in ring.representatives if x not in members]
+    first = None
+    for x in outside:
+        for y in outside:
+            xy = ring.mul(x, y)
+            if xy in members:
+                if first is None:
+                    first = (x, y)
+                if xy != zero:
+                    return first, (x, y)
+    return first, None
+
+
 def is_prime_ideal(ideal: Ideal) -> bool:
     """xy in I forces x in I or y in I, decided exhaustively."""
     if not ideal.is_proper:
         raise ValueError("primality is only defined for proper ideals")
-    ring = ideal.ring
-    outside = [x for x in ring.elements if x not in ideal.elements]
-    for i, x in enumerate(outside):
-        for y in outside[i:]:
-            if ring.mul(x, y) in ideal.elements:
-                return False
-    return True
+    first, _ = _prime_failure_scan(ideal)
+    return first is None
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,10 @@ An element x is (m,n)-vnr when x**m * r == x**n is solvable for r, that
 is, when x**m divides x**n (x**n lies in x**m R).  Every decision here
 goes through that one divisibility test, `FiniteRing.divides`; only
 `is_mn_vnr` goes on to search for the witness r.  A ring is
-(m,n)-regular when every element is.  For a fixed element the set of
-solvable pairs always has the shape B_k = {(m, n): m <= n or n >= k},
+(m,n)-regular when every element is; x is (m,n)-vnr iff ux is, for a
+unit u, so ring-level sweeps run over the class table
+`FiniteRing.representatives`.  For a fixed element the set of solvable
+pairs always has the shape B_k = {(m, n): m <= n or n >= k},
 and `vnr_profile_element` finds the k.  B_omega (pairs with m <= n only)
 is representable for API completeness but unreachable from finite rings:
 every finite commutative ring is strongly pi-regular, which the profile
@@ -43,9 +45,6 @@ class VnrProfile:
 
     def __str__(self):
         return "B(omega)" if self.k is None else f"B({self.k})"
-
-
-OMEGA_PROFILE = VnrProfile(None)
 
 
 class ConsistencyError(RuntimeError):
@@ -89,28 +88,28 @@ def vnr_profile_element(ring: FiniteRing, x) -> VnrProfile:
     )
 
 
-@lru_cache(maxsize=None)
 def vnr_profile_ring(ring: FiniteRing) -> VnrProfile:
     """B_k with k the maximum of the element profiles (equivalently, the
     intersection of the element pair sets)."""
     k = 1
-    for x in ring.elements:
+    for x in ring.representatives:
         k = max(k, vnr_profile_element(ring, x).k)
     return VnrProfile(k)
 
 
 @lru_cache(maxsize=None)
 def is_mn_regular_ring(ring: FiniteRing, m: int, n: int) -> bool:
-    """Every element is (m,n)-vnr (element by element, no profile shortcut)."""
-    return all(_is_vnr(ring, x, m, n) for x in ring.elements)
+    """Every element is (m,n)-vnr (class by class, no profile shortcut)."""
+    return all(_is_vnr(ring, x, m, n) for x in ring.representatives)
 
 
 def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
     """Element-level form of "every proper ideal is weakly (m,n)-closed":
     w**m == 0 on the nilradical and every non-nilpotent is (m,n)-vnr."""
     nil = ring.nilpotents
-    return all(ring.power(w, m) == ring.zero for w in nil) and all(
-        _is_vnr(ring, x, m, n) for x in ring.elements if x not in nil
+    return all(
+        ring.power(x, m) == ring.zero if x in nil else _is_vnr(ring, x, m, n)
+        for x in ring.representatives
     )
 
 
@@ -153,7 +152,6 @@ def all_proper_ideals_closed(
     )
 
 
-@lru_cache(maxsize=None)
 def is_strongly_pi_regular(ring: FiniteRing):
     """Smallest n such that x**(2n) * r == x**n is solvable for every x,
     found by direct ascending search.  Finite rings always have one;
@@ -170,7 +168,9 @@ def regularity_record(ring: FiniteRing) -> dict:
     ring's k (the witness that k cannot be lowered)."""
     profile = vnr_profile_ring(ring)
     strongly, smallest = is_strongly_pi_regular(ring)
-    witness = next(x for x in ring.elements if vnr_profile_element(ring, x).k == profile.k)
+    witness = next(
+        x for x in ring.representatives if vnr_profile_element(ring, x).k == profile.k
+    )
     if strongly and smallest != profile.k:
         raise ConsistencyError(
             f"{ring.spec_str}: profile k={profile.k} but smallest strongly "

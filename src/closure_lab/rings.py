@@ -3,7 +3,8 @@
 Every ring exposes a canonical element tuple (`elements`), unchecked fast
 arithmetic (`add`/`mul`/`neg`/`power`), divisibility (`divides`: b in
 aR), and cached structural sets: the nilradical, the unit group, the
-zero-divisors, and the characteristic.
+zero-divisors, and the characteristic.  `representatives` is the class
+table that first-witness sweeps run over: one entry per associate class.
 Rings are immutable once built; `build_ring` memoizes on the spec, so
 repeated builds of the same spec share one object (and its caches).
 
@@ -126,6 +127,17 @@ class FiniteRing:
         """Whether b lies in the principal ideal aR: a*r == b for some r."""
         return any(self.mul(a, r) == b for r in self.elements)
 
+    @cached_property
+    def representatives(self) -> tuple:
+        """A subsequence of `elements` holding the least member of every
+        associate class.  In a finite ring xR == yR iff y = ux for a unit u;
+        then x**t lies in an ideal I (or is 0) iff y**t does, and xz lies in
+        I iff yz does.  Swapping each factor of a failing tuple for the least
+        member of its class keeps it failing and its sorted index tuple
+        pointwise no larger, so the first witness in canonical order is made
+        of table entries.  Extra entries do no harm."""
+        raise NotImplementedError
+
     # -- structure ----------------------------------------------------------
 
     def nilpotency_index(self, x):
@@ -201,6 +213,12 @@ def _factorize(n: int) -> tuple:
     return tuple(factors)
 
 
+def _divisors(n: int) -> tuple:
+    """Positive divisors of n, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(sorted(set(small) | {n // d for d in small}))
+
+
 def _is_prime_number(n: int) -> bool:
     factors = _factorize(n)
     return len(factors) == 1 and factors[0][1] == 1
@@ -240,6 +258,11 @@ class CyclicRing(FiniteRing):
     @cached_property
     def elements(self):
         return tuple(range(self.n))
+
+    @cached_property
+    def representatives(self):
+        # x and gcd(x, n) are associates, and gcd(x, n) <= x
+        return (0,) + _divisors(self.n)[:-1]
 
     def nilpotency_index(self, x):
         if x == 0:
@@ -304,6 +327,11 @@ class ProductRing(FiniteRing):
     @cached_property
     def elements(self):
         return tuple(iter_product(self.left.elements, self.right.elements))
+
+    @cached_property
+    def representatives(self):
+        # classes are C1 x C2, least member (min C1, min C2) in product order
+        return tuple(iter_product(self.left.representatives, self.right.representatives))
 
     def nilpotency_index(self, x):
         k1 = self.left.nilpotency_index(x[0])
@@ -380,21 +408,10 @@ class IdealizationRing(FiniteRing):
     def elements(self):
         return tuple((r, m) for r in range(self.n) for m in range(self.d))
 
-    def nilpotency_index(self, x):
-        r, m = x
-        if r == 0:
-            return 1 if m == 0 else 2
-        if r % self._radical:
-            return None
-        k = 1
-        y = r
-        while y:
-            y = y * r % self.n
-            k += 1
-        # r**k = 0; the module part of (r, m)**k is k * r**(k-1) * m
-        if (k * pow(r, k - 1, self.d) * m) % self.d == 0:
-            return k
-        return k + 1
+    @cached_property
+    def representatives(self):
+        # a unit (u, 0) takes (r, m) to (gcd(r, n), um); associates share gcd(r, n)
+        return tuple((g, m) for g in (0,) + _divisors(self.n)[:-1] for m in range(self.d))
 
     @cached_property
     def nilpotents(self):
@@ -469,6 +486,12 @@ class QuotientRing(FiniteRing):
     @cached_property
     def elements(self):
         return self._reps
+
+    @cached_property
+    def representatives(self):
+        # units lift to R/J, so least class members are images of base entries
+        image = {self._rep_map[x] for x in self.base.representatives}
+        return tuple(x for x in self._reps if x in image)
 
 
 def ideal_closure(ring: FiniteRing, generators) -> frozenset:

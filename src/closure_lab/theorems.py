@@ -8,7 +8,7 @@ statements must agree, and the instance is substantive when they all
 hold and vacuous when they all fail (nothing positive was exercised).
 Budget-limited sweeps are skipped, never silently truncated: a verdict
 only reads "pass" when at least something was checked and nothing
-failed.
+failed.  A theorem whose family holds no instance at all reads "empty".
 
 Verdicts are deterministic for a fixed family: instances are generated
 in canonical order, the first failure wins, and worker parallelism is
@@ -61,11 +61,12 @@ from .rings import (
     _serialize,
     build_ring,
 )
-from .specs import CyclicZ, Idealization, Product, parse_ring_spec
+from .specs import CyclicZ, parse_ring_spec
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped(budget)"
+EMPTY = "empty"
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class _Tally:
         )
 
     def done(self) -> TheoremVerdict:
-        status = SKIPPED if self.checked == 0 and self.skipped > 0 else PASS
+        status = PASS if self.checked else SKIPPED if self.skipped else EMPTY
         return TheoremVerdict(self.theorem_id, self.checked, self.vacuous_count, status)
 
 
@@ -425,7 +426,7 @@ def _check_prod_factor(family):
 def _nonzero_power_lands_in(ideal, m) -> bool:
     ring = ideal.ring
     zero = ring.zero
-    for x in ring.elements:
+    for x in ring.representatives:
         xm = ring.power(x, m)
         if xm != zero and xm in ideal.elements:
             return True

@@ -147,11 +147,64 @@ def brute_divides(ring, a, b):
     return any(ring.mul(a, r) == b for r in ring.elements)
 
 
+def brute_least_associates(ring):
+    """The least member, in canonical order, of each distinct principal
+    ideal; in a finite ring xR == yR exactly when x and y are associates."""
+    least = {}
+    for x in ring.elements:
+        least.setdefault(brute_multiples(ring, x), x)
+    return frozenset(least.values())
+
+
 def brute_vnr_witness(ring, x, m, n):
     """First r in canonical order with x**m * r == x**n, or None."""
     xm = brute_power(ring, x, m)
     xn = brute_power(ring, x, n)
     return next((r for r in ring.elements if ring.mul(xm, r) == xn), None)
+
+
+def brute_is_prime(ring, members):
+    """xy in I forces x in I or y in I."""
+    return not any(
+        ring.mul(x, y) in members
+        for x in ring.elements
+        for y in ring.elements
+        if x not in members and y not in members
+    )
+
+
+def brute_first_weakly_prime_failure(ring, members):
+    """First (x, y) in nested-loop order over all elements with x and y
+    outside I and 0 != xy in I, or None."""
+    for x in ring.elements:
+        for y in ring.elements:
+            if x in members or y in members:
+                continue
+            xy = ring.mul(x, y)
+            if xy != ring.zero and xy in members:
+                return (x, y)
+    return None
+
+
+def brute_first_weakly_radical_failure(ring, members):
+    """First x outside I, with its least t <= order, such that
+    0 != x**t in I; None when there is none."""
+    for x in ring.elements:
+        if x in members:
+            continue
+        for t in range(1, ring.order + 1):
+            xt = brute_power(ring, x, t)
+            if xt != ring.zero and xt in members:
+                return (x, t)
+    return None
+
+
+def brute_element_profile(ring, x):
+    """Least k with x**(k+1) dividing x**k."""
+    k = 1
+    while not brute_divides(ring, brute_power(ring, x, k + 1), brute_power(ring, x, k)):
+        k += 1
+    return k
 
 
 def brute_is_n_absorbing(ring, members, n, weak):

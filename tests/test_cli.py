@@ -169,6 +169,32 @@ def test_verify_rejects_an_empty_theorem_list(capsys, family_file):
         assert "names no theorem" in err
 
 
+def test_verify_rejects_repeated_ids(capsys, family_file):
+    code, out, err = run_cli(
+        capsys, "verify", "--theorems", "T-ZPK,T-NIL, T-ZPK", "--family", family_file
+    )
+    assert code == 1
+    assert out == ""
+    assert "repeated" in err and "T-ZPK" in err and "T-NIL" not in err
+
+
+def test_theorem_with_no_instances_is_empty_and_exits_two(capsys, tmp_path):
+    path = tmp_path / "no-principal.family"
+    path.write_text(
+        "cyclic_max = 8\nprincipal_primes = 2\nprincipal_max_exponent = 1\n", encoding="utf-8"
+    )
+    args = ("verify", "--theorems", "T-PRINCIPAL", "--family", str(path), "--workers", "1")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 2
+    assert out.splitlines()[0].split()[:2] == ["T-PRINCIPAL", "empty"]
+    assert "summary: 0/1 pass" in out
+    code, out, _ = run_cli(capsys, *args, "--format", "machine")
+    assert code == 2
+    first, summary = (json.loads(line) for line in out.splitlines())
+    assert (first["status"], first["instances_checked"]) == ("empty", 0)
+    assert (summary["passed"], summary["total"]) == (0, 1)
+
+
 def test_non_prime_principal_prime_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.family"
     path.write_text("cyclic_max = 8\nprincipal_primes = 4\n", encoding="utf-8")

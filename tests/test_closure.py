@@ -16,6 +16,7 @@ from closure_lab import (
     intersect_ideals,
     is_mn_closed,
     is_n_absorbing,
+    is_prime_ideal,
     is_weakly_mn_closed,
     is_weakly_prime,
     is_weakly_radical,
@@ -29,8 +30,11 @@ from closure_lab.closure import _failure_scan, _first_absorbing_failure
 from _oracles import (
     brute_first_absorbing_failure,
     brute_first_failures,
+    brute_first_weakly_prime_failure,
+    brute_first_weakly_radical_failure,
     brute_is_mn_closed,
     brute_is_n_absorbing,
+    brute_is_prime,
     brute_is_weakly_mn_closed,
     brute_unbreakable,
 )
@@ -219,7 +223,7 @@ def _assert_cyclic_matches_oracle(i, m, n):
 
 
 def test_cyclic_scan_matches_oracle_on_every_small_instance():
-    # cyclic rings are decided by valuation classes, not element by element
+    # on Z_N the class table is the divisors of N, one per valuation class
     for modulus in range(2, 129):
         r = build_ring(CyclicZ(modulus))
         for i in enumerate_ideals(r).proper:
@@ -238,6 +242,40 @@ def test_cyclic_scan_matches_oracle_on_large_rings(modulus, gens):
         i = ideal_from_generators(r, [g])
         for m, n in ((3, 1), (2, 1), (5, 2), (4, 3)):
             _assert_cyclic_matches_oracle(i, m, n)
+
+
+# rings of every kind whose class tables leave out most elements
+KIND_RINGS = [
+    "Z12", "Z16", "Z30", "Z2 x Z4", "Z4 x Z6", "(Z4 (+) Z2) x Z2",
+    "Z4 (+) Z2", "Z8 (+) Z4", "Z12 (+) Z6", "Z9 (+) Z3",
+    "Z24/(8)", "Z30/(6)", "(Z4 x Z4)/(2)", "Z24/(8) x Z4",
+]
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_failure_scan_matches_oracle_on_every_kind(text):
+    r = ring(text)
+    for i in enumerate_ideals(r).proper:
+        for m in range(1, 5):
+            for n in range(1, 5):
+                assert _failure_scan(i, m, n) == brute_first_failures(r, i.elements, m, n), (
+                    i, m, n,
+                )
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_pair_and_power_sweeps_match_oracles(text):
+    r = ring(text)
+    verdicts = set()
+    for i in enumerate_ideals(r).proper:
+        pair = brute_first_weakly_prime_failure(r, i.elements)
+        assert is_weakly_prime(i) == (pair is None, pair), i
+        prime = brute_is_prime(r, i.elements)
+        assert is_prime_ideal(i) == prime, i
+        radical = brute_first_weakly_radical_failure(r, i.elements)
+        assert is_weakly_radical(i) == (radical is None, radical), i
+        verdicts.add((pair is None, prime, radical is None))
+    assert {prime for _, prime, _ in verdicts} == {True, False}
 
 
 @settings(max_examples=15, deadline=None)

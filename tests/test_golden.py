@@ -7,10 +7,11 @@ the regularity layer onto `FiniteRing.divides`.  Refactors must
 reproduce them exactly; a fixture changes only together with an
 intended change of output.  The two classify grids run on cyclic rings
 of order 8192 and 6561; they were recorded while such rings took a
-numpy branch of the closure scan, and now pin the valuation-class scan
-that replaced it.  The profile cases pin the regularity layer on every
-ring kind, cyclic rings of order 2048 and a product of order 1152 among
-them.
+numpy branch of the closure scan, and now pin the scan over the ring's
+class table (one entry per associate class, the divisors of N on Z_N).
+The profile cases pin the regularity layer, which sweeps the same
+tables, on every ring kind, cyclic rings of order 2048 and a product of
+order 1152 among them.
 """
 
 from pathlib import Path

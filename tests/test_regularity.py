@@ -1,5 +1,7 @@
 """Element and ring regularity: profiles, grids, equivalences."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,15 @@ from closure_lab import (
     vnr_profile_ring,
 )
 
-from _oracles import brute_vnr_witness
+from closure_lab.regularity import _weakly_closed_characterization
+
+from _oracles import (
+    brute_divides,
+    brute_element_profile,
+    brute_nilpotents,
+    brute_power,
+    brute_vnr_witness,
+)
 from _strategies import small_rings
 
 
@@ -171,6 +181,33 @@ def test_regular_ring_equals_ideal_route(r, data):
         r.power(w, n) == r.zero for w in r.nilpotents
     )
     assert direct == via_ideals == structural
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["Z12", "Z16", "Z2 x Z4", "Z4 x Z6", "Z4 (+) Z2", "Z8 (+) Z4", "Z9 (+) Z3",
+     "Z24/(8)", "Z30/(6)", "(Z4 x Z4)/(2)"],
+)
+def test_ring_level_sweeps_match_every_element(text):
+    # these sweeps visit one element per associate class
+    r = ring(text)
+    ks = [brute_element_profile(r, x) for x in r.elements]
+    k = max(ks)
+    assert vnr_profile_ring(r) == VnrProfile(k)
+    first = r.elements[ks.index(k)]
+    assert regularity_record(r)["per_element_max_witness"] == json.loads(json.dumps(first))
+    nil = brute_nilpotents(r)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            vnr = {
+                x: brute_divides(r, brute_power(r, x, m), brute_power(r, x, n))
+                for x in r.elements
+            }
+            assert is_mn_regular_ring(r, m, n) == all(vnr.values()), (m, n)
+            expected = all(
+                brute_power(r, x, m) == r.zero if x in nil else vnr[x] for x in r.elements
+            )
+            assert _weakly_closed_characterization(r, m, n) == expected, (m, n)
 
 
 def test_strongly_pi_smallest_matches_profile():

@@ -14,10 +14,12 @@ from closure_lab import (
     build_ring,
     characteristic,
     element_arithmetic,
+    enumerate_ideals,
     nilpotency_index,
     nilradical,
     parse_ring_spec,
     power,
+    quotient_ring,
     units,
     zero_divisors,
 )
@@ -25,6 +27,7 @@ from closure_lab import (
 from _oracles import (
     brute_additive_order,
     brute_divides,
+    brute_least_associates,
     brute_multiples,
     brute_nilpotents,
     brute_power,
@@ -255,6 +258,40 @@ def test_quotient_of_product():
     q = ring("(Z2 x Z2)/(1)")  # literal 1 is the element (0, 1)
     assert q.order == 2
     assert q.base.elements[1] == (0, 1)
+
+
+def _assert_class_table(r):
+    # a strictly increasing subsequence of `elements` that holds the least
+    # member of every associate class
+    positions = [r.index_of(x) for x in r.representatives]
+    assert positions == sorted(set(positions)), r
+    assert brute_least_associates(r) <= set(r.representatives), r
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Z2", "Z12", "Z16", "Z30", "Z36",
+        "Z2 x Z4", "Z4 x Z6", "Z8 x Z9", "(Z2 x Z4) x Z3", "(Z4 (+) Z2) x Z2",
+        "Z4 (+) Z2", "Z8 (+) Z4", "Z12 (+) Z6", "Z9 (+) Z3", "Z8 (+) Z1", "Z16 (+) Z8",
+        "Z24/(8)", "Z30/(6)", "(Z4 x Z4)/(2)", "(Z6 x Z4)/(3)", "Z24/(8) x Z4",
+    ],
+)
+def test_representatives_hold_every_least_associate(text):
+    _assert_class_table(ring(text))
+
+
+@pytest.mark.parametrize("text", ["Z4 (+) Z2", "Z8 (+) Z4", "Z9 (+) Z3", "Z2 x Z4"])
+def test_representatives_of_every_quotient(text):
+    base = ring(text)
+    for i in enumerate_ideals(base).proper:
+        _assert_class_table(quotient_ring(base, i))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings)
+def test_representatives_match_definition(r):
+    _assert_class_table(r)
 
 
 def test_build_is_cached():

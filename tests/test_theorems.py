@@ -9,6 +9,7 @@ from closure_lab import (
     TheoremVerdict,
     build_ring,
     classify,
+    enumerate_ideals,
     parse_ring_spec,
     replay_counterexample,
     search_counterexamples,
@@ -16,7 +17,17 @@ from closure_lab import (
     verify_theorem,
 )
 from closure_lab.families import make_family, tiny_family
-from closure_lab.theorems import FAIL, PASS, _Tally, _classify, _family_rings, _proper_ideals
+from closure_lab.theorems import (
+    FAIL,
+    PASS,
+    _Tally,
+    _classify,
+    _family_rings,
+    _nonzero_power_lands_in,
+    _proper_ideals,
+)
+
+from _oracles import brute_power
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +114,31 @@ def test_budget_skip_never_silently_passes():
     verdict = verify_theorem("T-BASIC-1", starved)
     assert verdict.status == "skipped(budget)"
     assert verdict.instances_checked == 0
+
+
+def test_a_theorem_that_checked_nothing_does_not_pass():
+    assert _Tally("T-X").done().status == "empty"
+    skipped = _Tally("T-X")
+    skipped.skip()
+    assert skipped.done().status == "skipped(budget)"
+    vacuous = _Tally("T-X")
+    vacuous.vacuous()
+    assert vacuous.done().status == PASS
+    no_principal = tiny_family(principal_max_exponent=1)
+    verdict = verify_theorem("T-PRINCIPAL", no_principal)
+    assert (verdict.status, verdict.instances_checked) == ("empty", 0)
+
+
+@pytest.mark.parametrize("text", ["Z16", "Z4 x Z6", "Z8 (+) Z4", "Z24/(8) x Z4"])
+def test_nonzero_power_sweep_matches_every_element(text):
+    r = build_ring(parse_ring_spec(text))
+    for ideal in enumerate_ideals(r).proper:
+        for m in range(1, 5):
+            expected = any(
+                brute_power(r, x, m) != r.zero and brute_power(r, x, m) in ideal.elements
+                for x in r.elements
+            )
+            assert _nonzero_power_lands_in(ideal, m) == expected, (ideal, m)
 
 
 def test_workers_produce_identical_verdicts(family):
