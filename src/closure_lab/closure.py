@@ -150,9 +150,10 @@ def is_weakly_prime(ideal: Ideal):
 
 
 def is_weakly_radical(ideal: Ideal):
-    """0 != x**t in I for some t forces x in I; exponents are capped at
-    the ring order (power sequences cycle within that many steps).
-    Returns (ok, (x, t) or None)."""
+    """0 != x**t in I for some t forces x in I; returns (ok, (x, t) or
+    None) with the least such t.  Each power chain stops at zero (every
+    later power is zero) or at its first repeated power (every later
+    power was already seen)."""
     _require_proper(ideal)
     ring = ideal.ring
     members = ideal.elements
@@ -160,11 +161,15 @@ def is_weakly_radical(ideal: Ideal):
     for x in ring.representatives:
         if x in members:
             continue
-        y = x
-        for t in range(1, ring.order + 1):
-            if y != zero and y in members:
-                return False, (x, t)
-            y = ring.mul(y, x)
+        seen = set()
+        y, t = x, 1
+        while y not in seen:
+            if y in members:
+                if y != zero:
+                    return False, (x, t)
+                break
+            seen.add(y)
+            y, t = ring.mul(y, x), t + 1
     return True, None
 
 

@@ -31,7 +31,6 @@ class InstanceFamily:
     grid_order_cap: int = 32
     quotient_order_cap: int = 64
     spr_order_cap: int = 32
-    max_generators: int = 2
     absorbing_budget: int = 2 ** 18
     max_order: int = DEFAULT_ORDER_CAP
 
@@ -167,7 +166,9 @@ def parse_family_config(text: str) -> InstanceFamily:
     Keys: cyclic_max or cyclic_moduli, product_moduli, idealization_max,
     principal_primes, principal_max_exponent, m_max, extra_rings (ring
     specs), grid_max, grid_order_cap, quotient_order_cap, spr_order_cap,
-    max_generators, absorbing_budget, max_order.
+    absorbing_budget, max_order.  ``max_generators`` is accepted and
+    ignored: it once bounded ideal enumeration, which is now complete
+    without a bound.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -194,6 +195,7 @@ def parse_family_config(text: str) -> InstanceFamily:
             raise
         except ValueError as exc:
             raise FamilyConfigError(f"line {lineno}: {exc}") from exc
+    values.pop("max_generators", None)
     if "cyclic_max" in values:
         values.setdefault("cyclic_moduli", tuple(range(2, values.pop("cyclic_max") + 1)))
     settings = {}

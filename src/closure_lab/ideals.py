@@ -2,32 +2,27 @@
 
 An `Ideal` carries its full (canonical, sorted) element set alongside the
 generators that produced it, so every membership-quantified property can
-be decided exactly by iteration.  Enumeration is structural (and provably
-complete) for cyclic and product rings; for trivial extensions and
-quotients it closes all generator subsets up to a size bound and, for
-orders up to 256, verifies completeness by sweeping every additive
-subgroup that absorbs multiplication.
+be decided exactly by iteration.  Enumeration is complete by
+construction for every ring kind: structural for cyclic and product
+rings, and for trivial extensions and quotients a fixpoint that joins
+principal ideals until nothing new appears (every ideal is the sum of
+the principal ideals of its members).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .rings import (
     CyclicRing,
     FiniteRing,
     ProductRing,
     QuotientRing,
-    additive_closure,
     build_ring,
     ideal_closure,
 )
 from .specs import Quotient
-
-SUBGROUP_SWEEP_LIMIT = 256
-DEFAULT_MAX_GENERATORS = 2
 
 
 class Ideal:
@@ -97,12 +92,10 @@ def is_proper(ideal: Ideal) -> bool:
 
 @dataclass(frozen=True)
 class IdealEnumeration:
-    """All ideals reached by the enumerator, flagged `complete` only when
-    the list is provably every ideal of the ring."""
+    """Every ideal of the ring, sorted by size and then by members."""
 
     ring: FiniteRing
     ideals: tuple
-    complete: bool
 
     @property
     def proper(self) -> tuple:
@@ -114,29 +107,28 @@ def _sorted_ideals(ideals) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def enumerate_ideals(ring: FiniteRing, max_generators: int = DEFAULT_MAX_GENERATORS) -> IdealEnumeration:
-    """Enumerate ideals of a ring.
+def enumerate_ideals(ring: FiniteRing) -> IdealEnumeration:
+    """Every ideal of a ring.
 
-    Cyclic rings: the divisor ideals dZ_n, complete.  Products: all
-    I1 x I2 combinations of factor ideals, complete when both factor
-    enumerations are.  Other kinds: deduplicated closures of generator
-    subsets of size <= max_generators, with a completeness sweep over
-    additive subgroups for orders up to 256.
+    Cyclic rings: the divisor ideals dZ_n.  Products: all I1 x I2
+    combinations of factor ideals.  Other kinds: the principal ideals of
+    the class table, then every sum J + P of a found ideal J and a
+    principal ideal P, until no new ideal appears.  Each ideal keeps the
+    generators of the first join that reached it (principal generators
+    are least class members, joins are tried in generator order).
     """
-    if max_generators < 1:
-        raise ValueError("max_generators must be >= 1")
     if isinstance(ring, CyclicRing):
         ideals = [ideal_from_generators(ring, (g,)) for g in ring.representatives]
-        return IdealEnumeration(ring, _sorted_ideals(ideals), True)
+        return IdealEnumeration(ring, _sorted_ideals(ideals))
     if isinstance(ring, ProductRing):
-        left = enumerate_ideals(ring.left, max_generators)
-        right = enumerate_ideals(ring.right, max_generators)
+        left = enumerate_ideals(ring.left)
+        right = enumerate_ideals(ring.right)
         ideals = []
         for i1 in left.ideals:
             for i2 in right.ideals:
                 ideals.append(product_ideal(ring, i1, i2))
-        return IdealEnumeration(ring, _sorted_ideals(ideals), left.complete and right.complete)
-    return _enumerate_by_generators(ring, max_generators)
+        return IdealEnumeration(ring, _sorted_ideals(ideals))
+    return _enumerate_by_generators(ring)
 
 
 def product_ideal(ring: ProductRing, left_ideal: Ideal, right_ideal: Ideal) -> Ideal:
@@ -165,57 +157,39 @@ def split_product_ideal(ring: ProductRing, ideal: Ideal):
     )
 
 
-def _enumerate_by_generators(ring: FiniteRing, max_generators: int) -> IdealEnumeration:
+def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
     # associates generate the same principal ideal; setdefault keeps the least
     found: dict = {}
     for x in ring.representatives:
-        members = ideal_closure(ring, (x,))
-        found.setdefault(members, (x,))
-    principal = dict(found)
-    frontier = sorted(found.items(), key=lambda kv: kv[1])
-    for _ in range(max_generators - 1):
+        found.setdefault(ideal_closure(ring, (x,)), (x,))
+    # every ideal is the sum of the principal ideals of its members, so
+    # joining principal ideals until nothing new appears reaches them all
+    principal = sorted(found.items(), key=lambda kv: kv[1])
+    frontier = principal
+    while frontier:
         grown = []
         for members, gens in frontier:
-            for extra_members, extra_gens in sorted(principal.items(), key=lambda kv: kv[1]):
+            for extra_members, extra_gens in principal:
                 if extra_members <= members:
                     continue
-                joined = additive_closure(ring, members | extra_members)
+                joined = _ideal_sum(ring, members, extra_members)
                 if joined not in found:
                     new_gens = gens + extra_gens
                     found[joined] = new_gens
                     grown.append((joined, new_gens))
-        frontier = grown
-        if not frontier:
-            break
+        frontier = sorted(grown, key=lambda kv: kv[1])
     ideals = _sorted_ideals(Ideal(ring, members, gens) for members, gens in found.items())
-    complete = False
-    if ring.order <= SUBGROUP_SWEEP_LIMIT:
-        complete = set(found) == _all_ideal_element_sets(ring)
-    return IdealEnumeration(ring, ideals, complete)
+    return IdealEnumeration(ring, ideals)
 
 
-def _all_ideal_element_sets(ring: FiniteRing) -> set:
-    """Every additive subgroup of the ring that absorbs multiplication,
-    found by join-closing the cyclic subgroups.  Exhaustive, so it serves
-    as the completeness oracle for generator-bounded enumeration."""
-    subgroups = {additive_closure(ring, (x,)) for x in ring.elements}
-    subgroups.add(frozenset({ring.zero}))
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(subgroups, key=lambda s: (len(s), sorted(s)))
-        for a, b in combinations(current, 2):
-            if a <= b or b <= a:
-                continue
-            joined = additive_closure(ring, a | b)
-            if joined not in subgroups:
-                subgroups.add(joined)
-                changed = True
-    ideal_sets = set()
-    for group in subgroups:
-        if all(ring.mul(r, h) in group for h in group for r in ring.elements):
-            ideal_sets.add(group)
-    return ideal_sets
+def _ideal_sum(ring: FiniteRing, first: frozenset, second: frozenset) -> frozenset:
+    """I + J as a union of cosets b + I for b in J: both are additive
+    groups already, so no closure step is needed."""
+    total = set(first)
+    for b in second:
+        if b not in total:
+            total.update(ring.add(b, a) for a in first)
+    return frozenset(total)
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
@@ -277,11 +251,9 @@ def is_prime_ideal(ideal: Ideal) -> bool:
 
 
 @lru_cache(maxsize=None)
-def krull_dim(ring: FiniteRing, max_generators: int = DEFAULT_MAX_GENERATORS) -> int:
-    """Length of the longest strict chain of enumerated prime ideals,
-    minus one.  When the enumeration is incomplete the value is only a
-    lower bound."""
-    enumeration = enumerate_ideals(ring, max_generators)
+def krull_dim(ring: FiniteRing) -> int:
+    """Length of the longest strict chain of prime ideals, minus one."""
+    enumeration = enumerate_ideals(ring)
     primes = [i for i in enumeration.proper if is_prime_ideal(i)]
     depth: dict = {}
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .closure import classify, STATUS_CLOSED, STATUS_NOT_WEAKLY
-from .ideals import DEFAULT_MAX_GENERATORS, enumerate_ideals
+from .ideals import enumerate_ideals
 from .rings import FiniteRing, _serialize
 
 
@@ -113,39 +113,32 @@ def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
     )
 
 
-def all_proper_ideals_weakly_closed(
-    ring: FiniteRing, m: int, n: int, max_generators: int = DEFAULT_MAX_GENERATORS
-) -> bool:
+def all_proper_ideals_weakly_closed(ring: FiniteRing, m: int, n: int) -> bool:
     """Whether every proper ideal is weakly (m,n)-closed, for m > n.
 
-    Decided through the element-level characterization (every
-    non-nilpotent element (m,n)-vnr and w**m == 0 on the nilradical) and,
-    when ideal enumeration is complete, cross-checked against the direct
-    sweep; a disagreement raises `ConsistencyError`.
+    Decided by the direct sweep over the (complete) ideal lattice and
+    cross-checked against the element-level characterization (every
+    non-nilpotent element (m,n)-vnr and w**m == 0 on the nilradical); a
+    disagreement raises `ConsistencyError`.
     """
     if m <= n:
         raise ValueError("requires m > n")
     characterization = _weakly_closed_characterization(ring, m, n)
-    enumeration = enumerate_ideals(ring, max_generators)
-    if enumeration.complete:
-        direct = all(
-            classify(ideal, m, n).status != STATUS_NOT_WEAKLY
-            for ideal in enumeration.proper
+    direct = all(
+        classify(ideal, m, n).status != STATUS_NOT_WEAKLY
+        for ideal in enumerate_ideals(ring).proper
+    )
+    if direct != characterization:
+        raise ConsistencyError(
+            f"{ring.spec_str} (m={m}, n={n}): ideal sweep says {direct}, "
+            f"element characterization says {characterization}"
         )
-        if direct != characterization:
-            raise ConsistencyError(
-                f"{ring.spec_str} (m={m}, n={n}): ideal sweep says {direct}, "
-                f"element characterization says {characterization}"
-            )
-        return direct
-    return characterization
+    return direct
 
 
-def all_proper_ideals_closed(
-    ring: FiniteRing, m: int, n: int, max_generators: int = DEFAULT_MAX_GENERATORS
-) -> bool:
-    """Direct sweep: every enumerated proper ideal is (m,n)-closed."""
-    enumeration = enumerate_ideals(ring, max_generators)
+def all_proper_ideals_closed(ring: FiniteRing, m: int, n: int) -> bool:
+    """Direct sweep: every proper ideal is (m,n)-closed."""
+    enumeration = enumerate_ideals(ring)
     return all(
         classify(ideal, m, n).status == STATUS_CLOSED
         for ideal in enumeration.proper

@@ -172,13 +172,8 @@ def _family_rings(family: InstanceFamily, order_cap=None, kind=None):
     return rings
 
 
-def _proper_ideals(ring: FiniteRing, family: InstanceFamily):
-    return enumerate_ideals(ring, family.max_generators).proper
-
-
-def _complete_proper_ideals(ring: FiniteRing, family: InstanceFamily):
-    enumeration = enumerate_ideals(ring, family.max_generators)
-    return (enumeration.proper, enumeration.complete)
+def _proper_ideals(ring: FiniteRing):
+    return enumerate_ideals(ring).proper
 
 
 def _instance(ring, ideal=None, m=None, n=None, **extra) -> dict:
@@ -203,7 +198,7 @@ def _absorbing_implies_weakly(theorem_id, family, m_values, detail):
     `m_values(n)`; the shared body of T-BASIC-1 and T-BASIC-3."""
     tally = _Tally(theorem_id)
     for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             for n in family.n_values:
                 try:
                     hyp, _ = is_n_absorbing(ideal, n, weak=True, budget=family.absorbing_budget)
@@ -232,7 +227,7 @@ def _check_basic_1(family):
 def _check_basic_2(family):
     tally = _Tally("T-BASIC-2")
     for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             for m, n in family.all_pairs:
                 if not _weakly(ideal, m, n):
                     tally.vacuous()
@@ -260,7 +255,7 @@ def _check_basic_3(family):
 def _check_basic_4(family):
     tally = _Tally("T-BASIC-4")
     for ring in _family_rings(family):
-        ideals = _proper_ideals(ring, family)
+        ideals = _proper_ideals(ring)
         for i, first in enumerate(ideals):
             for second in ideals[i + 1 :]:
                 for m, n in family.all_pairs:
@@ -284,7 +279,7 @@ def _check_basic_4(family):
 def _check_shift(family):
     tally = _Tally("T-SHIFT")
     for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             for m, n in family.mn_pairs:
                 if _classify(ideal, m, n).status == STATUS_NOT_WEAKLY:
                     tally.vacuous()
@@ -310,7 +305,7 @@ def _check_nil(family):
     tally = _Tally("T-NIL")
     for ring in _family_rings(family):
         nil = ring.nilpotents
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             for m, n in family.all_pairs:
                 if not _weakly_only(ideal, m, n):
                     tally.vacuous()
@@ -330,7 +325,7 @@ def _check_nil_char(family):
     tally = _Tally("T-NIL-CHAR")
     for ring in _family_rings(family):
         char = ring.characteristic
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             for m, n in family.mn_pairs:
                 if not (_weakly_only(ideal, m, n) and char == m and _is_prime_number(m)):
                     tally.vacuous()
@@ -352,7 +347,7 @@ def _check_nil_char(family):
 def _check_quot(family):
     tally = _Tally("T-QUOT")
     for ring in _family_rings(family, order_cap=family.quotient_order_cap):
-        ideals = _proper_ideals(ring, family)
+        ideals = _proper_ideals(ring)
         for small in ideals:
             quotient = quotient_ring(ring, small)
             for big in ideals:
@@ -379,7 +374,7 @@ def _check_quot(family):
 def _check_prod_closed(family):
     tally = _Tally("T-PROD-CLOSED")
     for ring in _family_rings(family, kind=ProductRing):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             left, right = split_product_ideal(ring, ideal)
             for m, n in family.all_pairs:
                 direct = _closed(ideal, m, n)
@@ -397,8 +392,8 @@ def _check_prod_closed(family):
 def _check_prod_factor(family):
     tally = _Tally("T-PROD-FACTOR")
     for ring in _family_rings(family, kind=ProductRing):
-        left_enum = enumerate_ideals(ring.left, family.max_generators)
-        right_enum = enumerate_ideals(ring.right, family.max_generators)
+        left_enum = enumerate_ideals(ring.left)
+        right_enum = enumerate_ideals(ring.right)
         full_left = ideal_from_generators(ring.left, (ring.left.one,))
         full_right = ideal_from_generators(ring.right, (ring.right.one,))
         sides = [(factor, full_right, "left") for factor in left_enum.ideals if factor.is_proper]
@@ -446,7 +441,7 @@ def _add2_condition(side_ideal, other_ideal, m, n) -> bool:
 def _check_prod_weak(family):
     tally = _Tally("T-PROD-WEAK")
     for ring in _family_rings(family, kind=ProductRing):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             left, right = split_product_ideal(ring, ideal)
             for m, n in family.mn_pairs:
                 direct = _weakly_only(ideal, m, n)
@@ -490,7 +485,7 @@ def _check_idealization(family):
     tally = _Tally("T-IDEALIZATION")
     for ring in _family_rings(family, kind=IdealizationRing):
         base = build_ring(CyclicZ(ring.n), family.max_order)
-        for base_ideal in _proper_ideals(base, family):
+        for base_ideal in _proper_ideals(base):
             extended = extend_ideal_to_idealization(ring, base_ideal)
             for m, n in family.mn_pairs:
                 direct = _weakly_only(extended, m, n)
@@ -541,12 +536,8 @@ def _check_principal(family):
 def _check_nilideal(family):
     tally = _Tally("T-NILIDEAL")
     for ring in _family_rings(family):
-        ideals, complete = _complete_proper_ideals(ring, family)
-        if not complete:
-            tally.skip()
-            continue
         nil = ring.nilpotents
-        nil_ideals = [i for i in ideals if i.elements <= nil]
+        nil_ideals = [i for i in _proper_ideals(ring) if i.elements <= nil]
         for m, n in family.mn_pairs:
             all_weak = all(_weakly(i, m, n) for i in nil_ideals)
             vanishing = all(ring.power(w, m) == ring.zero for w in nil)
@@ -781,7 +772,7 @@ def _check_strong(family):
                     **_instance(ring, m=m, n=n),
                     detail="(m,n)-regular ring is not strongly pi-regular",
                 )
-            if krull_dim(ring, family.max_generators) != 0:
+            if krull_dim(ring) != 0:
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
                     detail="(m,n)-regular ring has nonzero dimension",
@@ -793,18 +784,9 @@ def _check_strong(family):
 def _check_allweak(family):
     tally = _Tally("T-ALLWEAK")
     for ring in _family_rings(family):
-        ideals, complete = _complete_proper_ideals(ring, family)
+        ideals = _proper_ideals(ring)
         for m, n in family.mn_pairs:
             characterization = _weakly_closed_characterization(ring, m, n)
-            if not complete:
-                # can only assert one direction without the full ideal list
-                if characterization and not all(_weakly(i, m, n) for i in ideals):
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        detail="characterization holds but an enumerated ideal is not weakly closed",
-                    )
-                tally.vacuous()
-                continue
             direct = all(_weakly(i, m, n) for i in ideals)
             if not tally.agree(direct, characterization):
                 return tally.fail(
@@ -818,17 +800,9 @@ def _check_allweak(family):
 def _check_allclosed(family):
     tally = _Tally("T-ALLCLOSED")
     for ring in _family_rings(family):
-        ideals, complete = _complete_proper_ideals(ring, family)
+        ideals = _proper_ideals(ring)
         for m, n in family.all_pairs:
             regular = is_mn_regular_ring(ring, m, n)
-            if not complete:
-                if regular and not all(_closed(i, m, n) for i in ideals):
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        detail="(m,n)-regular ring has a non-closed enumerated ideal",
-                    )
-                tally.vacuous()
-                continue
             direct = all(_closed(i, m, n) for i in ideals)
             if not tally.agree(direct, regular):
                 return tally.fail(
@@ -841,11 +815,8 @@ def _check_allclosed(family):
 def _check_dim0(family):
     tally = _Tally("T-DIM0")
     for ring in _family_rings(family):
-        ideals, complete = _complete_proper_ideals(ring, family)
-        if not complete:
-            tally.skip()
-            continue
-        dim = krull_dim(ring, family.max_generators)
+        ideals = _proper_ideals(ring)
+        dim = krull_dim(ring)
         nil = ring.nilpotents
         for m, n in family.mn_pairs:
             all_closed = all(_closed(i, m, n) for i in ideals)
@@ -868,10 +839,7 @@ def _check_reduced(family):
         if ring.nilpotents != frozenset({ring.zero}):
             tally.vacuous()
             continue
-        ideals, complete = _complete_proper_ideals(ring, family)
-        if not complete:
-            tally.skip()
-            continue
+        ideals = _proper_ideals(ring)
         for m, n in family.all_pairs:
             all_weak = all(_weakly(i, m, n) for i in ideals)
             all_closed = all(_closed(i, m, n) for i in ideals)
@@ -904,7 +872,7 @@ def _check_spr(family):
             for n in range(1, bound + 1)
         )
         max_nil_index = max(ring.nilpotency_index(w) for w in ring.nilpotents)
-        structural = krull_dim(ring, family.max_generators) == 0 and max_nil_index <= bound
+        structural = krull_dim(ring) == 0 and max_nil_index <= bound
         if not (strongly == some_pair == uniform_n == structural):
             return tally.fail(
                 **_instance(ring),
@@ -1078,7 +1046,7 @@ def search_counterexamples(predicate_id: str, family: InstanceFamily | None = No
 def _search_weak_not_closed(family):
     witnesses = []
     for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             for m, n in family.mn_pairs:
                 report = _classify(ideal, m, n)
                 if report.status == STATUS_WEAKLY_ONLY:
@@ -1089,7 +1057,7 @@ def _search_weak_not_closed(family):
 def _search_not_monotone(family):
     witnesses = []
     for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             for n in family.n_values:
                 weak_at = {
                     m: _weakly(ideal, m, n) for m in range(1, family.grid_max + 1)
@@ -1108,11 +1076,14 @@ def _search_not_monotone(family):
 def _search_not_weakly_radical(family):
     witnesses = []
     for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
+            radical = None  # the answer depends on the ideal only: ask once
             for m, n in family.mn_pairs:
                 if not _weakly(ideal, m, n):
                     continue
-                ok, witness = closure.is_weakly_radical(ideal)
+                if radical is None:
+                    radical = closure.is_weakly_radical(ideal)
+                ok, witness = radical
                 if not ok:
                     record = _instance(ring, ideal, m, n)
                     record["radical_witness"] = [_serialize(witness[0]), witness[1]]

@@ -88,6 +88,46 @@ def brute_all_ideals(ring):
     return found
 
 
+def brute_ideal_lattice(ring):
+    """Every ideal at any order: the additive subgroups, found by joining
+    single elements onto subgroups until nothing new appears, that
+    absorb multiplication.  Each subgroup keeps the elements it was
+    joined from, so absorption is checked on those alone."""
+
+    def join(group, x):
+        # group + <x>: the cosets group + kx until kx falls back into group
+        out = set(group)
+        shift = x
+        while shift not in group:
+            out.update(ring.add(shift, h) for h in group)
+            shift = ring.add(shift, x)
+        return frozenset(out)
+
+    zero = frozenset({ring.zero})
+    subgroups = {zero: ()}
+    todo = [zero]
+    while todo:
+        group = todo.pop()
+        gens = subgroups[group]
+        seen = set()
+        for x in ring.elements:
+            if x in seen:
+                continue
+            # group + <x> depends only on the coset x + group
+            seen.update(ring.add(x, h) for h in group)
+            if x in group:
+                continue
+            joined = join(group, x)
+            if joined not in subgroups:
+                subgroups[joined] = gens + (x,)
+                todo.append(joined)
+    return {
+        group
+        for group, gens in subgroups.items()
+        if all(ring.mul(r, g) in group for g in gens for r in ring.elements)
+    }
+
+
 def _is_ideal(ring, subset):
     for a in subset:
         if ring.neg(a) not in subset:
@@ -192,8 +232,9 @@ def brute_first_weakly_radical_failure(ring, members):
     for x in ring.elements:
         if x in members:
             continue
+        xt = ring.one
         for t in range(1, ring.order + 1):
-            xt = brute_power(ring, x, t)
+            xt = ring.mul(xt, x)
             if xt != ring.zero and xt in members:
                 return (x, t)
     return None

@@ -278,6 +278,21 @@ def test_pair_and_power_sweeps_match_oracles(text):
     assert {prime for _, prime, _ in verdicts} == {True, False}
 
 
+@pytest.mark.parametrize(
+    "text, gens, expected",
+    [("Z65536", (1024,), (2, 10)), ("Z12288", (768,), (6, 8)), ("Z65536", (), None)],
+)
+def test_weakly_radical_on_large_cyclic_rings(text, gens, expected):
+    # long power chains: units cycle, non-units reach zero
+    r = ring(text)
+    i = ideal_from_generators(r, gens)
+    # the zero ideal holds nothing nonzero, so it is weakly radical by
+    # definition; the oracle's full scan of Z65536 would take too long
+    if gens:
+        assert brute_first_weakly_radical_failure(r, i.elements) == expected
+    assert is_weakly_radical(i) == (expected is None, expected)
+
+
 @settings(max_examples=15, deadline=None)
 @given(small_rings, st.data())
 def test_weak_n_absorbing_implies_weakly_closed(r, data):

@@ -1,5 +1,7 @@
 """Ideal construction, enumeration, quotients, primes, dimension."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +15,17 @@ from closure_lab import (
     is_prime_ideal,
     is_proper,
     krull_dim,
+    load_family,
     parse_ring_spec,
     quotient_ring,
     split_product_ideal,
 )
+from closure_lab.rings import CyclicRing, ProductRing
 
-from _oracles import brute_all_ideals, naive_ideal_closure
+from _oracles import brute_all_ideals, brute_ideal_lattice, naive_ideal_closure
 from _strategies import small_rings
+
+PINNED_FAMILY = Path(__file__).resolve().parent.parent / "perfbench" / "family.conf"
 
 
 def ring(text):
@@ -72,7 +78,7 @@ def test_enumerate_cyclic():
         (0, 2, 4, 6),
         tuple(range(8)),
     ]
-    assert enum.complete
+    assert {i.elements for i in enum.ideals} == brute_all_ideals(ring("Z8"))
     assert len(enumerate_ideals(ring("Z12")).ideals) == 6
     assert len(enumerate_ideals(ring("Z2 x Z2")).ideals) == 4
 
@@ -81,7 +87,6 @@ def test_enumerate_cyclic():
 def test_enumerate_matches_subset_oracle(text):
     r = ring(text)
     enum = enumerate_ideals(r)
-    assert enum.complete
     assert {i.elements for i in enum.ideals} == brute_all_ideals(r)
 
 
@@ -136,7 +141,7 @@ def test_ideal_lattice_maps_onto_quotient_ideals():
     for text in ["Z16", "Z2 x Z4", "Z8 (+) Z2"]:
         r = ring(text)
         enum = enumerate_ideals(r)
-        assert enum.complete
+        assert {i.elements for i in enum.ideals} == brute_ideal_lattice(r)
         for j in enum.proper:
             q = quotient_ring(r, j)
             above = [i for i in enum.ideals if j.elements <= i.elements]
@@ -170,3 +175,33 @@ def test_enumeration_is_deterministic():
     second = enumerate_ideals(build_ring(parse_ring_spec("Z4 (+) Z4")))
     assert [i.members for i in first.ideals] == [i.members for i in second.ideals]
     assert [i.generators for i in first.ideals] == [i.generators for i in second.ideals]
+
+
+def test_enumerate_matches_lattice_oracle_on_pinned_family():
+    # the fixpoint kinds: every trivial extension of the pinned family
+    family = load_family(str(PINNED_FAMILY))
+    rings = [build_ring(spec, family.max_order) for spec in family.ring_specs]
+    rings = [r for r in rings if not isinstance(r, (CyclicRing, ProductRing))]
+    assert len(rings) == 49
+    for r in rings:
+        enum = enumerate_ideals(r)
+        assert {i.elements for i in enum.ideals} == brute_ideal_lattice(r), r.spec_str
+        assert len(enum.ideals) == len({i.elements for i in enum.ideals}), r.spec_str
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["Z32 (+) Z16", "(Z4 x Z4)/(2)", "(Z16 x Z8)/(2)", "(Z32 x Z16)/(4)", "(Z4 x Z4)/(2) x Z4"],
+)
+def test_enumerate_matches_lattice_oracle_beyond_the_family(text):
+    # order 512, quotients of products, and a product with a quotient factor
+    r = ring(text)
+    enum = enumerate_ideals(r)
+    assert {i.elements for i in enum.ideals} == brute_ideal_lattice(r)
+    assert len(enum.ideals) == len({i.elements for i in enum.ideals})
+
+
+def test_lattice_oracle_matches_subset_oracle():
+    for text in ["Z4 (+) Z2", "Z2 x Z4", "Z8/(4)", "(Z4 x Z4)/(2)", "Z6"]:
+        r = ring(text)
+        assert brute_ideal_lattice(r) == brute_all_ideals(r), text

@@ -162,7 +162,7 @@ def _false_claim_checker(family):
     # "every weakly (m,n)-closed ideal is (m,n)-closed" is false
     tally = _Tally("T-FALSE-CLAIM")
     for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring, family):
+        for ideal in _proper_ideals(ring):
             for m, n in family.mn_pairs:
                 report = _classify(ideal, m, n)
                 if report.status == "not_weakly":
