@@ -5,12 +5,16 @@ weakly (m,n)-closed when that is only required for x**m nonzero.  The
 gap between the two notions is witnessed by unbreakable-zero elements:
 a with a**m == 0 but a**n not in I.
 
-All three closedness deciders (`classify`, `is_mn_closed`,
-`is_weakly_mn_closed`) read one sweep, `_failure_scan`, which finds the
-first failing x and the first failing x with x**m != 0 in canonical
-element order.  Like every first-witness sweep here, it runs over the
+One table per ideal answers closedness, weak radicality and
+nonzero-power questions: `_thresholds` lists, for every entry x of the
 class table `FiniteRing.representatives` (one entry per associate
-class) and finds the first witness a scan of all elements finds.
+class), the least t with x**t in I and the nilpotency index of x.  x
+breaks (m,n)-closedness exactly when n < tau(x) <= m, and weak
+(m,n)-closedness when also x**m != 0.  All three closedness deciders
+(`classify`, `is_mn_closed`, `is_weakly_mn_closed`) read one sweep of
+that table, `_failure_scan`, which finds the first failing x and the
+first failing x with x**m != 0; like every first-witness sweep here it
+finds the first witness a scan of all elements finds.
 
 `is_n_absorbing` prunes its multiset sweep and remembers each answer in
 a bounded memo; its docstring says why the first witness is unchanged.
@@ -80,26 +84,63 @@ def _require_positive(*values):
             raise ValueError("exponents must be positive")
 
 
+# bounded; the pinned 148-ring family asks for 3413 distinct ideals
+@lru_cache(maxsize=4096)
+def _thresholds(ideal: Ideal) -> tuple:
+    """One row (x, tau, nu) per class-table entry x, in table order: tau
+    the least t >= 1 with x**t in I, nu the least t >= 1 with x**t == 0,
+    each None when there is none.  tau <= nu whenever nu exists, and
+    x**t lies in I exactly when t >= tau.
+
+    Each row is one multiplication chain that stops at zero or at t = L =
+    `order.bit_length()`.  The bound is exact: a finite commutative ring
+    is a product of local rings R_i, and R_i has length l_i <= log2|R_i|
+    (every composition factor is a field with at least two elements), so
+    its maximal ideal M_i has M_i**l_i = 0.  For t >= l_i the component
+    of x**t in R_i is therefore 0 (x_i in M_i) or a unit, so x**t R is
+    the same ideal for every t >= max l_i, and max l_i <= log2|R| < L.
+    Hence x**t lies in I (or is 0) for some t only if it does for some
+    t <= L, and tau <= L and nu <= L whenever they exist.
+    """
+    ring = ideal.ring
+    members = ideal.elements
+    mul = ring.mul
+    zero = ring.zero
+    bound = ring.order.bit_length()
+    rows = []
+    for x in ring.representatives:
+        tau = nu = None
+        y, t = x, 1
+        while True:
+            if tau is None and y in members:
+                tau = t
+            if y == zero:
+                nu = t
+                break
+            if t >= bound:
+                break
+            y, t = mul(y, x), t + 1
+        rows.append((x, tau, nu))
+    return tuple(rows)
+
+
 def _failure_scan(ideal: Ideal, m: int, n: int):
     """The one sweep behind every (m,n)-closedness decision.
 
     Returns ``(first, nonzero)``: the first x in canonical order with
-    x**m in I and x**n not in I, and the first such x with x**m != 0
-    (None when there is none).  The sweep runs over the class table and
-    stops at the latter.
+    x**m in I and x**n not in I, that is n < tau(x) <= m, and the first
+    such x with x**m != 0, that is nu(x) > m or None (each None when
+    there is none).  The sweep reads the `_thresholds` table and stops
+    at the latter.
     """
     _require_proper(ideal)
     _require_positive(m, n)
-    ring = ideal.ring
-    members = ideal.elements
-    zero = ring.zero
     first = None
-    for x in ring.representatives:
-        xm = ring.power(x, m)
-        if xm in members and ring.power(x, n) not in members:
+    for x, tau, nu in _thresholds(ideal):
+        if tau is not None and n < tau <= m:
             if first is None:
                 first = x
-            if xm != zero:
+            if nu is None or nu > m:
                 return first, x
     return first, None
 
@@ -119,16 +160,20 @@ def is_weakly_mn_closed(ideal: Ideal, m: int, n: int):
 
 
 def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
-    """All a with a**m == 0 and a**n not in I, in canonical order."""
+    """All a with a**m == 0 and a**n not in I, in canonical order.
+
+    a**m == 0 means nu(a) <= m, and a**n outside I needs a**n != 0, that
+    is nu(a) > n; the candidates are read off `nilpotency_indices` and
+    a**n is computed for them alone.
+    """
     _require_proper(ideal)
     _require_positive(m, n)
     ring = ideal.ring
     members = ideal.elements
-    zero = ring.zero
     return tuple(
         a
-        for a in ring.elements
-        if ring.power(a, m) == zero and ring.power(a, n) not in members
+        for a, nu in ring.nilpotency_indices.items()
+        if n < nu <= m and ring.power(a, n) not in members
     )
 
 
@@ -151,25 +196,13 @@ def is_weakly_prime(ideal: Ideal):
 
 def is_weakly_radical(ideal: Ideal):
     """0 != x**t in I for some t forces x in I; returns (ok, (x, t) or
-    None) with the least such t.  Each power chain stops at zero (every
-    later power is zero) or at its first repeated power (every later
-    power was already seen)."""
+    None) with the least such t.  Read off `_thresholds`: x fails exactly
+    when 1 < tau(x) and x**tau != 0, that is tau(x) < nu(x) or x is not
+    nilpotent, and its least t is tau(x)."""
     _require_proper(ideal)
-    ring = ideal.ring
-    members = ideal.elements
-    zero = ring.zero
-    for x in ring.representatives:
-        if x in members:
-            continue
-        seen = set()
-        y, t = x, 1
-        while y not in seen:
-            if y in members:
-                if y != zero:
-                    return False, (x, t)
-                break
-            seen.add(y)
-            y, t = ring.mul(y, x), t + 1
+    for x, tau, nu in _thresholds(ideal):
+        if tau is not None and tau > 1 and (nu is None or tau < nu):
+            return False, (x, tau)
     return True, None
 
 

@@ -2,10 +2,11 @@
 
 Every ring exposes a canonical element tuple (`elements`), unchecked fast
 arithmetic (`add`/`mul`/`neg`/`power`), divisibility (`divides`: b in
-aR), and cached structural sets: the nilradical, the unit group, the
-zero-divisors, and the characteristic.  `representatives` is the class
-table that first-witness sweeps run over: one entry per associate class.
-Rings are immutable once built; `build_ring` memoizes on the spec, so
+aR), and cached structural sets: the nilradical with the nilpotency
+index of each member, the unit group, the zero-divisors, and the
+characteristic.  `representatives` is the class table that
+first-witness sweeps run over: one entry per associate class.  Rings
+are immutable once built; `build_ring` memoizes on the spec, so
 repeated builds of the same spec share one object (and its caches).
 
 Divisibility and structural sets are computed with per-kind shortcuts
@@ -135,7 +136,8 @@ class FiniteRing:
         I iff yz does.  Swapping each factor of a failing tuple for the least
         member of its class keeps it failing and its sorted index tuple
         pointwise no larger, so the first witness in canonical order is made
-        of table entries.  Extra entries do no harm."""
+        of table entries.  Extra entries do no harm, but every sweep and
+        every row of `closure._thresholds` pays for them."""
         raise NotImplementedError
 
     # -- structure ----------------------------------------------------------
@@ -143,24 +145,33 @@ class FiniteRing:
     def nilpotency_index(self, x):
         """Smallest k >= 1 with x**k == 0, or None for non-nilpotents.
 
-        Powers are iterated until zero or a repeated value, never more
-        than `order` steps.
+        Powers are iterated until zero, never past k = `order.bit_length()`:
+        a nilpotent's index is at most that bound (the length argument of
+        `closure._thresholds`).
         """
+        bound = self.order.bit_length()
         y = x
         k = 1
-        seen = set()
-        while True:
-            if y == self.zero:
-                return k
-            if y in seen or k >= self.order:
+        while y != self.zero:
+            if k >= bound:
                 return None
-            seen.add(y)
             y = self.mul(y, x)
             k += 1
+        return k
+
+    @cached_property
+    def nilpotency_indices(self) -> dict:
+        """{a: nilpotency index of a} over the nilradical, in canonical order."""
+        indices = {}
+        for x in self.elements:
+            k = self.nilpotency_index(x)
+            if k is not None:
+                indices[x] = k
+        return indices
 
     @cached_property
     def nilpotents(self) -> frozenset:
-        return frozenset(x for x in self.elements if self.nilpotency_index(x) is not None)
+        return frozenset(self.nilpotency_indices)
 
     def _is_unit(self, x) -> bool:
         # in a finite commutative ring x is a unit iff some power of x is 1
@@ -277,8 +288,9 @@ class CyclicRing(FiniteRing):
         return k
 
     @cached_property
-    def nilpotents(self):
-        return frozenset(range(0, self.n, self._radical))
+    def nilpotency_indices(self):
+        # the nilpotents of Z_n are the multiples of its squarefree radical
+        return {x: self.nilpotency_index(x) for x in range(0, self.n, self._radical)}
 
     @cached_property
     def units(self):
@@ -343,8 +355,12 @@ class ProductRing(FiniteRing):
         return max(k1, k2)
 
     @cached_property
-    def nilpotents(self):
-        return frozenset(iter_product(self.left.nilpotents, self.right.nilpotents))
+    def nilpotency_indices(self):
+        return {
+            (a, b): max(ka, kb)
+            for a, ka in self.left.nilpotency_indices.items()
+            for b, kb in self.right.nilpotency_indices.items()
+        }
 
     @cached_property
     def units(self):
@@ -410,14 +426,28 @@ class IdealizationRing(FiniteRing):
 
     @cached_property
     def representatives(self):
-        # a unit (u, 0) takes (r, m) to (gcd(r, n), um); associates share gcd(r, n)
-        return tuple((g, m) for g in (0,) + _divisors(self.n)[:-1] for m in range(self.d))
+        # a unit (u, 0) takes (r, m) to (g, um) with g = gcd(r, n), the least
+        # first coordinate of the class; the unit (1, v) takes (g, m) to
+        # (g, m + vg), so m can be lowered mod gcd(g, d) and the least member
+        # (g, m) of every class has m < gcd(g, d) (all m when g = 0)
+        return tuple(
+            (g, m) for g in (0,) + _divisors(self.n)[:-1] for m in range(math.gcd(g, self.d))
+        )
 
     @cached_property
-    def nilpotents(self):
-        return frozenset(
-            (r, m) for r in range(0, self.n, self._radical) for m in range(self.d)
-        )
+    def nilpotency_indices(self):
+        # (r, m)**t = (r**t, t * r**(t-1) * m): with k the index of r in Z_n,
+        # the first coordinate vanishes from t = k on and the second from
+        # t = k + 1 on (d | n), so the index is k or k + 1
+        indices = {}
+        for r in range(0, self.n, self._radical):
+            k, y = 1, r
+            while y:
+                y, k = y * r % self.n, k + 1
+            scale = k * pow(r, k - 1, self.d)
+            for m in range(self.d):
+                indices[(r, m)] = k if scale * m % self.d == 0 else k + 1
+        return indices
 
     @cached_property
     def units(self):

@@ -258,11 +258,11 @@ def _check_basic_4(family):
         ideals = _proper_ideals(ring)
         for i, first in enumerate(ideals):
             for second in ideals[i + 1 :]:
+                meet = intersect_ideals(first, second)
                 for m, n in family.all_pairs:
                     if not (_weakly(first, m, n) and _weakly(second, m, n)):
                         tally.vacuous()
                         continue
-                    meet = intersect_ideals(first, second)
                     if not _weakly(meet, m, n):
                         return tally.fail(
                             **_instance(ring, first, m, n),
@@ -279,6 +279,7 @@ def _check_basic_4(family):
 def _check_shift(family):
     tally = _Tally("T-SHIFT")
     for ring in _family_rings(family):
+        nil = ring.nilpotency_indices
         for ideal in _proper_ideals(ring):
             for m, n in family.mn_pairs:
                 if _classify(ideal, m, n).status == STATUS_NOT_WEAKLY:
@@ -290,7 +291,9 @@ def _check_shift(family):
                     continue
                 for a in witnesses:
                     for i in ideal.members:
-                        if ring.power(ring.add(a, i), m) != ring.zero:
+                        # (a + i)**m == 0 exactly when nu(a + i) <= m
+                        nu = nil.get(ring.add(a, i))
+                        if nu is None or nu > m:
                             return tally.fail(
                                 **_instance(ring, ideal, m, n),
                                 element=_serialize(a),
@@ -419,13 +422,11 @@ def _check_prod_factor(family):
 
 
 def _nonzero_power_lands_in(ideal, m) -> bool:
-    ring = ideal.ring
-    zero = ring.zero
-    for x in ring.representatives:
-        xm = ring.power(x, m)
-        if xm != zero and xm in ideal.elements:
-            return True
-    return False
+    # 0 != x**m in I: tau(x) <= m < nu(x), read off the threshold table
+    return any(
+        tau is not None and tau <= m and (nu is None or nu > m)
+        for _, tau, nu in closure._thresholds(ideal)
+    )
 
 
 def _add2_condition(side_ideal, other_ideal, m, n) -> bool:

@@ -310,3 +310,24 @@ def exhaustive_ring_axioms(ring):
                 assert ring.mul(x, ring.add(y, z)) == ring.add(
                     ring.mul(x, y), ring.mul(x, z)
                 )
+
+
+
+def brute_power_thresholds(ring, members, elements=None):
+    """{x: (tau, nu)} over `elements` (default: every element): tau the
+    least t with x**t in I and nu the least t with x**t == 0, each looked
+    for up to t = order + 1 and None when not found there.  x**t is built
+    one multiplication at a time, so the search reaches order 65536."""
+    out = {}
+    for x in ring.elements if elements is None else elements:
+        tau = nu = None
+        xt = ring.one
+        for t in range(1, ring.order + 2):
+            xt = ring.mul(xt, x)
+            if tau is None and xt in members:
+                tau = t
+            if xt == ring.zero:
+                nu = t
+                break
+        out[x] = (tau, nu)
+    return out

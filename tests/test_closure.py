@@ -1,5 +1,7 @@
 """Closure-property deciders: worked examples plus invariant properties."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,12 +22,13 @@ from closure_lab import (
     is_weakly_mn_closed,
     is_weakly_prime,
     is_weakly_radical,
+    load_family,
     nilradical,
     parse_ring_spec,
     quotient_ring,
     unbreakable_zero_elements,
 )
-from closure_lab.closure import _failure_scan, _first_absorbing_failure
+from closure_lab.closure import _failure_scan, _first_absorbing_failure, _thresholds
 
 from _oracles import (
     brute_first_absorbing_failure,
@@ -36,6 +39,9 @@ from _oracles import (
     brute_is_n_absorbing,
     brute_is_prime,
     brute_is_weakly_mn_closed,
+    brute_multiples,
+    brute_power,
+    brute_power_thresholds,
     brute_unbreakable,
 )
 from _strategies import small_rings
@@ -274,8 +280,59 @@ def test_pair_and_power_sweeps_match_oracles(text):
         assert is_prime_ideal(i) == prime, i
         radical = brute_first_weakly_radical_failure(r, i.elements)
         assert is_weakly_radical(i) == (radical is None, radical), i
+        _assert_thresholds_match_oracle(i)
         verdicts.add((pair is None, prime, radical is None))
     assert {prime for _, prime, _ in verdicts} == {True, False}
+
+
+def _assert_thresholds_match_oracle(i):
+    r = i.ring
+    rows = _thresholds(i)
+    assert [x for x, _, _ in rows] == list(r.representatives), i
+    expected = brute_power_thresholds(r, i.elements, r.representatives)
+    assert {x: (tau, nu) for x, tau, nu in rows} == expected, i
+
+
+@pytest.mark.parametrize(
+    "text, gens",
+    [("Z65536", ()), ("Z65536", (1024,)), ("Z2 x Z1009", None), ("Z16 (+) Z16", None)],
+)
+def test_thresholds_match_oracle_beyond_the_length_bound(text, gens):
+    # the oracle looks up to t = order + 1; nu(2) = 16 = L - 1 on Z65536,
+    # units of Z1009 cycle with periods up to 1008, and gens None means
+    # every proper ideal
+    r = ring(text)
+    ideals = enumerate_ideals(r).proper if gens is None else [ideal_from_generators(r, gens)]
+    for i in ideals:
+        _assert_thresholds_match_oracle(i)
+
+
+PINNED_FAMILY = Path(__file__).resolve().parent.parent / "perfbench" / "family.conf"
+
+
+def test_principal_powers_stabilize_from_the_length_bound():
+    # the lemma behind `_thresholds`: x**t R == x**L R for every t >= L =
+    # order.bit_length(), checked up to t = order + 1 on every ring of the
+    # pinned family and of KIND_RINGS up to order 64
+    specs = load_family(str(PINNED_FAMILY)).ring_specs
+    rings = [build_ring(spec) for spec in specs] + [ring(text) for text in KIND_RINGS]
+    rings = [r for r in rings if r.order <= 64]
+    assert len(rings) > 100
+    for r in rings:
+        principal = {}
+
+        def multiples(a):
+            if a not in principal:
+                principal[a] = brute_multiples(r, a)
+            return principal[a]
+
+        bound = r.order.bit_length()
+        for x in r.elements:
+            xt = brute_power(r, x, bound)
+            target = multiples(xt)
+            for t in range(bound + 1, r.order + 2):
+                xt = r.mul(xt, x)
+                assert multiples(xt) == target, (r, x, t)
 
 
 @pytest.mark.parametrize(

@@ -230,6 +230,38 @@ def test_nilpotency_index_is_minimal(r):
             assert k == 1 or brute_power(r, x, k - 1) != r.zero
 
 
+def _assert_nilpotency_indices(r):
+    # the least k <= order + 1 with x**k == 0, straight from the definition
+    expected = {}
+    for x in r.elements:
+        xk = x
+        for k in range(1, r.order + 2):
+            if xk == r.zero:
+                expected[x] = k
+                break
+            xk = r.mul(xk, x)
+    assert list(r.nilpotency_indices.items()) == list(expected.items()), r
+    assert frozenset(r.nilpotency_indices) == brute_nilpotents(r) == r.nilpotents, r
+    assert all(r.nilpotency_index(x) == expected.get(x) for x in r.elements), r
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Z2", "Z64", "Z72", "Z2 x Z4", "Z8 x Z9", "(Z4 (+) Z2) x Z2", "Z8 (+) Z1",
+        "Z8 (+) Z4", "Z12 (+) Z6", "Z16 (+) Z16", "Z24/(8)", "(Z4 x Z4)/(2)", "Z24/(8) x Z4",
+    ],
+)
+def test_nilpotency_indices_match_definition_on_every_kind(text):
+    _assert_nilpotency_indices(ring(text))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings)
+def test_nilpotency_indices_match_definition(r):
+    _assert_nilpotency_indices(r)
+
+
 def test_zero_module_part_squares_to_zero():
     # (0, m1)(0, m2) == (0, 0) in every trivial extension
     for n, d in [(4, 2), (8, 4), (12, 6), (6, 6)]:
