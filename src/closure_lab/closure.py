@@ -10,11 +10,16 @@ nonzero-power questions: `_thresholds` lists, for every entry x of the
 class table `FiniteRing.representatives` (one entry per associate
 class), the least t with x**t in I and the nilpotency index of x.  x
 breaks (m,n)-closedness exactly when n < tau(x) <= m, and weak
-(m,n)-closedness when also x**m != 0.  All three closedness deciders
-(`classify`, `is_mn_closed`, `is_weakly_mn_closed`) read one sweep of
-that table, `_failure_scan`, which finds the first failing x and the
-first failing x with x**m != 0; like every first-witness sweep here it
-finds the first witness a scan of all elements finds.
+(m,n)-closedness when also x**m != 0.
+
+Status questions are answered by `status_grid`, which reads the status
+of every (m, n) of an ideal off the distinct (tau, nu) pairs of that
+table at once; callers that ask about many pairs fetch the grid once.
+Witness questions are answered by the three closedness deciders
+(`classify`, `is_mn_closed`, `is_weakly_mn_closed`), which read one
+sweep of the table, `_failure_scan`, finding the first failing x and
+the first failing x with x**m != 0; like every first-witness sweep here
+it finds the first witness a scan of all elements finds.
 
 `is_n_absorbing` prunes its multiset sweep and remembers each answer in
 a bounded memo; its docstring says why the first witness is unchanged.
@@ -121,6 +126,52 @@ def _thresholds(ideal: Ideal) -> tuple:
                 break
             y, t = mul(y, x), t + 1
         rows.append((x, tau, nu))
+    return tuple(rows)
+
+
+_STATUSES = (STATUS_CLOSED, STATUS_WEAKLY_ONLY, STATUS_NOT_WEAKLY)
+
+
+# bounded like `_thresholds`, whose rows it reads
+@lru_cache(maxsize=4096)
+def status_grid(ideal: Ideal, size: int) -> tuple:
+    """The status of every (m, n) with 1 <= m, n <= size: ``grid[m][n]``
+    is `STATUS_CLOSED`, `STATUS_WEAKLY_ONLY` or `STATUS_NOT_WEAKLY`, the
+    status `classify` reports.  Exponents are positive, so row 0 and
+    column 0 hold None; they only let the grid be indexed by exponent.
+
+    x breaks (m,n)-closedness exactly when n < tau(x) <= m, and weak
+    (m,n)-closedness when also nu(x) > m or nu(x) is None (see
+    `_thresholds`), so the grid follows from the distinct (tau, nu)
+    pairs of the threshold table; rows with tau = 1 never satisfy
+    n < tau and are left out.  Each pair marks the cells n < tau <= m,
+    as not_weakly when nu is None or nu > m and weakly_only otherwise,
+    and a cell keeps the worse of its marks.
+
+    Past L = `order.bit_length()` the grid repeats itself: tau <= L and
+    nu <= L whenever they exist, so for m >= L the tests tau <= m and
+    nu > m give what they give at m = L, and for n >= L the test
+    n < tau fails as it does at n = L.  Hence status(m, n) =
+    status(min(m, L), min(n, L)), and only the cells up to L are
+    computed; longer rows and columns repeat the last computed ones.
+    """
+    _require_proper(ideal)
+    _require_positive(size)
+    top = min(size, ideal.ring.order.bit_length())
+    worst = [[0] * (top + 1) for _ in range(top + 1)]
+    pairs = {(tau, nu) for _, tau, nu in _thresholds(ideal) if tau is not None and tau > 1}
+    for tau, nu in pairs:
+        for m in range(tau, top + 1):
+            level = 2 if nu is None or nu > m else 1
+            row = worst[m]
+            for n in range(1, tau):
+                if row[n] < level:
+                    row[n] = level
+    rows = [(None,) * (size + 1)]
+    for m in range(1, top + 1):
+        cells = [_STATUSES[level] for level in worst[m][1:]]
+        rows.append((None, *cells, *(cells[-1:] * (size - top))))
+    rows.extend(rows[-1:] * (size - top))
     return tuple(rows)
 
 

@@ -42,6 +42,18 @@ class InstanceFamily:
     def n_values(self) -> tuple:
         return tuple(sorted({n for _, n in self.mn_pairs}))
 
+    @property
+    def max_exponent(self) -> int:
+        """The largest m or n any checker asks about: `grid_max`, an
+        exponent of `all_pairs`, or n + 1 for n in `n_values`."""
+        return max(
+            (
+                self.grid_max,
+                *(e for pair in self.all_pairs for e in pair),
+                *(n + 1 for n in self.n_values),
+            )
+        )
+
 
 def _mn_sweep(m_max: int) -> tuple:
     return tuple((m, n) for m in range(2, m_max + 1) for n in range(1, m))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .closure import classify, STATUS_CLOSED, STATUS_NOT_WEAKLY
+from .closure import STATUS_CLOSED, STATUS_NOT_WEAKLY, status_grid
 from .ideals import enumerate_ideals
 from .rings import FiniteRing, _serialize
 
@@ -125,7 +125,7 @@ def all_proper_ideals_weakly_closed(ring: FiniteRing, m: int, n: int) -> bool:
         raise ValueError("requires m > n")
     characterization = _weakly_closed_characterization(ring, m, n)
     direct = all(
-        classify(ideal, m, n).status != STATUS_NOT_WEAKLY
+        status_grid(ideal, m)[m][n] != STATUS_NOT_WEAKLY
         for ideal in enumerate_ideals(ring).proper
     )
     if direct != characterization:
@@ -138,10 +138,11 @@ def all_proper_ideals_weakly_closed(ring: FiniteRing, m: int, n: int) -> bool:
 
 def all_proper_ideals_closed(ring: FiniteRing, m: int, n: int) -> bool:
     """Direct sweep: every proper ideal is (m,n)-closed."""
-    enumeration = enumerate_ideals(ring)
+    if m < 1 or n < 1:
+        raise ValueError("exponents must be positive")
     return all(
-        classify(ideal, m, n).status == STATUS_CLOSED
-        for ideal in enumeration.proper
+        status_grid(ideal, max(m, n))[m][n] == STATUS_CLOSED
+        for ideal in enumerate_ideals(ring).proper
     )
 
 

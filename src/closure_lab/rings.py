@@ -64,6 +64,7 @@ class FiniteRing:
         self.zero = zero
         self.one = one
         self.max_order = max_order
+        self._hash = hash(spec)  # once: every cache keyed on a ring hashes it
 
     # -- identity ----------------------------------------------------------
 
@@ -78,7 +79,7 @@ class FiniteRing:
         return isinstance(other, FiniteRing) and self.spec == other.spec
 
     def __hash__(self):
-        return hash(self.spec)
+        return self._hash
 
     # -- arithmetic (unchecked; see element_arithmetic for the checked API) -
 

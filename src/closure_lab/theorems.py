@@ -20,6 +20,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import inf
 
 from . import closure
 from .closure import (
@@ -28,6 +29,7 @@ from .closure import (
     STATUS_NOT_WEAKLY,
     STATUS_WEAKLY_ONLY,
     is_n_absorbing,
+    status_grid,
     unbreakable_zero_elements,
 )
 from .families import InstanceFamily, default_family
@@ -138,23 +140,6 @@ class _Tally:
 
 
 @lru_cache(maxsize=None)
-def _classify(ideal: Ideal, m: int, n: int):
-    return closure.classify(ideal, m, n)
-
-
-def _weakly(ideal, m, n) -> bool:
-    return _classify(ideal, m, n).status != STATUS_NOT_WEAKLY
-
-
-def _closed(ideal, m, n) -> bool:
-    return _classify(ideal, m, n).status == STATUS_CLOSED
-
-
-def _weakly_only(ideal, m, n) -> bool:
-    return _classify(ideal, m, n).status == STATUS_WEAKLY_ONLY
-
-
-@lru_cache(maxsize=None)
 def _grid(ring: FiniteRing, x, grid_max: int):
     table = vnr_grid(ring, x, grid_max, grid_max)
     return table
@@ -174,6 +159,11 @@ def _family_rings(family: InstanceFamily, order_cap=None, kind=None):
 
 def _proper_ideals(ring: FiniteRing):
     return enumerate_ideals(ring).proper
+
+
+def _status_grids(ring: FiniteRing, family: InstanceFamily) -> list:
+    """The `status_grid` of every proper ideal, in enumeration order."""
+    return [status_grid(ideal, family.max_exponent) for ideal in _proper_ideals(ring)]
 
 
 def _instance(ring, ideal=None, m=None, n=None, **extra) -> dict:
@@ -197,8 +187,10 @@ def _absorbing_implies_weakly(theorem_id, family, m_values, detail):
     """Weakly n-absorbing ideals are weakly (m,n)-closed for every m in
     `m_values(n)`; the shared body of T-BASIC-1 and T-BASIC-3."""
     tally = _Tally(theorem_id)
+    size = family.max_exponent
     for ring in _family_rings(family):
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
             for n in family.n_values:
                 try:
                     hyp, _ = is_n_absorbing(ideal, n, weak=True, budget=family.absorbing_budget)
@@ -209,7 +201,7 @@ def _absorbing_implies_weakly(theorem_id, family, m_values, detail):
                     tally.vacuous()
                     continue
                 for m in m_values(n):
-                    if not _weakly(ideal, m, n):
+                    if grid[m][n] == STATUS_NOT_WEAKLY:
                         return tally.fail(**_instance(ring, ideal, m, n), detail=detail)
                 tally.substantive()
     return tally.done()
@@ -226,14 +218,16 @@ def _check_basic_1(family):
 
 def _check_basic_2(family):
     tally = _Tally("T-BASIC-2")
+    size = family.max_exponent
     for ring in _family_rings(family):
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
             for m, n in family.all_pairs:
-                if not _weakly(ideal, m, n):
+                if grid[m][n] == STATUS_NOT_WEAKLY:
                     tally.vacuous()
                     continue
                 for n_bigger in range(n, family.grid_max + 1):
-                    if not _weakly(ideal, m, n_bigger):
+                    if grid[m][n_bigger] == STATUS_NOT_WEAKLY:
                         return tally.fail(
                             **_instance(ring, ideal, m, n),
                             n_bigger=n_bigger,
@@ -254,16 +248,18 @@ def _check_basic_3(family):
 
 def _check_basic_4(family):
     tally = _Tally("T-BASIC-4")
+    size = family.max_exponent
     for ring in _family_rings(family):
         ideals = _proper_ideals(ring)
-        for i, first in enumerate(ideals):
-            for second in ideals[i + 1 :]:
-                meet = intersect_ideals(first, second)
+        grids = _status_grids(ring, family)
+        for i, (first, first_grid) in enumerate(zip(ideals, grids)):
+            for second, second_grid in zip(ideals[i + 1 :], grids[i + 1 :]):
+                meet = status_grid(intersect_ideals(first, second), size)
                 for m, n in family.all_pairs:
-                    if not (_weakly(first, m, n) and _weakly(second, m, n)):
+                    if STATUS_NOT_WEAKLY in (first_grid[m][n], second_grid[m][n]):
                         tally.vacuous()
                         continue
-                    if not _weakly(meet, m, n):
+                    if meet[m][n] == STATUS_NOT_WEAKLY:
                         return tally.fail(
                             **_instance(ring, first, m, n),
                             other_ideal=[_serialize(e) for e in second.members],
@@ -276,41 +272,49 @@ def _check_basic_4(family):
 # --- unbreakable-zero consequences (T-SHIFT, T-NIL, T-NIL-CHAR) ----------------
 
 
+def _shift_index(ring, a, i):
+    # nu(a + i), inf when a + i is not nilpotent: (a + i)**m == 0 iff it is <= m
+    return ring.nilpotency_indices.get(ring.add(a, i), inf)
+
+
 def _check_shift(family):
     tally = _Tally("T-SHIFT")
+    size = family.max_exponent
     for ring in _family_rings(family):
-        nil = ring.nilpotency_indices
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
+            worst = {}  # a -> the largest _shift_index(a, i) over i in I, asked once per a
             for m, n in family.mn_pairs:
-                if _classify(ideal, m, n).status == STATUS_NOT_WEAKLY:
+                # an unbreakable zero a (a**m == 0, a**n not in I) breaks
+                # closedness, so a weakly closed I has one iff it is weakly-only
+                if grid[m][n] != STATUS_WEAKLY_ONLY:
                     tally.vacuous()
                     continue
-                witnesses = unbreakable_zero_elements(ideal, m, n)
-                if not witnesses:
-                    tally.vacuous()
-                    continue
-                for a in witnesses:
-                    for i in ideal.members:
-                        # (a + i)**m == 0 exactly when nu(a + i) <= m
-                        nu = nil.get(ring.add(a, i))
-                        if nu is None or nu > m:
-                            return tally.fail(
-                                **_instance(ring, ideal, m, n),
-                                element=_serialize(a),
-                                shifted_by=_serialize(i),
-                                detail="(a + i)**m != 0 for an unbreakable-zero a and i in I",
-                            )
+                for a in unbreakable_zero_elements(ideal, m, n):
+                    if a not in worst:
+                        worst[a] = max(_shift_index(ring, a, i) for i in ideal.members)
+                    if worst[a] > m:
+                        # the first failing i, as a scan of the members finds it
+                        i = next(i for i in ideal.members if _shift_index(ring, a, i) > m)
+                        return tally.fail(
+                            **_instance(ring, ideal, m, n),
+                            element=_serialize(a),
+                            shifted_by=_serialize(i),
+                            detail="(a + i)**m != 0 for an unbreakable-zero a and i in I",
+                        )
                 tally.substantive()
     return tally.done()
 
 
 def _check_nil(family):
     tally = _Tally("T-NIL")
+    size = family.max_exponent
     for ring in _family_rings(family):
         nil = ring.nilpotents
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
             for m, n in family.all_pairs:
-                if not _weakly_only(ideal, m, n):
+                if grid[m][n] != STATUS_WEAKLY_ONLY:
                     tally.vacuous()
                     continue
                 if not ideal.elements <= nil:
@@ -326,11 +330,15 @@ def _check_nil(family):
 
 def _check_nil_char(family):
     tally = _Tally("T-NIL-CHAR")
+    size = family.max_exponent
     for ring in _family_rings(family):
         char = ring.characteristic
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
             for m, n in family.mn_pairs:
-                if not (_weakly_only(ideal, m, n) and char == m and _is_prime_number(m)):
+                if not (
+                    grid[m][n] == STATUS_WEAKLY_ONLY and char == m and _is_prime_number(m)
+                ):
                     tally.vacuous()
                     continue
                 for i in ideal.members:
@@ -349,19 +357,21 @@ def _check_nil_char(family):
 
 def _check_quot(family):
     tally = _Tally("T-QUOT")
+    size = family.max_exponent
     for ring in _family_rings(family, order_cap=family.quotient_order_cap):
         ideals = _proper_ideals(ring)
+        grids = _status_grids(ring, family)
         for small in ideals:
             quotient = quotient_ring(ring, small)
-            for big in ideals:
+            for big, grid in zip(ideals, grids):
                 if not small.elements <= big.elements:
                     continue
-                image = image_ideal(quotient, big)
+                image = status_grid(image_ideal(quotient, big), size)
                 for m, n in family.mn_pairs:
-                    if not _weakly(big, m, n):
+                    if grid[m][n] == STATUS_NOT_WEAKLY:
                         tally.vacuous()
                         continue
-                    if not _weakly(image, m, n):
+                    if image[m][n] == STATUS_NOT_WEAKLY:
                         return tally.fail(
                             **_instance(ring, big, m, n),
                             modulus_ideal=[_serialize(e) for e in small.members],
@@ -376,14 +386,19 @@ def _check_quot(family):
 
 def _check_prod_closed(family):
     tally = _Tally("T-PROD-CLOSED")
+    size = family.max_exponent
     for ring in _family_rings(family, kind=ProductRing):
         for ideal in _proper_ideals(ring):
-            left, right = split_product_ideal(ring, ideal)
+            grid = status_grid(ideal, size)
+            # an improper factor puts no condition on its side
+            factor_grids = [
+                status_grid(factor, size)
+                for factor in split_product_ideal(ring, ideal)
+                if factor.is_proper
+            ]
             for m, n in family.all_pairs:
-                direct = _closed(ideal, m, n)
-                condition = (not left.is_proper or _closed(left, m, n)) and (
-                    not right.is_proper or _closed(right, m, n)
-                )
+                direct = grid[m][n] == STATUS_CLOSED
+                condition = all(g[m][n] == STATUS_CLOSED for g in factor_grids)
                 if not tally.agree(direct, condition):
                     return tally.fail(
                         **_instance(ring, ideal, m, n),
@@ -394,6 +409,7 @@ def _check_prod_closed(family):
 
 def _check_prod_factor(family):
     tally = _Tally("T-PROD-FACTOR")
+    size = family.max_exponent
     for ring in _family_rings(family, kind=ProductRing):
         left_enum = enumerate_ideals(ring.left)
         right_enum = enumerate_ideals(ring.right)
@@ -406,10 +422,12 @@ def _check_prod_factor(family):
                 lifted = product_ideal(ring, factor, full)
             else:
                 lifted = product_ideal(ring, full, factor)
+            factor_grid = status_grid(factor, size)
+            lifted_grid = status_grid(lifted, size)
             for m, n in family.all_pairs:
-                weak_lifted = _weakly(lifted, m, n)
-                closed_factor = _closed(factor, m, n)
-                closed_lifted = _closed(lifted, m, n)
+                weak_lifted = lifted_grid[m][n] != STATUS_NOT_WEAKLY
+                closed_factor = factor_grid[m][n] == STATUS_CLOSED
+                closed_lifted = lifted_grid[m][n] == STATUS_CLOSED
                 if not tally.agree(weak_lifted, closed_factor, closed_lifted):
                     return tally.fail(
                         **_instance(ring, lifted, m, n),
@@ -429,30 +447,40 @@ def _nonzero_power_lands_in(ideal, m) -> bool:
     )
 
 
-def _add2_condition(side_ideal, other_ideal, m, n) -> bool:
-    if not _weakly_only(side_ideal, m, n):
+def _factor_view(ideal, size):
+    # what `_add2_condition` asks of one factor ideal, read once: its
+    # status grid and the m <= size for which some 0 != x**m lies in it
+    lands = frozenset(m for m in range(1, size + 1) if _nonzero_power_lands_in(ideal, m))
+    return status_grid(ideal, size), lands
+
+
+def _add2_condition(side, other, m, n) -> bool:
+    side_grid, side_lands = side
+    other_grid, other_lands = other
+    if side_grid[m][n] != STATUS_WEAKLY_ONLY:
         return False
-    if _nonzero_power_lands_in(other_ideal, m):
+    if m in other_lands:
         return False
-    if _nonzero_power_lands_in(side_ideal, m):
-        return _closed(other_ideal, m, n)
+    if m in side_lands:
+        return other_grid[m][n] == STATUS_CLOSED
     return True
 
 
 def _check_prod_weak(family):
     tally = _Tally("T-PROD-WEAK")
+    size = family.max_exponent
     for ring in _family_rings(family, kind=ProductRing):
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
             left, right = split_product_ideal(ring, ideal)
+            views = None
+            if left.is_proper and right.is_proper:
+                views = (_factor_view(left, size), _factor_view(right, size))
             for m, n in family.mn_pairs:
-                direct = _weakly_only(ideal, m, n)
-                condition = (
-                    left.is_proper
-                    and right.is_proper
-                    and (
-                        _add2_condition(left, right, m, n)
-                        or _add2_condition(right, left, m, n)
-                    )
+                direct = grid[m][n] == STATUS_WEAKLY_ONLY
+                condition = views is not None and (
+                    _add2_condition(views[0], views[1], m, n)
+                    or _add2_condition(views[1], views[0], m, n)
                 )
                 if not tally.agree(direct, condition):
                     return tally.fail(
@@ -484,13 +512,16 @@ def _module_annihilated(ring: IdealizationRing, a: int, m: int) -> bool:
 
 def _check_idealization(family):
     tally = _Tally("T-IDEALIZATION")
+    size = family.max_exponent
     for ring in _family_rings(family, kind=IdealizationRing):
         base = build_ring(CyclicZ(ring.n), family.max_order)
         for base_ideal in _proper_ideals(base):
             extended = extend_ideal_to_idealization(ring, base_ideal)
+            grid = status_grid(extended, size)
+            base_grid = status_grid(base_ideal, size)
             for m, n in family.mn_pairs:
-                direct = _weakly_only(extended, m, n)
-                condition = _weakly_only(base_ideal, m, n) and all(
+                direct = grid[m][n] == STATUS_WEAKLY_ONLY
+                condition = base_grid[m][n] == STATUS_WEAKLY_ONLY and all(
                     _module_annihilated(ring, a, m)
                     for a in unbreakable_zero_elements(base_ideal, m, n)
                 )
@@ -508,6 +539,7 @@ def _check_idealization(family):
 
 def _check_principal(family):
     tally = _Tally("T-PRINCIPAL")
+    size = family.max_exponent
     for p, c in family.principal_cases:
         modulus = p ** c
         ring = build_ring(CyclicZ(modulus), family.max_order)
@@ -516,10 +548,11 @@ def _check_principal(family):
             if not pairs:
                 continue
             ideal = ideal_from_generators(ring, (pow(p, k),))
+            grid = status_grid(ideal, size)
             for m, n in pairs:
                 q, r = divmod(k, m)
                 condition = r != 0 and k + 1 <= c <= m * (q + 1) and n * (q + 1) < k
-                direct = _weakly_only(ideal, m, n)
+                direct = grid[m][n] == STATUS_WEAKLY_ONLY
                 if not tally.agree(direct, condition):
                     return tally.fail(
                         **_instance(ring, ideal, m, n),
@@ -536,11 +569,12 @@ def _check_principal(family):
 
 def _check_nilideal(family):
     tally = _Tally("T-NILIDEAL")
+    size = family.max_exponent
     for ring in _family_rings(family):
         nil = ring.nilpotents
-        nil_ideals = [i for i in _proper_ideals(ring) if i.elements <= nil]
+        grids = [status_grid(i, size) for i in _proper_ideals(ring) if i.elements <= nil]
         for m, n in family.mn_pairs:
-            all_weak = all(_weakly(i, m, n) for i in nil_ideals)
+            all_weak = all(g[m][n] != STATUS_NOT_WEAKLY for g in grids)
             vanishing = all(ring.power(w, m) == ring.zero for w in nil)
             if not tally.agree(all_weak, vanishing):
                 return tally.fail(
@@ -785,10 +819,10 @@ def _check_strong(family):
 def _check_allweak(family):
     tally = _Tally("T-ALLWEAK")
     for ring in _family_rings(family):
-        ideals = _proper_ideals(ring)
+        grids = _status_grids(ring, family)
         for m, n in family.mn_pairs:
             characterization = _weakly_closed_characterization(ring, m, n)
-            direct = all(_weakly(i, m, n) for i in ideals)
+            direct = all(g[m][n] != STATUS_NOT_WEAKLY for g in grids)
             if not tally.agree(direct, characterization):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
@@ -801,10 +835,10 @@ def _check_allweak(family):
 def _check_allclosed(family):
     tally = _Tally("T-ALLCLOSED")
     for ring in _family_rings(family):
-        ideals = _proper_ideals(ring)
+        grids = _status_grids(ring, family)
         for m, n in family.all_pairs:
             regular = is_mn_regular_ring(ring, m, n)
-            direct = all(_closed(i, m, n) for i in ideals)
+            direct = all(g[m][n] == STATUS_CLOSED for g in grids)
             if not tally.agree(direct, regular):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
@@ -816,11 +850,11 @@ def _check_allclosed(family):
 def _check_dim0(family):
     tally = _Tally("T-DIM0")
     for ring in _family_rings(family):
-        ideals = _proper_ideals(ring)
+        grids = _status_grids(ring, family)
         dim = krull_dim(ring)
         nil = ring.nilpotents
         for m, n in family.mn_pairs:
-            all_closed = all(_closed(i, m, n) for i in ideals)
+            all_closed = all(g[m][n] == STATUS_CLOSED for g in grids)
             regular = is_mn_regular_ring(ring, m, n)
             structural = dim == 0 and all(ring.power(w, n) == ring.zero for w in nil)
             if not tally.agree(all_closed, regular, structural):
@@ -840,10 +874,10 @@ def _check_reduced(family):
         if ring.nilpotents != frozenset({ring.zero}):
             tally.vacuous()
             continue
-        ideals = _proper_ideals(ring)
+        grids = _status_grids(ring, family)
         for m, n in family.all_pairs:
-            all_weak = all(_weakly(i, m, n) for i in ideals)
-            all_closed = all(_closed(i, m, n) for i in ideals)
+            all_weak = all(g[m][n] != STATUS_NOT_WEAKLY for g in grids)
+            all_closed = all(g[m][n] == STATUS_CLOSED for g in grids)
             regular = is_mn_regular_ring(ring, m, n)
             if not tally.agree(all_weak, all_closed, regular):
                 return tally.fail(
@@ -1046,22 +1080,25 @@ def search_counterexamples(predicate_id: str, family: InstanceFamily | None = No
 
 def _search_weak_not_closed(family):
     witnesses = []
+    size = family.max_exponent
     for ring in _family_rings(family):
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
             for m, n in family.mn_pairs:
-                report = _classify(ideal, m, n)
-                if report.status == STATUS_WEAKLY_ONLY:
-                    witnesses.append(report.to_record())
+                if grid[m][n] == STATUS_WEAKLY_ONLY:
+                    witnesses.append(closure.classify(ideal, m, n).to_record())
     return witnesses
 
 
 def _search_not_monotone(family):
     witnesses = []
+    size = family.max_exponent
     for ring in _family_rings(family):
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
             for n in family.n_values:
                 weak_at = {
-                    m: _weakly(ideal, m, n) for m in range(1, family.grid_max + 1)
+                    m: grid[m][n] != STATUS_NOT_WEAKLY for m in range(1, family.grid_max + 1)
                 }
                 for m, ok in weak_at.items():
                     if not ok:
@@ -1076,11 +1113,13 @@ def _search_not_monotone(family):
 
 def _search_not_weakly_radical(family):
     witnesses = []
+    size = family.max_exponent
     for ring in _family_rings(family):
         for ideal in _proper_ideals(ring):
+            grid = status_grid(ideal, size)
             radical = None  # the answer depends on the ideal only: ask once
             for m, n in family.mn_pairs:
-                if not _weakly(ideal, m, n):
+                if grid[m][n] == STATUS_NOT_WEAKLY:
                     continue
                 if radical is None:
                     radical = closure.is_weakly_radical(ideal)

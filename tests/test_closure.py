@@ -28,7 +28,12 @@ from closure_lab import (
     quotient_ring,
     unbreakable_zero_elements,
 )
-from closure_lab.closure import _failure_scan, _first_absorbing_failure, _thresholds
+from closure_lab.closure import (
+    _failure_scan,
+    _first_absorbing_failure,
+    _thresholds,
+    status_grid,
+)
 
 from _oracles import (
     brute_first_absorbing_failure,
@@ -139,11 +144,14 @@ def test_improper_ideal_rejected():
         lambda: is_weakly_prime(improper),
         lambda: is_weakly_radical(improper),
         lambda: is_n_absorbing(improper, 2),
+        lambda: status_grid(improper, 3),
     ):
         with pytest.raises(ValueError):
             fn()
     with pytest.raises(ValueError):
         classify(ideal("Z8", 4), 0, 1)
+    with pytest.raises(ValueError):
+        status_grid(ideal("Z8", 4), 0)
 
 
 def test_n_absorbing_examples():
@@ -292,6 +300,27 @@ def _assert_thresholds_match_oracle(i):
     expected = brute_power_thresholds(r, i.elements, r.representatives)
     assert {x: (tau, nu) for x, tau, nu in rows} == expected, i
 
+
+
+@pytest.mark.parametrize("text", KIND_RINGS + ["Z2", "Z3", "Z2 x Z2"])
+def test_status_grid_matches_oracle_past_the_length_bound(text):
+    # every 1 <= m, n <= L + 3 with L = order.bit_length(), so the cells
+    # past L, which repeat the last computed ones, are checked too
+    r = ring(text)
+    size = r.order.bit_length() + 3
+    for i in enumerate_ideals(r).proper:
+        grid = status_grid(i, size)
+        assert len(grid) == size + 1 and {len(row) for row in grid} == {size + 1}, i
+        assert set(grid[0]) == {None} and {row[0] for row in grid} == {None}, i
+        for m in range(1, size + 1):
+            for n in range(1, size + 1):
+                if brute_is_mn_closed(r, i.elements, m, n):
+                    expected = "closed"
+                elif brute_is_weakly_mn_closed(r, i.elements, m, n):
+                    expected = "weakly_only"
+                else:
+                    expected = "not_weakly"
+                assert grid[m][n] == expected, (i, m, n)
 
 @pytest.mark.parametrize(
     "text, gens",

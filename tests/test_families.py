@@ -1,5 +1,7 @@
 """Family construction and config-file parsing."""
 
+from dataclasses import replace
+
 import pytest
 
 from closure_lab import format_ring_spec
@@ -92,3 +94,13 @@ def test_with_max_order_prunes_principal_cases():
     assert all(p ** c <= 2 ** 10 for p, c in family.principal_cases)
     assert (2, 10) in family.principal_cases
     assert (2, 11) not in family.principal_cases
+
+
+def test_max_exponent_covers_every_exponent_a_checker_asks_for():
+    # grid_max, every exponent of the pairs, and n + 1 for T-BASIC-1
+    assert default_family().max_exponent == 6
+    assert make_family(m_max=8, spot_pairs=()).max_exponent == 8
+    assert make_family(m_max=3, spot_pairs=((2, 9),)).max_exponent == 9
+    assert make_family(m_max=3, spot_pairs=(), grid_max=2).max_exponent == 3
+    family = replace(make_family(m_max=2, spot_pairs=(), grid_max=2), mn_pairs=((1, 4),))
+    assert family.max_exponent == 5

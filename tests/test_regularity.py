@@ -93,6 +93,9 @@ def test_regular_ring_examples():
     # cross-check (3,2) on Z9 through the ideals route
     assert all_proper_ideals_closed(z9, 3, 2)
     assert not all_proper_ideals_closed(z9, 3, 1)
+    for m, n in ((0, 1), (2, 0), (-1, 1)):
+        with pytest.raises(ValueError):
+            all_proper_ideals_closed(z9, m, n)
 
 
 def test_all_proper_ideals_weakly_closed_examples():

@@ -1,5 +1,7 @@
 """Theorem verifier: catalog behavior, determinism, counterexample replay."""
 
+from dataclasses import replace
+
 import pytest
 
 from closure_lab import (
@@ -16,12 +18,12 @@ from closure_lab import (
     verify_many,
     verify_theorem,
 )
+from closure_lab import theorems
 from closure_lab.families import make_family, tiny_family
 from closure_lab.theorems import (
     FAIL,
     PASS,
     _Tally,
-    _classify,
     _family_rings,
     _nonzero_power_lands_in,
     _proper_ideals,
@@ -164,7 +166,7 @@ def _false_claim_checker(family):
     for ring in _family_rings(family):
         for ideal in _proper_ideals(ring):
             for m, n in family.mn_pairs:
-                report = _classify(ideal, m, n)
+                report = classify(ideal, m, n)
                 if report.status == "not_weakly":
                     tally.vacuous()
                     continue
@@ -187,6 +189,35 @@ def test_false_claim_fails_and_replays(family, monkeypatch):
     assert verdict.counterexample is not None
     assert replay_counterexample(verdict, family)
 
+
+
+def test_shift_failure_reports_the_first_failing_shift(monkeypatch):
+    # On Z8 (+) Z8 the ideal generated by (2, 1) is weakly (3,1)-only and
+    # holds (2, 1) with (2, 1)**3 = (0, 4) != 0.  Appending a = 0 to its
+    # unbreakable zeros forces T-SHIFT to fail: the real witnesses pass,
+    # a + (0, 0) passes, and the first failing shift is i = (2, 1).
+    real = theorems.unbreakable_zero_elements
+
+    def forced(ideal, m, n):
+        witnesses = real(ideal, m, n)
+        if ideal.generators == ((2, 1),):
+            assert witnesses
+            return witnesses + (ideal.ring.zero,)
+        return witnesses
+
+    monkeypatch.setattr(theorems, "unbreakable_zero_elements", forced)
+    family = make_family(
+        cyclic_moduli=(), product_moduli=(), idealization_max=1, m_max=3,
+        principal_primes=(), principal_max_exponent=2,
+        extra_specs=(parse_ring_spec("Z8 (+) Z8"),),
+    )
+    verdict = verify_theorem("T-SHIFT", replace(family, mn_pairs=((3, 1),), spot_pairs=()))
+    assert verdict.status == FAIL
+    record = verdict.counterexample
+    assert (record["ring"], record["ideal_gens"], record["m"], record["n"]) == (
+        "Z8 (+) Z8", [[2, 1]], 3, 1,
+    )
+    assert (record["element"], record["shifted_by"]) == ([0, 0], [2, 1])
 
 def test_replay_rejects_passing_verdicts(family):
     verdict = verify_theorem("T-NIL", family)
