@@ -14,6 +14,7 @@ Custom families are plain key = value files, see `parse_family_config`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .rings import DEFAULT_ORDER_CAP, _is_prime_number
 from .specs import CyclicZ, Idealization, Product, parse_ring_spec
@@ -34,15 +35,16 @@ class InstanceFamily:
     absorbing_budget: int = 2 ** 18
     max_order: int = DEFAULT_ORDER_CAP
 
-    @property
+    # computed once: the fields are frozen, and `replace` builds a new instance
+    @cached_property
     def all_pairs(self) -> tuple:
         return self.mn_pairs + self.spot_pairs
 
-    @property
+    @cached_property
     def n_values(self) -> tuple:
         return tuple(sorted({n for _, n in self.mn_pairs}))
 
-    @property
+    @cached_property
     def max_exponent(self) -> int:
         """The largest m or n any checker asks about: `grid_max`, an
         exponent of `all_pairs`, or n + 1 for n in `n_values`."""

@@ -12,6 +12,9 @@ and `vnr_profile_element` finds the k.  B_omega (pairs with m <= n only)
 is representable for API completeness but unreachable from finite rings:
 every finite commutative ring is strongly pi-regular, which the profile
 computation asserts by always terminating with a finite k.
+Many-cell questions read the bounded tables `vnr_rows` (one element)
+and `regular_rows` (one ring); searches that stop at the first answer
+ask `_is_vnr` one pair at a time, so a one-shot query builds no table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .closure import STATUS_CLOSED, STATUS_NOT_WEAKLY, status_grid
+from .closure import STATUS_CLOSED, STATUS_NOT_WEAKLY, _require_positive, status_grid
 from .ideals import enumerate_ideals
 from .rings import FiniteRing, _serialize
 
@@ -53,8 +56,7 @@ class ConsistencyError(RuntimeError):
 
 def _is_vnr(ring: FiniteRing, x, m: int, n: int) -> bool:
     """x is (m,n)-vnr: x**m divides x**n."""
-    if m < 1 or n < 1:
-        raise ValueError("exponents must be positive")
+    _require_positive(m, n)
     return ring.divides(ring.power(x, m), ring.power(x, n))
 
 
@@ -67,13 +69,30 @@ def is_mn_vnr(ring: FiniteRing, x, m: int, n: int):
     return True, next(r for r in ring.elements if ring.mul(xm, r) == xn)
 
 
+# bounded like `closure.status_grid`
+@lru_cache(maxsize=4096)
+def vnr_rows(ring: FiniteRing, x, size: int) -> tuple:
+    """``rows[m][n]`` is `_is_vnr(ring, x, m, n)` for 1 <= m, n <= size;
+    row 0 and column 0 hold None.  x**t R is one ideal for every t >= L =
+    `order.bit_length()` (the length argument of `closure._thresholds`),
+    so x**t and x**L are associates: only cells up to L are decided, and
+    longer rows and columns repeat the last ones.  Every decided cell is
+    a divisibility test, never read off the B_k shape the theorems test."""
+    _require_positive(size)
+    top = min(size, ring.order.bit_length())
+    powers = [ring.power(x, t) for t in range(top + 1)]
+    rows = [(None,) * (size + 1)]
+    for m in range(1, top + 1):
+        cells = [ring.divides(powers[m], powers[n]) for n in range(1, top + 1)]
+        rows.append((None, *cells, *(cells[-1:] * (size - top))))
+    rows.extend(rows[-1:] * (size - top))
+    return tuple(rows)
+
+
 def vnr_grid(ring: FiniteRing, x, max_m: int = 6, max_n: int = 6) -> dict:
     """Solvability table {(m, n): bool} for 1 <= m <= max_m, 1 <= n <= max_n."""
-    return {
-        (m, n): _is_vnr(ring, x, m, n)
-        for m in range(1, max_m + 1)
-        for n in range(1, max_n + 1)
-    }
+    rows = vnr_rows(ring, x, max(max_m, max_n, 1))
+    return {(m, n): rows[m][n] for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
 
 
 def vnr_profile_element(ring: FiniteRing, x) -> VnrProfile:
@@ -97,10 +116,24 @@ def vnr_profile_ring(ring: FiniteRing) -> VnrProfile:
     return VnrProfile(k)
 
 
-@lru_cache(maxsize=None)
+# bounded like `vnr_rows`, whose class-table rows it joins
+@lru_cache(maxsize=4096)
+def regular_rows(ring: FiniteRing) -> tuple:
+    """``rows[m][n]``: every class-table entry is (m,n)-vnr, for 1 <= m, n
+    <= L = `order.bit_length()`; past L the answer is the one at L."""
+    top = ring.order.bit_length()
+    tables = [vnr_rows(ring, x, top) for x in ring.representatives]
+    rows = [(None,) * (top + 1)]
+    for m in range(1, top + 1):
+        rows.append((None, *(all(t[m][n] for t in tables) for n in range(1, top + 1))))
+    return tuple(rows)
+
+
 def is_mn_regular_ring(ring: FiniteRing, m: int, n: int) -> bool:
-    """Every element is (m,n)-vnr (class by class, no profile shortcut)."""
-    return all(_is_vnr(ring, x, m, n) for x in ring.representatives)
+    """Every element is (m,n)-vnr: one cell of `regular_rows`."""
+    _require_positive(m, n)
+    top = ring.order.bit_length()
+    return regular_rows(ring)[min(m, top)][min(n, top)]
 
 
 def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
@@ -138,8 +171,7 @@ def all_proper_ideals_weakly_closed(ring: FiniteRing, m: int, n: int) -> bool:
 
 def all_proper_ideals_closed(ring: FiniteRing, m: int, n: int) -> bool:
     """Direct sweep: every proper ideal is (m,n)-closed."""
-    if m < 1 or n < 1:
-        raise ValueError("exponents must be positive")
+    _require_positive(m, n)
     return all(
         status_grid(ideal, max(m, n))[m][n] == STATUS_CLOSED
         for ideal in enumerate_ideals(ring).proper
@@ -152,7 +184,7 @@ def is_strongly_pi_regular(ring: FiniteRing):
     returns (True, n), or (False, None) should the bound ever be passed.
     """
     for n in range(1, ring.order + 2):
-        if is_mn_regular_ring(ring, 2 * n, n):
+        if all(_is_vnr(ring, x, 2 * n, n) for x in ring.representatives):
             return True, n
     return False, None
 

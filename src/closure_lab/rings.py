@@ -276,18 +276,6 @@ class CyclicRing(FiniteRing):
         # x and gcd(x, n) are associates, and gcd(x, n) <= x
         return (0,) + _divisors(self.n)[:-1]
 
-    def nilpotency_index(self, x):
-        if x == 0:
-            return 1
-        if x % self._radical:
-            return None
-        y = x
-        k = 1
-        while y:
-            y = y * x % self.n
-            k += 1
-        return k
-
     @cached_property
     def nilpotency_indices(self):
         # the nilpotents of Z_n are the multiples of its squarefree radical
@@ -346,15 +334,6 @@ class ProductRing(FiniteRing):
         # classes are C1 x C2, least member (min C1, min C2) in product order
         return tuple(iter_product(self.left.representatives, self.right.representatives))
 
-    def nilpotency_index(self, x):
-        k1 = self.left.nilpotency_index(x[0])
-        if k1 is None:
-            return None
-        k2 = self.right.nilpotency_index(x[1])
-        if k2 is None:
-            return None
-        return max(k1, k2)
-
     @cached_property
     def nilpotency_indices(self):
         return {
@@ -410,8 +389,12 @@ class IdealizationRing(FiniteRing):
 
     def divides(self, a, b):
         # (a0, a1)(r0, r1) = (b0, b1) needs a0 r0 = b0 mod n, one of the
-        # g = gcd(a0, n) residues r0, and then a0 r1 = b1 - r0 a1 mod d,
-        # solvable iff gcd(a0, d) divides b1 - r0 a1 (d | n)
+        # g = gcd(a0, n) residues r0 = first + j * step (0 <= j < g), and
+        # then a0 r1 = b1 - r0 a1 mod d, solvable iff h = gcd(a0, d)
+        # divides b1 - r0 a1.  Since d | n, h divides g, so j runs over
+        # every residue mod h, and j * (step a1) mod h runs over the
+        # multiples of gcd(step a1, h): some r0 works iff that gcd
+        # divides b1 - first a1
         (a0, a1), (b0, b1) = a, b
         g = math.gcd(a0, self.n)
         if b0 % g:
@@ -419,7 +402,7 @@ class IdealizationRing(FiniteRing):
         step = self.n // g
         first = (b0 // g) * pow(a0 // g, -1, step) % step
         h = math.gcd(a0, self.d)
-        return any((b1 - r0 * a1) % h == 0 for r0 in range(first, self.n, step))
+        return (b1 - first * a1) % math.gcd(step * a1, h) == 0
 
     @cached_property
     def elements(self):

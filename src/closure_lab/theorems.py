@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import partial
+from itertools import product
 from math import inf
 
 from . import closure
@@ -49,9 +50,9 @@ from .regularity import (
     _weakly_closed_characterization,
     is_mn_regular_ring,
     is_strongly_pi_regular,
-    vnr_grid,
     vnr_profile_element,
     vnr_profile_ring,
+    vnr_rows,
 )
 from .rings import (
     CyclicRing,
@@ -136,13 +137,7 @@ class _Tally:
         return TheoremVerdict(self.theorem_id, self.checked, self.vacuous_count, status)
 
 
-# --- shared, memoized plumbing ------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _grid(ring: FiniteRing, x, grid_max: int):
-    table = vnr_grid(ring, x, grid_max, grid_max)
-    return table
+# --- shared plumbing -----------------------------------------------------------
 
 
 def _family_rings(family: InstanceFamily, order_cap=None, kind=None):
@@ -592,163 +587,151 @@ def _grid_rings(family):
     return _family_rings(family, order_cap=family.grid_order_cap)
 
 
-def _check_vnrfacts_1(family):
-    tally = _Tally("T-VNRFACTS-1")
+def _element_rows(family):
+    """(ring, x, `vnr_rows`) for every element x of the grid rings; the
+    rows run to grid_max + 1 for T-VNRFACTS-7's (m + 1, n) step."""
     for ring in _grid_rings(family):
         for x in ring.elements:
-            grid = _grid(ring, x, family.grid_max)
-            for (m, n), ok in grid.items():
-                if m <= n and not ok:
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        element=_serialize(x),
-                        detail="element not (m,n)-vnr despite m <= n",
-                    )
-            tally.substantive()
+            yield ring, x, vnr_rows(ring, x, family.grid_max + 1)
+
+
+def _cells(size):
+    """Every (m, n) with 1 <= m, n <= size, in (m, n) order."""
+    return product(range(1, size + 1), repeat=2)
+
+
+def _unsolvable_cells(solvable, size) -> list:
+    """The cells (m', n') where `solvable` fails, in (m, n) order: the first
+    one inside a rectangle (m' <= m, n' >= n) or strip (n' >= n) is the
+    first one a row-by-row scan of that region meets."""
+    return [cell for cell in _cells(size) if not solvable(*cell)]
+
+
+def _grid_shape_check(theorem_id, family, shape, detail):
+    """T-VNRFACTS-1, -3, -4 and -6: `shape(ring, x)` is None when x is
+    outside the quantified set (vacuous), or (expected, extra record fields)
+    with expected(m, n) the required answer, None where any answer goes."""
+    tally = _Tally(theorem_id)
+    for ring, x, rows in _element_rows(family):
+        case = shape(ring, x)
+        if case is None:
+            tally.vacuous()
+            continue
+        expected, extra = case
+        for m, n in _cells(family.grid_max):
+            want = expected(m, n)
+            if want is not None and rows[m][n] != want:
+                record = _instance(ring, m=m, n=n, element=x, **extra)
+                return tally.fail(**record, detail=detail)
+        tally.substantive()
     return tally.done()
+
+
+def _check_vnrfacts_1(family):
+    def shape(ring, x):
+        return (lambda m, n: True if m <= n else None), {}
+
+    return _grid_shape_check("T-VNRFACTS-1", family, shape, "element not (m,n)-vnr despite m <= n")
 
 
 def _check_vnrfacts_2(family):
     tally = _Tally("T-VNRFACTS-2")
-    for ring in _grid_rings(family):
-        for x in ring.elements:
-            grid = _grid(ring, x, family.grid_max)
-            for (m, n), ok in sorted(grid.items()):
-                if not ok:
-                    tally.vacuous()
-                    continue
-                for m_smaller in range(1, m + 1):
-                    for n_bigger in range(n, family.grid_max + 1):
-                        if not grid[(m_smaller, n_bigger)]:
-                            return tally.fail(
-                                **_instance(ring, m=m, n=n),
-                                element=_serialize(x),
-                                weaker_pair=(m_smaller, n_bigger),
-                                detail="vnr does not propagate to smaller m / larger n",
-                            )
-                tally.substantive()
+    for ring, x, rows in _element_rows(family):
+        unsolvable = _unsolvable_cells(lambda m, n: rows[m][n], family.grid_max)
+        for m, n in _cells(family.grid_max):
+            if not rows[m][n]:
+                tally.vacuous()
+                continue
+            weaker = next((c for c in unsolvable if c[0] <= m and c[1] >= n), None)
+            if weaker is not None:
+                return tally.fail(
+                    **_instance(ring, m=m, n=n),
+                    element=_serialize(x),
+                    weaker_pair=weaker,
+                    detail="vnr does not propagate to smaller m / larger n",
+                )
+            tally.substantive()
     return tally.done()
 
 
 def _check_vnrfacts_3(family):
-    tally = _Tally("T-VNRFACTS-3")
-    for ring in _grid_rings(family):
-        special = ring.units | {ring.zero}
-        for x in ring.elements:
-            if x not in special:
-                tally.vacuous()
-                continue
-            grid = _grid(ring, x, family.grid_max)
-            for (m, n), ok in grid.items():
-                if not ok:
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        element=_serialize(x),
-                        detail="unit or zero element fails to be (m,n)-vnr",
-                    )
-            tally.substantive()
-    return tally.done()
+    def shape(ring, x):
+        return ((lambda m, n: True), {}) if x == ring.zero or x in ring.units else None
+
+    detail = "unit or zero element fails to be (m,n)-vnr"
+    return _grid_shape_check("T-VNRFACTS-3", family, shape, detail)
 
 
 def _check_vnrfacts_4(family):
     # the quantified set (neither zero, a zero-divisor, nor a unit) is
     # empty in finite rings; the biconditional is still checked honestly
-    tally = _Tally("T-VNRFACTS-4")
-    for ring in _grid_rings(family):
-        outside = [
-            x
-            for x in ring.elements
-            if x != ring.zero and x not in ring.zero_divisors and x not in ring.units
-        ]
-        for x in ring.elements:
-            if x not in outside:
-                tally.vacuous()
-                continue
-            grid = _grid(ring, x, family.grid_max)
-            for (m, n), ok in grid.items():
-                if ok != (m <= n):
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        element=_serialize(x),
-                        detail="regular element outside Z(R) and U(R) breaks the m <= n rule",
-                    )
-            tally.substantive()
-    return tally.done()
+    def shape(ring, x):
+        if x == ring.zero or x in ring.zero_divisors or x in ring.units:
+            return None
+        return lambda m, n: m <= n, {}
+
+    detail = "regular element outside Z(R) and U(R) breaks the m <= n rule"
+    return _grid_shape_check("T-VNRFACTS-4", family, shape, detail)
 
 
 def _check_vnrfacts_5(family):
     tally = _Tally("T-VNRFACTS-5")
-    for ring in _grid_rings(family):
-        for x in ring.elements:
-            grid = _grid(ring, x, family.grid_max)
-            for n in range(1, family.grid_max + 1):
-                if ring.power(x, n) != ring.zero:
-                    tally.vacuous()
-                    continue
-                for m in range(1, family.grid_max + 1):
-                    if not grid[(m, n)]:
-                        return tally.fail(
-                            **_instance(ring, m=m, n=n),
-                            element=_serialize(x),
-                            detail="x**n == 0 but x is not (m,n)-vnr",
-                        )
-                tally.substantive()
-    return tally.done()
-
-
-def _check_vnrfacts_6(family):
-    tally = _Tally("T-VNRFACTS-6")
-    for ring in _grid_rings(family):
-        for x in ring.elements:
-            k = ring.nilpotency_index(x)
-            if k is None or k < 2:
+    for ring, x, rows in _element_rows(family):
+        for n in range(1, family.grid_max + 1):
+            if ring.power(x, n) != ring.zero:
                 tally.vacuous()
                 continue
-            grid = _grid(ring, x, family.grid_max)
-            for (m, n), ok in grid.items():
-                if ok != (m <= n or n >= k):
+            for m in range(1, family.grid_max + 1):
+                if not rows[m][n]:
                     return tally.fail(
                         **_instance(ring, m=m, n=n),
                         element=_serialize(x),
-                        nilpotency_index=k,
-                        detail="vnr pattern disagrees with the nilpotency index shape",
+                        detail="x**n == 0 but x is not (m,n)-vnr",
                     )
             tally.substantive()
     return tally.done()
 
 
+def _check_vnrfacts_6(family):
+    def shape(ring, x):
+        k = ring.nilpotency_index(x)
+        if k is None or k < 2:
+            return None
+        return lambda m, n: m <= n or n >= k, {"nilpotency_index": k}
+
+    detail = "vnr pattern disagrees with the nilpotency index shape"
+    return _grid_shape_check("T-VNRFACTS-6", family, shape, detail)
+
+
 def _check_vnrfacts_7(family):
     tally = _Tally("T-VNRFACTS-7")
+    size = family.grid_max
     for ring in _grid_rings(family):
         for x in ring.elements:
-            grid = _grid(ring, x, family.grid_max)
-            for (m, n), ok in sorted(grid.items()):
-                if not (ok and m > n):
+            rows = vnr_rows(ring, x, size + 1)  # the table `_element_rows` shares
+            unsolvable = _unsolvable_cells(lambda m, n: rows[m][n], size)
+            for m, n in _cells(size):
+                if not (rows[m][n] and m > n):
                     tally.vacuous()
                     continue
-                if not _is_vnr(ring, x, m + 1, n):
+                if not rows[m + 1][n]:
                     return tally.fail(
                         **_instance(ring, m=m, n=n),
                         element=_serialize(x),
                         detail="(m,n)-vnr with m > n but not (m+1,n)-vnr",
                     )
-                for m_any in range(1, family.grid_max + 1):
-                    for n_bigger in range(n, family.grid_max + 1):
-                        if not grid[(m_any, n_bigger)]:
-                            return tally.fail(
-                                **_instance(ring, m=m, n=n),
-                                element=_serialize(x),
-                                weaker_pair=(m_any, n_bigger),
-                                detail="(m,n)-vnr with m > n but not (m',n')-vnr for n' >= n",
-                            )
+                weaker = next((c for c in unsolvable if c[1] >= n), None)
+                if weaker is not None:
+                    return tally.fail(
+                        **_instance(ring, m=m, n=n),
+                        element=_serialize(x),
+                        weaker_pair=weaker,
+                        detail="(m,n)-vnr with m > n but not (m',n')-vnr for n' >= n",
+                    )
                 tally.substantive()
         # ring-level rider: von Neumann regular iff (m,n)-regular for all pairs
         regular_21 = is_mn_regular_ring(ring, 2, 1)
-        regular_all = all(
-            is_mn_regular_ring(ring, m, n)
-            for m in range(1, family.grid_max + 1)
-            for n in range(1, family.grid_max + 1)
-        )
+        regular_all = not _unsolvable_cells(partial(is_mn_regular_ring, ring), size)
         if regular_21 != regular_all:
             return tally.fail(
                 **_instance(ring),
@@ -760,26 +743,24 @@ def _check_vnrfacts_7(family):
 
 def _check_bk(family):
     tally = _Tally("T-BK")
-    for ring in _grid_rings(family):
-        for x in ring.elements:
-            profile = vnr_profile_element(ring, x)
-            grid = _grid(ring, x, family.grid_max)
-            for (m, n), ok in grid.items():
-                if ok != profile.contains(m, n):
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        element=_serialize(x),
-                        k=profile.k,
-                        detail="grid does not match the B_k shape",
-                    )
-            if profile.k > 1 and _is_vnr(ring, x, profile.k, profile.k - 1):
+    for ring, x, rows in _element_rows(family):
+        profile = vnr_profile_element(ring, x)
+        for m, n in _cells(family.grid_max):
+            if rows[m][n] != profile.contains(m, n):
                 return tally.fail(
-                    **_instance(ring),
+                    **_instance(ring, m=m, n=n),
                     element=_serialize(x),
                     k=profile.k,
-                    detail="profile k is not minimal",
+                    detail="grid does not match the B_k shape",
                 )
-            tally.substantive()
+        if profile.k > 1 and _is_vnr(ring, x, profile.k, profile.k - 1):
+            return tally.fail(
+                **_instance(ring),
+                element=_serialize(x),
+                k=profile.k,
+                detail="profile k is not minimal",
+            )
+        tally.substantive()
     return tally.done()
 
 
@@ -790,19 +771,20 @@ def _check_bk(family):
 def _check_strong(family):
     tally = _Tally("T-STRONG")
     for ring in _family_rings(family):
+        unsolvable = _unsolvable_cells(partial(is_mn_regular_ring, ring), family.grid_max)
+        strongly = is_strongly_pi_regular(ring)[0]
         for m, n in family.mn_pairs:
             if not is_mn_regular_ring(ring, m, n):
                 tally.vacuous()
                 continue
-            for m_any in range(1, family.grid_max + 1):
-                for n_bigger in range(n, family.grid_max + 1):
-                    if not is_mn_regular_ring(ring, m_any, n_bigger):
-                        return tally.fail(
-                            **_instance(ring, m=m, n=n),
-                            weaker_pair=(m_any, n_bigger),
-                            detail="(m,n)-regular ring not (m',n')-regular for n' >= n",
-                        )
-            if not is_strongly_pi_regular(ring)[0]:
+            weaker = next((c for c in unsolvable if c[1] >= n), None)
+            if weaker is not None:
+                return tally.fail(
+                    **_instance(ring, m=m, n=n),
+                    weaker_pair=weaker,
+                    detail="(m,n)-regular ring not (m',n')-regular for n' >= n",
+                )
+            if not strongly:
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
                     detail="(m,n)-regular ring is not strongly pi-regular",

@@ -24,7 +24,7 @@ from closure_lab import (
     vnr_profile_ring,
 )
 
-from closure_lab.regularity import _weakly_closed_characterization
+from closure_lab.regularity import _weakly_closed_characterization, vnr_rows
 
 from _oracles import (
     brute_divides,
@@ -209,6 +209,34 @@ def test_ring_level_sweeps_match_every_element(text):
                 brute_power(r, x, m) == r.zero if x in nil else vnr[x] for x in r.elements
             )
             assert _weakly_closed_characterization(r, m, n) == expected, (m, n)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["Z2", "Z16", "Z12", "Z2 x Z4", "Z4 x Z6", "Z4 (+) Z2", "Z8 (+) Z4", "Z9 (+) Z3",
+     "Z24/(8)", "(Z4 x Z4)/(2)"],
+)
+def test_vnr_tables_match_divisibility(text):
+    # every cell up to L + 3, L = order.bit_length(), so the padded ones too
+    r = ring(text)
+    size = r.order.bit_length() + 3
+    vnr = {}
+    for x in r.elements:
+        powers = [brute_power(r, x, t) for t in range(size + 1)]
+        rows = vnr_rows(r, x, size)
+        for m in range(1, size + 1):
+            for n in range(1, size + 1):
+                vnr[x, m, n] = brute_divides(r, powers[m], powers[n])
+                assert rows[m][n] == vnr[x, m, n], (x, m, n)
+    for m in range(1, size + 1):
+        for n in range(1, size + 1):
+            expected = all(vnr[x, m, n] for x in r.elements)
+            assert is_mn_regular_ring(r, m, n) == expected, (m, n)
+    for m, n in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            is_mn_regular_ring(r, m, n)
+    with pytest.raises(ValueError):
+        vnr_rows(r, r.one, 0)
 
 
 def test_strongly_pi_smallest_matches_profile():

@@ -178,6 +178,8 @@ def test_divides_matches_definition(r):
         ),
         # both factors above 1000: 1033216 elements in the brute-force scan
         ("Z1009 x Z1024", [((0, 8), (0, 4)), ((0, 1), (1, 0)), ((3, 6), (5, 2)), ((1008, 512), (1, 0))]),
+        # a0 = 0: the principal ideal lies in 0 (+) Z4, whatever r0 is
+        ("Z8192 (+) Z4", [((0, 2), (0, 2)), ((0, 2), (0, 1)), ((0, 3), (0, 1)), ((0, 2), (2, 0)), ((2, 1), (4, 3))]),
     ],
 )
 def test_divides_spot_pairs_on_large_rings(text, pairs):

@@ -219,6 +219,85 @@ def test_shift_failure_reports_the_first_failing_shift(monkeypatch):
     )
     assert (record["element"], record["shifted_by"]) == ([0, 0], [2, 1])
 
+
+# Z8 alone, grid_max 6.  Each case makes one more cell unsolvable and pins
+# the first failure: the checked count, the failing pair and the weaker pair.
+_Z8_FAMILY = make_family(
+    cyclic_moduli=(8,), product_moduli=(), idealization_max=1,
+    principal_primes=(), principal_max_exponent=2,
+)
+
+
+def _force_unsolvable(monkeypatch, element, cell):
+    real = theorems.vnr_rows
+
+    def forced(ring, x, size):
+        rows = real(ring, x, size)
+        if x != element:
+            return rows
+        m, n = cell
+        row = rows[m][:n] + (False,) + rows[m][n + 1 :]
+        return rows[:m] + (row,) + rows[m + 1 :]
+
+    monkeypatch.setattr(theorems, "vnr_rows", forced)
+
+
+@pytest.mark.parametrize(
+    "theorem_id, element, cell, checked, failing, weaker",
+    [
+        # 2 in Z8 is (m,n)-vnr iff m <= n or n >= 3: (4, 3) is the first
+        # solvable cell whose rectangle (or strip) holds (3, 3), with n' == n
+        ("T-VNRFACTS-2", 2, (3, 3), 93, (4, 3), (3, 3)),
+        ("T-VNRFACTS-7", 2, (3, 3), 93, (4, 3), (3, 3)),
+        # 1 is a unit: (2, 1) is the first cell with (2, 3) in reach, with m' == m
+        ("T-VNRFACTS-2", 1, (2, 3), 43, (2, 1), (2, 3)),
+        ("T-VNRFACTS-7", 1, (2, 3), 43, (2, 1), (2, 3)),
+        ("T-VNRFACTS-2", 2, (1, 6), 73, (1, 1), (1, 6)),
+        ("T-VNRFACTS-7", 3, (6, 6), 115, (2, 1), (6, 6)),
+    ],
+)
+def test_element_regularity_failures_report_the_first_weaker_pair(
+    monkeypatch, theorem_id, element, cell, checked, failing, weaker
+):
+    _force_unsolvable(monkeypatch, element, cell)
+    verdict = verify_theorem(theorem_id, _Z8_FAMILY)
+    assert verdict.status == FAIL
+    record = verdict.counterexample
+    assert verdict.instances_checked == checked
+    assert (record["ring"], record["element"]) == ("Z8", element)
+    assert ((record["m"], record["n"]), record["weaker_pair"]) == (failing, weaker)
+
+
+def test_vnrfacts_7_step_reads_the_row_past_the_grid(monkeypatch):
+    # the (m + 1, n) step of row grid_max reads row grid_max + 1, where
+    # nothing else looks: only (6, 3) steps into (7, 3), after 72 cells of
+    # the elements 0 and 1 and 33 of the element 2
+    _force_unsolvable(monkeypatch, 2, (7, 3))
+    verdict = verify_theorem("T-VNRFACTS-7", _Z8_FAMILY)
+    assert verdict.status == FAIL
+    record = verdict.counterexample
+    assert (record["element"], record["m"], record["n"]) == (2, 6, 3)
+    assert "weaker_pair" not in record
+    assert verdict.instances_checked == 105
+
+
+@pytest.mark.parametrize("cell", [(3, 3), (6, 6)])
+def test_strong_failure_reports_the_first_weaker_pair(monkeypatch, cell):
+    # Z8 is (m,n)-regular iff m <= n or n >= 3; (4, 3) is its first regular
+    # pair with m > n, and both cells lie in its strip n' >= 3
+    real = theorems.is_mn_regular_ring
+    monkeypatch.setattr(
+        theorems,
+        "is_mn_regular_ring",
+        lambda ring, m, n: (m, n) != cell and real(ring, m, n),
+    )
+    verdict = verify_theorem("T-STRONG", _Z8_FAMILY)
+    assert verdict.status == FAIL
+    record = verdict.counterexample
+    assert (verdict.instances_checked, verdict.vacuous_count) == (6, 5)
+    assert ((record["m"], record["n"]), record["weaker_pair"]) == ((4, 3), cell)
+
+
 def test_replay_rejects_passing_verdicts(family):
     verdict = verify_theorem("T-NIL", family)
     with pytest.raises(ValueError):
