@@ -41,10 +41,12 @@ def _machine_line(record: dict) -> str:
 
 
 def _emit(record: dict, fmt: str, text_lines):
+    """Print `record` as one machine line, or the lines that the callable
+    `text_lines` builds: a large ideal's text is only built when shown."""
     if fmt == "machine":
         print(_machine_line(record))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -71,7 +73,7 @@ def _resolve_ring_and_ideal(args):
             raise SpecError(
                 f"ideal literal {literal} is out of range for {ring.spec_str}"
             )
-        gens.append(ring.elements[literal])
+        gens.append(ring.element_at(literal))
     return ring, ideal_from_generators(ring, gens)
 
 
@@ -90,7 +92,7 @@ def _report_lines(report) -> list:
 def _cmd_check(args) -> int:
     _, ideal = _resolve_ring_and_ideal(args)
     report = classify(ideal, args.m, args.n)
-    _emit(report.to_record(), args.format, _report_lines(report))
+    _emit(report.to_record(), args.format, lambda: _report_lines(report))
     return 2 if report.status == STATUS_NOT_WEAKLY else 0
 
 
@@ -113,14 +115,14 @@ def _cmd_profile(args) -> int:
     if args.element is not None:
         if not 0 <= args.element < ring.order:
             raise SpecError(f"element literal {args.element} is out of range")
-        element = ring.elements[args.element]
+        element = ring.element_at(args.element)
         profile = vnr_profile_element(ring, element)
         record = {"ring_spec": ring.spec_str, "element": args.element, "k": profile.k}
-        _emit(record, args.format, [f"{profile} (element {element} of {ring.spec_str})"])
+        _emit(record, args.format, lambda: [f"{profile} (element {element} of {ring.spec_str})"])
     else:
         record = regularity_record(ring)
         profile = VnrProfile(record["k"])
-        _emit(record, args.format, [f"{profile} ({profile.k}-regular: {ring.spec_str})"])
+        _emit(record, args.format, lambda: [f"{profile} ({profile.k}-regular: {ring.spec_str})"])
     return 0
 
 

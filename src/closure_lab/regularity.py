@@ -63,6 +63,7 @@ def _is_vnr(ring: FiniteRing, x, m: int, n: int) -> bool:
 def is_mn_vnr(ring: FiniteRing, x, m: int, n: int):
     """Whether x**m * r == x**n is solvable; returns (ok, the first such r
     in canonical order, or None)."""
+    ring.require_member(x)
     if not _is_vnr(ring, x, m, n):
         return False, None
     xm, xn = ring.power(x, m), ring.power(x, n)
@@ -91,6 +92,7 @@ def vnr_rows(ring: FiniteRing, x, size: int) -> tuple:
 
 def vnr_grid(ring: FiniteRing, x, max_m: int = 6, max_n: int = 6) -> dict:
     """Solvability table {(m, n): bool} for 1 <= m <= max_m, 1 <= n <= max_n."""
+    ring.require_member(x)
     rows = vnr_rows(ring, x, max(max_m, max_n, 1))
     return {(m, n): rows[m][n] for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
 
@@ -138,10 +140,14 @@ def is_mn_regular_ring(ring: FiniteRing, m: int, n: int) -> bool:
 
 def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
     """Element-level form of "every proper ideal is weakly (m,n)-closed":
-    w**m == 0 on the nilradical and every non-nilpotent is (m,n)-vnr."""
-    nil = ring.nilpotents
+    w**m == 0 on the nilradical and every non-nilpotent is (m,n)-vnr.
+    Divisibility answers come from the class-table rows `vnr_rows`, never
+    from `status_grid`, so this stays an independent cross-check."""
+    _require_positive(m, n)
+    top = ring.order.bit_length()
+    nil = ring.nilpotency_indices
     return all(
-        ring.power(x, m) == ring.zero if x in nil else _is_vnr(ring, x, m, n)
+        nil[x] <= m if x in nil else vnr_rows(ring, x, top)[min(m, top)][min(n, top)]
         for x in ring.representatives
     )
 

@@ -5,9 +5,13 @@ arithmetic (`add`/`mul`/`neg`/`power`), divisibility (`divides`: b in
 aR), and cached structural sets: the nilradical with the nilpotency
 index of each member, the unit group, the zero-divisors, and the
 characteristic.  `representatives` is the class table that
-first-witness sweeps run over: one entry per associate class.  Rings
-are immutable once built; `build_ring` memoizes on the spec, so
-repeated builds of the same spec share one object (and its caches).
+first-witness sweeps run over: one entry per associate class.
+`additive_generators` spans the ring as an additive group, and
+`element_at` reads one literal.  All three are closed form for cyclic,
+product and trivial-extension rings, so a one-shot query on a large ring
+of those kinds never builds `elements`.  Rings are immutable once built;
+`build_ring` memoizes on the spec, so repeated builds of the same spec
+share one object (and its caches).
 
 Divisibility and structural sets are computed with per-kind shortcuts
 (gcd tests for cyclic rings, componentwise products, and so on); the
@@ -116,6 +120,10 @@ class FiniteRing:
         """All elements in canonical (sorted) order; zero comes first."""
         raise NotImplementedError
 
+    def element_at(self, i: int):
+        """``elements[i]``, for 0 <= i < order (unchecked)."""
+        return self.elements[i]
+
     @cached_property
     def _index(self) -> dict:
         return {x: i for i, x in enumerate(self.elements)}
@@ -139,6 +147,12 @@ class FiniteRing:
         pointwise no larger, so the first witness in canonical order is made
         of table entries.  Extra entries do no harm, but every sweep and
         every row of `closure._thresholds` pays for them."""
+        raise NotImplementedError
+
+    @cached_property
+    def additive_generators(self) -> tuple:
+        """Elements whose sums make up the whole ring, so that aR is the
+        additive span of {a * e} over them (`ideal_closure`)."""
         raise NotImplementedError
 
     # -- structure ----------------------------------------------------------
@@ -271,10 +285,17 @@ class CyclicRing(FiniteRing):
     def elements(self):
         return tuple(range(self.n))
 
+    def element_at(self, i):
+        return i
+
     @cached_property
     def representatives(self):
         # x and gcd(x, n) are associates, and gcd(x, n) <= x
         return (0,) + _divisors(self.n)[:-1]
+
+    @cached_property
+    def additive_generators(self):
+        return (1,)
 
     @cached_property
     def nilpotency_indices(self):
@@ -329,10 +350,20 @@ class ProductRing(FiniteRing):
     def elements(self):
         return tuple(iter_product(self.left.elements, self.right.elements))
 
+    def element_at(self, i):
+        q, r = divmod(i, self.right.order)
+        return (self.left.element_at(q), self.right.element_at(r))
+
     @cached_property
     def representatives(self):
         # classes are C1 x C2, least member (min C1, min C2) in product order
         return tuple(iter_product(self.left.representatives, self.right.representatives))
+
+    @cached_property
+    def additive_generators(self):
+        return tuple((g, self.right.zero) for g in self.left.additive_generators) + tuple(
+            (self.left.zero, g) for g in self.right.additive_generators
+        )
 
     @cached_property
     def nilpotency_indices(self):
@@ -408,6 +439,9 @@ class IdealizationRing(FiniteRing):
     def elements(self):
         return tuple((r, m) for r in range(self.n) for m in range(self.d))
 
+    def element_at(self, i):
+        return divmod(i, self.d)
+
     @cached_property
     def representatives(self):
         # a unit (u, 0) takes (r, m) to (g, um) with g = gcd(r, n), the least
@@ -417,6 +451,11 @@ class IdealizationRing(FiniteRing):
         return tuple(
             (g, m) for g in (0,) + _divisors(self.n)[:-1] for m in range(math.gcd(g, self.d))
         )
+
+    @cached_property
+    def additive_generators(self):
+        # 1 % d: the module Z1 has no element (0, 1)
+        return ((1, 0), (0, 1 % self.d))
 
     @cached_property
     def nilpotency_indices(self):
@@ -507,13 +546,19 @@ class QuotientRing(FiniteRing):
         image = {self._rep_map[x] for x in self.base.representatives}
         return tuple(x for x in self._reps if x in image)
 
+    @cached_property
+    def additive_generators(self):
+        # the projection is additive and onto
+        return tuple(self._rep_map[g] for g in self.base.additive_generators)
+
 
 def ideal_closure(ring: FiniteRing, generators) -> frozenset:
     """Element set of the ideal generated by `generators`.
 
-    Cyclic rings take the gcd shortcut (every ideal of Z_n is dZ_n);
-    everything else saturates: all ring multiples of the generators,
-    then the additive closure, stepping coset by coset.
+    Cyclic rings take the gcd shortcut (every ideal of Z_n is dZ_n).
+    Elsewhere gR is the additive span of {g * e} over the ring's
+    `additive_generators`, so the ideal is the additive closure of those
+    products, stepping coset by coset.
     """
     gens = tuple(generators)
     for g in gens:
@@ -523,10 +568,8 @@ def ideal_closure(ring: FiniteRing, generators) -> frozenset:
         if d == 0:
             d = ring.n
         return frozenset(range(0, ring.n, d))
-    multiples = {ring.zero}
-    for g in gens:
-        multiples.update(ring.mul(r, g) for r in ring.elements)
-    return additive_closure(ring, multiples)
+    spanning = ring.additive_generators
+    return additive_closure(ring, {ring.mul(e, g) for g in gens for e in spanning})
 
 
 def additive_closure(ring: FiniteRing, seed) -> frozenset:
@@ -568,7 +611,7 @@ def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
                     f"generator literal {literal} is out of range for "
                     f"{base.spec_str} (order {base.order})"
                 )
-            gen_elements.append(base.elements[literal])
+            gen_elements.append(base.element_at(literal))
         members = ideal_closure(base, gen_elements)
         if base.one in members:
             raise SpecError(

@@ -17,7 +17,6 @@ per theorem, so it cannot reorder anything observable.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -1007,6 +1006,10 @@ def verify_many(
         family = default_family()
     if workers <= 1 or len(ids) <= 1:
         return [verify_theorem(theorem_id, family) for theorem_id in ids]
+    # imported here: the pool machinery (multiprocessing, pickle, socket)
+    # is half the import time of the CLI, and only this branch needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_verify_task, [(theorem_id, family) for theorem_id in ids]))
 

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies: small ring specs of every kind."""
+"""Shared ring specs: hypothesis strategies for small rings of every kind,
+and a fixed list of rings of every kind."""
 
 from hypothesis import strategies as st
 
@@ -36,3 +37,10 @@ def _gcd(a, b):
 ring_specs = st.one_of(cyclic_specs, product_specs, idealization_specs(), quotient_specs())
 
 small_rings = ring_specs.map(build_ring)
+
+# rings of every kind whose class tables leave out most elements
+KIND_RINGS = [
+    "Z12", "Z16", "Z30", "Z2 x Z4", "Z4 x Z6", "(Z4 (+) Z2) x Z2",
+    "Z4 (+) Z2", "Z8 (+) Z4", "Z12 (+) Z6", "Z9 (+) Z3",
+    "Z24/(8)", "Z30/(6)", "(Z4 x Z4)/(2)", "Z24/(8) x Z4",
+]

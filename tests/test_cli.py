@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from closure_lab import THEOREM_IDS
 from closure_lab.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -275,3 +276,73 @@ def test_cli_runs_without_numpy():
     assert result.returncode == 0, result.stderr
     assert len(result.stdout.splitlines()) == 30
     assert result.stderr == ""
+
+
+def test_text_output_of_check_and_profile(capsys):
+    code, out, _ = run_cli(capsys, "check", "--ring", "Z8 (+) Z4", "--ideal", "10", "--m", "3", "--n", "2")
+    assert code == 0
+    assert out == (
+        "ring: Z8 (+) Z4\n"
+        "ideal: {(0, 0), (0, 2), (2, 0), (2, 2), (4, 0), (4, 2), (6, 0), (6, 2)}\n"
+        "(m, n): (3, 2)\n"
+        "status: closed\n"
+    )
+    code, out, _ = run_cli(capsys, "profile", "--ring", "Z8 x Z9", "--element", "14")
+    assert code == 0
+    assert out == "B(1) (element (1, 5) of Z8 x Z9)\n"
+
+
+def test_machine_output_builds_no_text(capsys, monkeypatch):
+    # the text of a large ideal joins every member; machine output skips it
+    def refuse(*_):
+        raise AssertionError("text built for machine output")
+
+    monkeypatch.setattr("closure_lab.cli._report_lines", refuse)
+    code, out, _ = run_cli(
+        capsys, "check", "--ring", "Z8192 (+) Z4", "--ideal", "4098", "--m", "3", "--n", "2",
+        "--format", "machine",
+    )
+    assert code == 2
+    assert json.loads(out)["status"] == "not_weakly"
+
+
+LAYERS = ("specs", "families", "rings", "ideals", "closure", "regularity", "theorems", "cli")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only `verify --workers > 1` needs the pool; every layer module is
+    # still loaded by the import
+    code = (
+        "import sys\n"
+        "import closure_lab.cli\n"
+        "pool = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        f"layers = [m for m in {LAYERS!r} if 'closure_lab.' + m not in sys.modules]\n"
+        "print(pool, layers)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[] []\n"
+
+
+def test_verify_two_workers_matches_one_byte_for_byte():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    outputs = []
+    for workers in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "closure_lab", "verify", "--workers", workers,
+             "--format", "machine"],
+            capture_output=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b""
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == len(THEOREM_IDS) + 1
+    assert json.loads(lines[-1]) == {"passed": len(THEOREM_IDS), "summary": True,
+                                     "total": len(THEOREM_IDS)}

@@ -49,7 +49,7 @@ from _oracles import (
     brute_power_thresholds,
     brute_unbreakable,
 )
-from _strategies import small_rings
+from _strategies import KIND_RINGS, small_rings
 
 
 def ring(text):
@@ -256,14 +256,6 @@ def test_cyclic_scan_matches_oracle_on_large_rings(modulus, gens):
         i = ideal_from_generators(r, [g])
         for m, n in ((3, 1), (2, 1), (5, 2), (4, 3)):
             _assert_cyclic_matches_oracle(i, m, n)
-
-
-# rings of every kind whose class tables leave out most elements
-KIND_RINGS = [
-    "Z12", "Z16", "Z30", "Z2 x Z4", "Z4 x Z6", "(Z4 (+) Z2) x Z2",
-    "Z4 (+) Z2", "Z8 (+) Z4", "Z12 (+) Z6", "Z9 (+) Z3",
-    "Z24/(8)", "Z30/(6)", "(Z4 x Z4)/(2)", "Z24/(8) x Z4",
-]
 
 
 @pytest.mark.parametrize("text", KIND_RINGS)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closure_lab import (
+    ForeignElementError,
     VnrProfile,
     all_proper_ideals_closed,
     all_proper_ideals_weakly_closed,
@@ -71,6 +72,17 @@ def test_is_mn_vnr_examples():
         for m in range(1, 5):
             for n in range(1, 5):
                 assert is_mn_vnr(z8, unit, m, n)[0]
+
+
+def test_element_queries_reject_foreign_elements():
+    # 10 is no element of Z8, although it reduces to 2 mod 8
+    z8 = ring("Z8")
+    with pytest.raises(ForeignElementError):
+        vnr_grid(z8, 10, 2, 2)
+    with pytest.raises(ForeignElementError):
+        is_mn_vnr(z8, 10, 2, 1)
+    with pytest.raises(ForeignElementError):
+        is_mn_vnr(ring("Z4 (+) Z2"), (1, 2), 1, 1)
 
 
 def test_profile_element_examples():

@@ -23,10 +23,12 @@ from closure_lab import (
     units,
     zero_divisors,
 )
+from closure_lab.rings import additive_closure, ideal_closure
 
 from _oracles import (
     brute_additive_order,
     brute_divides,
+    brute_ideal_lattice,
     brute_least_associates,
     brute_multiples,
     brute_nilpotents,
@@ -35,7 +37,7 @@ from _oracles import (
     brute_zero_divisors,
     exhaustive_ring_axioms,
 )
-from _strategies import small_rings
+from _strategies import KIND_RINGS, small_rings
 
 
 def ring(text):
@@ -338,3 +340,42 @@ def test_large_ring_is_lazy_but_usable():
     assert "units" not in r.__dict__  # nothing structural is computed at build time
     assert r.power(3, 5) == 243
     assert 3 in r.units  # computed on demand
+
+
+@pytest.mark.parametrize("text", KIND_RINGS + ["Z2 (+) Z1", "Z6 (+) Z1 x Z3"])
+def test_element_at_and_additive_generators_on_every_kind(text):
+    r = ring(text)
+    assert [r.element_at(i) for i in range(r.order)] == list(r.elements)
+    assert all(r.contains(e) for e in r.additive_generators)
+    assert additive_closure(r, r.additive_generators) == frozenset(r.elements)
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_ideal_closure_matches_oracles_on_every_kind(text):
+    # principal ideals against aR listed product by product, and every
+    # two-generator ideal against the least ideal of the lattice oracle
+    # that holds both generators
+    r = ring(text)
+    lattice = sorted(brute_ideal_lattice(r), key=len)
+    for x in r.elements:
+        assert ideal_closure(r, (x,)) == brute_multiples(r, x), x
+    for x in r.elements:
+        for y in r.representatives:
+            least = next(i for i in lattice if x in i and y in i)
+            assert ideal_closure(r, (x, y)) == least, (x, y)
+    assert ideal_closure(r, ()) == frozenset({r.zero})
+
+
+def test_one_shot_queries_leave_large_rings_unlisted():
+    # literals, principal ideals and a closedness check read no element tuple
+    from closure_lab.cli import main
+
+    for text, literal, element in (
+        ("Z1024 (+) Z512", 2050, (4, 2)),
+        ("Z512 x Z1024", 4099, (4, 3)),
+    ):
+        assert main(["check", "--ring", text, "--ideal", str(literal),
+                     "--m", "3", "--n", "2", "--format", "machine"]) in (0, 2)
+        r = ring(text)
+        assert "elements" not in r.__dict__, text
+        assert r.element_at(literal) == element
