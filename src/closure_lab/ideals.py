@@ -12,7 +12,7 @@ the principal ideals of its members).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rings import (
     CyclicRing,
@@ -97,8 +97,9 @@ class IdealEnumeration:
     ring: FiniteRing
     ideals: tuple
 
-    @property
+    @cached_property
     def proper(self) -> tuple:
+        # once per enumeration: every theorem sweep reads it
         return tuple(i for i in self.ideals if i.is_proper)
 
 

@@ -12,8 +12,8 @@ and `vnr_profile_element` finds the k.  B_omega (pairs with m <= n only)
 is representable for API completeness but unreachable from finite rings:
 every finite commutative ring is strongly pi-regular, which the profile
 computation asserts by always terminating with a finite k.
-Many-cell questions read the bounded tables `vnr_rows` (one element)
-and `regular_rows` (one ring); searches that stop at the first answer
+Many-cell questions read the bounded tables `vnr_rows` (one associate
+class) and `regular_rows` (one ring); searches that stop at the first answer
 ask `_is_vnr` one pair at a time, so a one-shot query builds no table.
 """
 
@@ -70,23 +70,34 @@ def is_mn_vnr(ring: FiniteRing, x, m: int, n: int):
     return True, next(r for r in ring.elements if ring.mul(xm, r) == xn)
 
 
-# bounded like `closure.status_grid`
-@lru_cache(maxsize=4096)
 def vnr_rows(ring: FiniteRing, x, size: int) -> tuple:
     """``rows[m][n]`` is `_is_vnr(ring, x, m, n)` for 1 <= m, n <= size;
-    row 0 and column 0 hold None.  x**t R is one ideal for every t >= L =
-    `order.bit_length()` (the length argument of `closure._thresholds`),
-    so x**t and x**L are associates: only cells up to L are decided, and
-    longer rows and columns repeat the last ones.  Every decided cell is
-    a divisibility test, never read off the B_k shape the theorems test."""
+    row 0 and column 0 hold None.  x is (m,n)-vnr iff ux is, for a unit u
+    ((ux)**m divides (ux)**n iff x**m divides x**n), so every element
+    reads the table of its class-table entry, `FiniteRing.class_entry`."""
+    return _entry_rows(ring, ring.class_entry(x), size)
+
+
+# bounded like `closure._set_status_grid`; 1526 entries on the pinned family
+@lru_cache(maxsize=4096)
+def _entry_rows(ring: FiniteRing, x, size: int) -> tuple:
+    """`vnr_rows` of the class-table entry x.  x**t R is one ideal for
+    every t >= L = `order.bit_length()` (the length argument of
+    `closure._set_thresholds`), so x**t and x**L are associates: only
+    cells up to L are decided, once per entry, and a longer table pads
+    the L table, repeating its last row and column.  Every decided cell
+    is a divisibility test, never read off the B_k shape the theorems
+    test."""
     _require_positive(size)
-    top = min(size, ring.order.bit_length())
-    powers = [ring.power(x, t) for t in range(top + 1)]
+    top = ring.order.bit_length()
+    if size > top:
+        pad = size - top
+        rows = [(*row, *row[-1:] * pad) for row in _entry_rows(ring, x, top)]
+        return tuple(rows + rows[-1:] * pad)
+    powers = [ring.power(x, t) for t in range(size + 1)]
     rows = [(None,) * (size + 1)]
-    for m in range(1, top + 1):
-        cells = [ring.divides(powers[m], powers[n]) for n in range(1, top + 1)]
-        rows.append((None, *cells, *(cells[-1:] * (size - top))))
-    rows.extend(rows[-1:] * (size - top))
+    for m in range(1, size + 1):
+        rows.append((None, *(ring.divides(powers[m], powers[n]) for n in range(1, size + 1))))
     return tuple(rows)
 
 

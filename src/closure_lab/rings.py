@@ -150,6 +150,34 @@ class FiniteRing:
         raise NotImplementedError
 
     @cached_property
+    def _table(self) -> frozenset:
+        return frozenset(self.representatives)
+
+    @cached_property
+    def _class_entries(self) -> dict:
+        # {y: the least table entry associate to y}: the associates of an
+        # entry e are {ue : u a unit}, and the table holds the least member
+        # of every class, so units x table covers the ring.  An entry met
+        # already is a later entry of a class that is mapped to its first
+        # (least) one, and is passed over.
+        entries: dict = {}
+        for e in self.representatives:
+            if e in entries:
+                continue
+            for u in self.units:
+                entries[self.mul(u, e)] = e
+        return entries
+
+    def class_entry(self, x):
+        """x itself when x is a class-table entry, else the least entry of
+        its associate class.  Only elements outside the table build the
+        element-to-entry map, which lists the units."""
+        if x in self._table:
+            return x
+        self.require_member(x)
+        return self._class_entries[x]
+
+    @cached_property
     def additive_generators(self) -> tuple:
         """Elements whose sums make up the whole ring, so that aR is the
         additive span of {a * e} over them (`ideal_closure`)."""
@@ -162,7 +190,7 @@ class FiniteRing:
 
         Powers are iterated until zero, never past k = `order.bit_length()`:
         a nilpotent's index is at most that bound (the length argument of
-        `closure._thresholds`).
+        `closure._set_thresholds`).
         """
         bound = self.order.bit_length()
         y = x

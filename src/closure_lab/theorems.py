@@ -101,6 +101,7 @@ class _Tally:
         self.checked = 0
         self.vacuous_count = 0
         self.skipped = 0
+        self._walked: dict = {}  # key -> counts of a passed `once` walk
 
     def substantive(self):
         self.checked += 1
@@ -124,6 +125,25 @@ class _Tally:
         else:
             self.vacuous()
         return True
+
+    def once(self, key, walk):
+        """Tally one element: run `walk()`, which tallies its instances and
+        returns a failing verdict or None, the first time `key` is seen,
+        and add that walk's counts on every later sight.  The key is the
+        value of everything the walk reads, so a repeated key passes as its
+        first walk did.  A failing walk is never remembered, so a failure
+        is reported at the first element that has it, with the counts and
+        witness of a walk over every element."""
+        counts = self._walked.get(key)
+        if counts is not None:
+            self.checked += counts[0]
+            self.vacuous_count += counts[1]
+            return None
+        checked, vacuous = self.checked, self.vacuous_count
+        failure = walk()
+        if failure is None:
+            self._walked[key] = (self.checked - checked, self.vacuous_count - vacuous)
+        return failure
 
     def fail(self, **record) -> TheoremVerdict:
         self.checked += 1
@@ -588,7 +608,9 @@ def _grid_rings(family):
 
 def _element_rows(family):
     """(ring, x, `vnr_rows`) for every element x of the grid rings; the
-    rows run to grid_max + 1 for T-VNRFACTS-7's (m + 1, n) step."""
+    rows run to grid_max + 1 for T-VNRFACTS-7's (m + 1, n) step.  The
+    checkers walk each element's cells through `_Tally.once`, so one
+    walk serves every element with the same table and shape."""
     for ring in _grid_rings(family):
         for x in ring.elements:
             yield ring, x, vnr_rows(ring, x, family.grid_max + 1)
@@ -606,59 +628,84 @@ def _unsolvable_cells(solvable, size) -> list:
     return [cell for cell in _cells(size) if not solvable(*cell)]
 
 
-def _grid_shape_check(theorem_id, family, shape, detail):
+def _grid_shape_check(theorem_id, family, shape, expected, detail):
     """T-VNRFACTS-1, -3, -4 and -6: `shape(ring, x)` is None when x is
-    outside the quantified set (vacuous), or (expected, extra record fields)
-    with expected(m, n) the required answer, None where any answer goes."""
+    outside the quantified set (vacuous), or the extra record fields of x,
+    a dict; ``expected(m, n, **fields)`` is the required answer, None
+    where any answer goes.  The walk reads the table and the fields."""
     tally = _Tally(theorem_id)
     for ring, x, rows in _element_rows(family):
-        case = shape(ring, x)
-        if case is None:
+        fields = shape(ring, x)
+        if fields is None:
             tally.vacuous()
             continue
-        expected, extra = case
-        for m, n in _cells(family.grid_max):
-            want = expected(m, n)
-            if want is not None and rows[m][n] != want:
-                record = _instance(ring, m=m, n=n, element=x, **extra)
-                return tally.fail(**record, detail=detail)
-        tally.substantive()
+
+        def walk():
+            for m, n in _cells(family.grid_max):
+                want = expected(m, n, **fields)
+                if want is not None and rows[m][n] != want:
+                    record = _instance(ring, m=m, n=n, element=x, **fields)
+                    return tally.fail(**record, detail=detail)
+            tally.substantive()
+            return None
+
+        failure = tally.once((rows, tuple(fields.items())), walk)
+        if failure is not None:
+            return failure
     return tally.done()
 
 
 def _check_vnrfacts_1(family):
-    def shape(ring, x):
-        return (lambda m, n: True if m <= n else None), {}
+    return _grid_shape_check(
+        "T-VNRFACTS-1",
+        family,
+        lambda ring, x: {},
+        lambda m, n: True if m <= n else None,
+        "element not (m,n)-vnr despite m <= n",
+    )
 
-    return _grid_shape_check("T-VNRFACTS-1", family, shape, "element not (m,n)-vnr despite m <= n")
+
+def _propagation_walk(tally, ring, x, rows, size):
+    """T-VNRFACTS-2 on one element: every solvable cell's rectangle
+    (m' <= m, n' >= n) is solvable."""
+    unsolvable = _unsolvable_cells(lambda m, n: rows[m][n], size)
+    for m, n in _cells(size):
+        if not rows[m][n]:
+            tally.vacuous()
+            continue
+        weaker = next((c for c in unsolvable if c[0] <= m and c[1] >= n), None)
+        if weaker is not None:
+            return tally.fail(
+                **_instance(ring, m=m, n=n),
+                element=_serialize(x),
+                weaker_pair=weaker,
+                detail="vnr does not propagate to smaller m / larger n",
+            )
+        tally.substantive()
+    return None
 
 
 def _check_vnrfacts_2(family):
     tally = _Tally("T-VNRFACTS-2")
     for ring, x, rows in _element_rows(family):
-        unsolvable = _unsolvable_cells(lambda m, n: rows[m][n], family.grid_max)
-        for m, n in _cells(family.grid_max):
-            if not rows[m][n]:
-                tally.vacuous()
-                continue
-            weaker = next((c for c in unsolvable if c[0] <= m and c[1] >= n), None)
-            if weaker is not None:
-                return tally.fail(
-                    **_instance(ring, m=m, n=n),
-                    element=_serialize(x),
-                    weaker_pair=weaker,
-                    detail="vnr does not propagate to smaller m / larger n",
-                )
-            tally.substantive()
+        walk = partial(_propagation_walk, tally, ring, x, rows, family.grid_max)
+        failure = tally.once(rows, walk)
+        if failure is not None:
+            return failure
     return tally.done()
 
 
 def _check_vnrfacts_3(family):
     def shape(ring, x):
-        return ((lambda m, n: True), {}) if x == ring.zero or x in ring.units else None
+        return {} if x == ring.zero or x in ring.units else None
 
-    detail = "unit or zero element fails to be (m,n)-vnr"
-    return _grid_shape_check("T-VNRFACTS-3", family, shape, detail)
+    return _grid_shape_check(
+        "T-VNRFACTS-3",
+        family,
+        shape,
+        lambda m, n: True,
+        "unit or zero element fails to be (m,n)-vnr",
+    )
 
 
 def _check_vnrfacts_4(family):
@@ -667,27 +714,41 @@ def _check_vnrfacts_4(family):
     def shape(ring, x):
         if x == ring.zero or x in ring.zero_divisors or x in ring.units:
             return None
-        return lambda m, n: m <= n, {}
+        return {}
 
-    detail = "regular element outside Z(R) and U(R) breaks the m <= n rule"
-    return _grid_shape_check("T-VNRFACTS-4", family, shape, detail)
+    return _grid_shape_check(
+        "T-VNRFACTS-4",
+        family,
+        shape,
+        lambda m, n: m <= n,
+        "regular element outside Z(R) and U(R) breaks the m <= n rule",
+    )
 
 
 def _check_vnrfacts_5(family):
     tally = _Tally("T-VNRFACTS-5")
+    size = family.grid_max
     for ring, x, rows in _element_rows(family):
-        for n in range(1, family.grid_max + 1):
-            if ring.power(x, n) != ring.zero:
-                tally.vacuous()
-                continue
-            for m in range(1, family.grid_max + 1):
-                if not rows[m][n]:
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        element=_serialize(x),
-                        detail="x**n == 0 but x is not (m,n)-vnr",
-                    )
-            tally.substantive()
+        zero_powers = tuple(ring.power(x, n) == ring.zero for n in range(1, size + 1))
+
+        def walk():
+            for n, zero_power in enumerate(zero_powers, 1):
+                if not zero_power:
+                    tally.vacuous()
+                    continue
+                for m in range(1, size + 1):
+                    if not rows[m][n]:
+                        return tally.fail(
+                            **_instance(ring, m=m, n=n),
+                            element=_serialize(x),
+                            detail="x**n == 0 but x is not (m,n)-vnr",
+                        )
+                tally.substantive()
+            return None
+
+        failure = tally.once((rows, zero_powers), walk)
+        if failure is not None:
+            return failure
     return tally.done()
 
 
@@ -696,10 +757,41 @@ def _check_vnrfacts_6(family):
         k = ring.nilpotency_index(x)
         if k is None or k < 2:
             return None
-        return lambda m, n: m <= n or n >= k, {"nilpotency_index": k}
+        return {"nilpotency_index": k}
 
-    detail = "vnr pattern disagrees with the nilpotency index shape"
-    return _grid_shape_check("T-VNRFACTS-6", family, shape, detail)
+    return _grid_shape_check(
+        "T-VNRFACTS-6",
+        family,
+        shape,
+        lambda m, n, nilpotency_index: m <= n or n >= nilpotency_index,
+        "vnr pattern disagrees with the nilpotency index shape",
+    )
+
+
+def _step_walk(tally, ring, x, rows, size):
+    """T-VNRFACTS-7 on one element: a solvable cell with m > n steps to
+    (m + 1, n), and its strip (n' >= n) is solvable."""
+    unsolvable = _unsolvable_cells(lambda m, n: rows[m][n], size)
+    for m, n in _cells(size):
+        if not (rows[m][n] and m > n):
+            tally.vacuous()
+            continue
+        if not rows[m + 1][n]:
+            return tally.fail(
+                **_instance(ring, m=m, n=n),
+                element=_serialize(x),
+                detail="(m,n)-vnr with m > n but not (m+1,n)-vnr",
+            )
+        weaker = next((c for c in unsolvable if c[1] >= n), None)
+        if weaker is not None:
+            return tally.fail(
+                **_instance(ring, m=m, n=n),
+                element=_serialize(x),
+                weaker_pair=weaker,
+                detail="(m,n)-vnr with m > n but not (m',n')-vnr for n' >= n",
+            )
+        tally.substantive()
+    return None
 
 
 def _check_vnrfacts_7(family):
@@ -708,26 +800,9 @@ def _check_vnrfacts_7(family):
     for ring in _grid_rings(family):
         for x in ring.elements:
             rows = vnr_rows(ring, x, size + 1)  # the table `_element_rows` shares
-            unsolvable = _unsolvable_cells(lambda m, n: rows[m][n], size)
-            for m, n in _cells(size):
-                if not (rows[m][n] and m > n):
-                    tally.vacuous()
-                    continue
-                if not rows[m + 1][n]:
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        element=_serialize(x),
-                        detail="(m,n)-vnr with m > n but not (m+1,n)-vnr",
-                    )
-                weaker = next((c for c in unsolvable if c[1] >= n), None)
-                if weaker is not None:
-                    return tally.fail(
-                        **_instance(ring, m=m, n=n),
-                        element=_serialize(x),
-                        weaker_pair=weaker,
-                        detail="(m,n)-vnr with m > n but not (m',n')-vnr for n' >= n",
-                    )
-                tally.substantive()
+            failure = tally.once(rows, partial(_step_walk, tally, ring, x, rows, size))
+            if failure is not None:
+                return failure
         # ring-level rider: von Neumann regular iff (m,n)-regular for all pairs
         regular_21 = is_mn_regular_ring(ring, 2, 1)
         regular_all = not _unsolvable_cells(partial(is_mn_regular_ring, ring), size)
@@ -744,22 +819,30 @@ def _check_bk(family):
     tally = _Tally("T-BK")
     for ring, x, rows in _element_rows(family):
         profile = vnr_profile_element(ring, x)
-        for m, n in _cells(family.grid_max):
-            if rows[m][n] != profile.contains(m, n):
+        minimal = profile.k == 1 or not _is_vnr(ring, x, profile.k, profile.k - 1)
+
+        def walk():
+            for m, n in _cells(family.grid_max):
+                if rows[m][n] != profile.contains(m, n):
+                    return tally.fail(
+                        **_instance(ring, m=m, n=n),
+                        element=_serialize(x),
+                        k=profile.k,
+                        detail="grid does not match the B_k shape",
+                    )
+            if not minimal:
                 return tally.fail(
-                    **_instance(ring, m=m, n=n),
+                    **_instance(ring),
                     element=_serialize(x),
                     k=profile.k,
-                    detail="grid does not match the B_k shape",
+                    detail="profile k is not minimal",
                 )
-        if profile.k > 1 and _is_vnr(ring, x, profile.k, profile.k - 1):
-            return tally.fail(
-                **_instance(ring),
-                element=_serialize(x),
-                k=profile.k,
-                detail="profile k is not minimal",
-            )
-        tally.substantive()
+            tally.substantive()
+            return None
+
+        failure = tally.once((rows, profile, minimal), walk)
+        if failure is not None:
+            return failure
     return tally.done()
 
 

@@ -205,3 +205,9 @@ def test_lattice_oracle_matches_subset_oracle():
     for text in ["Z4 (+) Z2", "Z2 x Z4", "Z8/(4)", "(Z4 x Z4)/(2)", "Z6"]:
         r = ring(text)
         assert brute_ideal_lattice(r) == brute_all_ideals(r), text
+
+
+def test_proper_ideals_are_listed_once():
+    enumeration = enumerate_ideals(ring("Z12 (+) Z6"))
+    assert enumeration.proper is enumeration.proper
+    assert enumeration.proper == tuple(i for i in enumeration.ideals if is_proper(i))

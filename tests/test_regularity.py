@@ -85,6 +85,22 @@ def test_element_queries_reject_foreign_elements():
         is_mn_vnr(ring("Z4 (+) Z2"), (1, 2), 1, 1)
 
 
+@pytest.mark.parametrize("text", ["Z12", "Z2 x Z4", "Z8 (+) Z4", "Z24/(8)"])
+def test_associates_share_one_vnr_table(text):
+    # x and ux are (m,n)-vnr together, so every element reads the table of
+    # its class entry; entries read their own, so an entry past the first
+    # of its class has an equal table of its own
+    r = ring(text)
+    size = r.order.bit_length() + 2
+    for x in r.elements:
+        rows = vnr_rows(r, x, size)
+        assert rows is vnr_rows(r, r.class_entry(x), size), x
+        for u in r.units:
+            assert vnr_rows(r, r.mul(u, x), size) == rows, (x, u)
+    with pytest.raises(ForeignElementError):
+        vnr_rows(ring("Z8"), 10, 2)
+
+
 def test_profile_element_examples():
     assert vnr_profile_element(ring("Z8"), 2) == VnrProfile(3)
     assert vnr_profile_element(ring("Z16"), 4) == VnrProfile(2)

@@ -366,6 +366,26 @@ def test_ideal_closure_matches_oracles_on_every_kind(text):
     assert ideal_closure(r, ()) == frozenset({r.zero})
 
 
+@pytest.mark.parametrize("text", KIND_RINGS + ["Z36/(12)"])
+def test_class_entries_are_least_associates(text):
+    # every element maps to the least element generating its principal
+    # ideal; class-table entries read themselves.  The trivial-extension
+    # and quotient tables here hold more entries than classes, Z36/(12)
+    # among them, so the least entry must win over a later one.
+    r = ring(text)
+    least = {}
+    for x in r.elements:
+        least.setdefault(brute_multiples(r, x), x)
+    for x in r.elements:
+        entry = least[brute_multiples(r, x)]
+        assert r._class_entries[x] == entry, x
+        assert r.class_entry(x) == (x if x in r.representatives else entry), x
+    if text == "Z36/(12)":
+        assert len(r.representatives) > len(least)
+    with pytest.raises(ForeignElementError):
+        r.class_entry("x")
+
+
 def test_one_shot_queries_leave_large_rings_unlisted():
     # literals, principal ideals and a closedness check read no element tuple
     from closure_lab.cli import main

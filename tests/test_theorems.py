@@ -12,13 +12,14 @@ from closure_lab import (
     build_ring,
     classify,
     enumerate_ideals,
+    ideal_from_generators,
     parse_ring_spec,
     replay_counterexample,
     search_counterexamples,
     verify_many,
     verify_theorem,
 )
-from closure_lab import theorems
+from closure_lab import closure, regularity, theorems
 from closure_lab.families import make_family, tiny_family
 from closure_lab.theorems import (
     FAIL,
@@ -29,7 +30,7 @@ from closure_lab.theorems import (
     _proper_ideals,
 )
 
-from _oracles import brute_power
+from _oracles import brute_multiples, brute_power
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +282,72 @@ def test_vnrfacts_7_step_reads_the_row_past_the_grid(monkeypatch):
     assert verdict.instances_checked == 105
 
 
+def _force_table(monkeypatch, element, source):
+    # element reads the real table of source
+    real = theorems.vnr_rows
+    monkeypatch.setattr(
+        theorems, "vnr_rows", lambda ring, x, size: real(ring, source if x == element else x, size)
+    )
+
+
+# Each element checker remembers a walk by the value of what it reads, so an
+# element whose table matches an earlier element's is not walked again.  A
+# forced table must still fail at its own element with the counts of a walk
+# over every element (the pins are what a checker that walks each element
+# reports).  5 is a unit of Z8 like 1, and its forced table differs from 1's
+# by one cell; the table of 2 (index 3) forced onto 4 (index 2), or the table
+# of 4 forced onto 6 (index 3), is a table already walked under another
+# nilpotency index, k or list of zero powers.
+@pytest.mark.parametrize(
+    "theorem_id, element, force, checked, failing, extra",
+    [
+        ("T-VNRFACTS-1", 5, (2, 3), 6, (2, 3), {}),
+        ("T-VNRFACTS-2", 5, (2, 3), 187, (2, 1), {"weaker_pair": (2, 3)}),
+        ("T-VNRFACTS-7", 5, (2, 3), 187, (2, 1), {"weaker_pair": (2, 3)}),
+        ("T-BK", 5, (2, 3), 6, (2, 3), {"k": 1}),
+        ("T-VNRFACTS-6", 4, 2, 5, (3, 2), {"nilpotency_index": 2}),
+        ("T-VNRFACTS-6", 6, 4, 7, (3, 2), {"nilpotency_index": 3}),
+        ("T-VNRFACTS-5", 4, 2, 26, (3, 2), {}),
+        ("T-BK", 4, 2, 5, (3, 2), {"k": 2}),
+    ],
+)
+def test_remembered_walks_hide_no_failure(
+    monkeypatch, theorem_id, element, force, checked, failing, extra
+):
+    if isinstance(force, tuple):
+        _force_unsolvable(monkeypatch, element, force)
+    else:
+        _force_table(monkeypatch, element, force)
+    verdict = verify_theorem(theorem_id, _Z8_FAMILY)
+    assert verdict.status == FAIL
+    record = verdict.counterexample
+    assert verdict.instances_checked == checked
+    assert (record["element"], (record["m"], record["n"])) == (element, failing)
+    assert {key: record.get(key) for key in ("weaker_pair", "k", "nilpotency_index")} == {
+        "weaker_pair": None, "k": None, "nilpotency_index": None, **extra
+    }
+
+
+def test_tally_remembers_passing_walks_only():
+    tally = _Tally("T-X")
+    walks = []
+
+    def walk(fails):
+        walks.append(fails)
+        tally.substantive()
+        tally.vacuous()
+        return tally.fail(detail="forced") if fails else None
+
+    assert tally.once("a", lambda: walk(False)) is None
+    assert tally.once("a", lambda: walk(False)) is None
+    assert walks == [False]
+    assert (tally.checked, tally.vacuous_count) == (4, 2)
+    assert tally.once("b", lambda: walk(True)).status == FAIL
+    # a failed walk is walked again, never replayed from counts
+    assert tally.once("b", lambda: walk(True)).status == FAIL
+    assert walks == [False, True, True]
+
+
 @pytest.mark.parametrize("cell", [(3, 3), (6, 6)])
 def test_strong_failure_reports_the_first_weaker_pair(monkeypatch, cell):
     # Z8 is (m,n)-regular iff m <= n or n >= 3; (4, 3) is its first regular
@@ -296,6 +363,46 @@ def test_strong_failure_reports_the_first_weaker_pair(monkeypatch, cell):
     record = verdict.counterexample
     assert (verdict.instances_checked, verdict.vacuous_count) == (6, 5)
     assert ((record["m"], record["n"]), record["weaker_pair"]) == ((4, 3), cell)
+
+
+def test_tables_are_built_once_per_value(monkeypatch):
+    # a status grid depends on (ring, element set, size) and a vnr table on
+    # (ring, class entry, size), so a verify of every theorem builds one per
+    # distinct key asked for; a table longer than L = order.bit_length()
+    # pads the L table of its entry, which counts as a key too
+    family = tiny_family()
+    grids, tables = set(), set()
+    real_grid, real_rows = closure.status_grid, regularity.vnr_rows
+
+    def grid(ideal, size):
+        grids.add((ideal.ring, ideal.elements, size))
+        return real_grid(ideal, size)
+
+    def rows(ring, x, size):
+        if x not in ring.representatives:
+            least = brute_multiples(ring, x)
+            x = next(y for y in ring.elements if brute_multiples(ring, y) == least)
+        tables.add((ring, x, size))
+        tables.add((ring, x, min(size, ring.order.bit_length())))
+        return real_rows(ring, x, size)
+
+    for module in (theorems, regularity):
+        monkeypatch.setattr(module, "status_grid", grid)
+        monkeypatch.setattr(module, "vnr_rows", rows)
+    closure._set_status_grid.cache_clear()
+    regularity._entry_rows.cache_clear()
+    regularity.regular_rows.cache_clear()
+    assert all(v.status == PASS for v in verify_many(THEOREM_IDS, family))
+    assert closure._set_status_grid.cache_info().misses == len(grids) > 0
+    assert regularity._entry_rows.cache_info().misses == len(tables) > 0
+
+
+def test_ideals_with_one_element_set_share_one_grid():
+    r = build_ring(parse_ring_spec("Z12"))
+    first, second = ideal_from_generators(r, (2,)), ideal_from_generators(r, (10, 4))
+    assert first != second and first.elements == second.elements
+    assert closure.status_grid(first, 4) is closure.status_grid(second, 4)
+    assert closure._thresholds(first) is closure._thresholds(second)
 
 
 def test_replay_rejects_passing_verdicts(family):
