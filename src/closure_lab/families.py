@@ -212,21 +212,9 @@ def parse_family_config(text: str) -> InstanceFamily:
     values.pop("max_generators", None)
     if "cyclic_max" in values:
         values.setdefault("cyclic_moduli", tuple(range(2, values.pop("cyclic_max") + 1)))
-    settings = {}
-    for key in (
-        "cyclic_moduli",
-        "product_moduli",
-        "idealization_max",
-        "principal_primes",
-        "principal_max_exponent",
-        "m_max",
-    ):
-        if key in values:
-            settings[key] = values.pop(key)
     if "extra_rings" in values:
-        settings["extra_specs"] = values.pop("extra_rings")
-    family = make_family(**settings, **values)
-    return family
+        values["extra_specs"] = values.pop("extra_rings")
+    return make_family(**values)
 
 
 def load_family(source: str) -> InstanceFamily:

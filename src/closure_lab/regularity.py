@@ -209,19 +209,20 @@ def is_strongly_pi_regular(ring: FiniteRing):
 def regularity_record(ring: FiniteRing) -> dict:
     """Serialized ring profile, including the first element attaining the
     ring's k (the witness that k cannot be lowered)."""
-    profile = vnr_profile_ring(ring)
+    # the ring's k is the largest element k (`vnr_profile_ring`), read
+    # here from one pass over the class table
+    ks = [vnr_profile_element(ring, x).k for x in ring.representatives]
+    k = max(ks)
+    witness = ring.representatives[ks.index(k)]
     strongly, smallest = is_strongly_pi_regular(ring)
-    witness = next(
-        x for x in ring.representatives if vnr_profile_element(ring, x).k == profile.k
-    )
-    if strongly and smallest != profile.k:
+    if strongly and smallest != k:
         raise ConsistencyError(
-            f"{ring.spec_str}: profile k={profile.k} but smallest strongly "
+            f"{ring.spec_str}: profile k={k} but smallest strongly "
             f"pi-regular exponent is {smallest}"
         )
     return {
         "ring_spec": ring.spec_str,
-        "k": profile.k,
+        "k": k,
         "strongly_pi_regular": strongly,
         "per_element_max_witness": _serialize(witness),
     }

@@ -97,16 +97,8 @@ class FiniteRing:
         raise NotImplementedError
 
     def power(self, x, t: int):
-        """x**t by repeated squaring; x**0 is the identity."""
-        result = self.one
-        base = x
-        while t:
-            if t & 1:
-                result = self.mul(result, base)
-            t >>= 1
-            if t:
-                base = self.mul(base, base)
-        return result
+        """x**t; x**0 is the identity."""
+        raise NotImplementedError
 
     def contains(self, x) -> bool:
         raise NotImplementedError

@@ -13,6 +13,10 @@ failed.  A theorem whose family holds no instance at all reads "empty".
 Verdicts are deterministic for a fixed family: instances are generated
 in canonical order, the first failure wins, and worker parallelism is
 per theorem, so it cannot reorder anything observable.
+
+Checkers read an ideal's statuses through `_grid`, one status grid per
+ideal, and sweep every proper ideal of the family rings through
+`_ideal_grids`.
 """
 
 from __future__ import annotations
@@ -175,9 +179,23 @@ def _proper_ideals(ring: FiniteRing):
     return enumerate_ideals(ring).proper
 
 
+def _grid(family: InstanceFamily, ideal: Ideal) -> tuple:
+    """The status grid of `ideal`, as long as any checker of `family` reads
+    it: the one place that knows that length."""
+    return status_grid(ideal, family.max_exponent)
+
+
+def _ideal_grids(family: InstanceFamily, **filters):
+    """(ring, ideal, `_grid`) for every proper ideal of every family ring
+    that passes the `_family_rings` filters, in canonical order."""
+    for ring in _family_rings(family, **filters):
+        for ideal in _proper_ideals(ring):
+            yield ring, ideal, _grid(family, ideal)
+
+
 def _status_grids(ring: FiniteRing, family: InstanceFamily) -> list:
-    """The `status_grid` of every proper ideal, in enumeration order."""
-    return [status_grid(ideal, family.max_exponent) for ideal in _proper_ideals(ring)]
+    """The `_grid` of every proper ideal, in enumeration order."""
+    return [_grid(family, ideal) for ideal in _proper_ideals(ring)]
 
 
 def _instance(ring, ideal=None, m=None, n=None, **extra) -> dict:
@@ -201,23 +219,20 @@ def _absorbing_implies_weakly(theorem_id, family, m_values, detail):
     """Weakly n-absorbing ideals are weakly (m,n)-closed for every m in
     `m_values(n)`; the shared body of T-BASIC-1 and T-BASIC-3."""
     tally = _Tally(theorem_id)
-    size = family.max_exponent
-    for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            for n in family.n_values:
-                try:
-                    hyp, _ = is_n_absorbing(ideal, n, weak=True, budget=family.absorbing_budget)
-                except AbsorbingBudgetError:
-                    tally.skip()
-                    continue
-                if not hyp:
-                    tally.vacuous()
-                    continue
-                for m in m_values(n):
-                    if grid[m][n] == STATUS_NOT_WEAKLY:
-                        return tally.fail(**_instance(ring, ideal, m, n), detail=detail)
-                tally.substantive()
+    for ring, ideal, grid in _ideal_grids(family):
+        for n in family.n_values:
+            try:
+                hyp, _ = is_n_absorbing(ideal, n, weak=True, budget=family.absorbing_budget)
+            except AbsorbingBudgetError:
+                tally.skip()
+                continue
+            if not hyp:
+                tally.vacuous()
+                continue
+            for m in m_values(n):
+                if grid[m][n] == STATUS_NOT_WEAKLY:
+                    return tally.fail(**_instance(ring, ideal, m, n), detail=detail)
+            tally.substantive()
     return tally.done()
 
 
@@ -232,22 +247,19 @@ def _check_basic_1(family):
 
 def _check_basic_2(family):
     tally = _Tally("T-BASIC-2")
-    size = family.max_exponent
-    for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            for m, n in family.all_pairs:
-                if grid[m][n] == STATUS_NOT_WEAKLY:
-                    tally.vacuous()
-                    continue
-                for n_bigger in range(n, family.grid_max + 1):
-                    if grid[m][n_bigger] == STATUS_NOT_WEAKLY:
-                        return tally.fail(
-                            **_instance(ring, ideal, m, n),
-                            n_bigger=n_bigger,
-                            detail="weak closedness is not monotone in the target exponent",
-                        )
-                tally.substantive()
+    for ring, ideal, grid in _ideal_grids(family):
+        for m, n in family.all_pairs:
+            if grid[m][n] == STATUS_NOT_WEAKLY:
+                tally.vacuous()
+                continue
+            for n_bigger in range(n, family.grid_max + 1):
+                if grid[m][n_bigger] == STATUS_NOT_WEAKLY:
+                    return tally.fail(
+                        **_instance(ring, ideal, m, n),
+                        n_bigger=n_bigger,
+                        detail="weak closedness is not monotone in the target exponent",
+                    )
+            tally.substantive()
     return tally.done()
 
 
@@ -262,13 +274,12 @@ def _check_basic_3(family):
 
 def _check_basic_4(family):
     tally = _Tally("T-BASIC-4")
-    size = family.max_exponent
     for ring in _family_rings(family):
         ideals = _proper_ideals(ring)
         grids = _status_grids(ring, family)
         for i, (first, first_grid) in enumerate(zip(ideals, grids)):
             for second, second_grid in zip(ideals[i + 1 :], grids[i + 1 :]):
-                meet = status_grid(intersect_ideals(first, second), size)
+                meet = _grid(family, intersect_ideals(first, second))
                 for m, n in family.all_pairs:
                     if STATUS_NOT_WEAKLY in (first_grid[m][n], second_grid[m][n]):
                         tally.vacuous()
@@ -293,76 +304,68 @@ def _shift_index(ring, a, i):
 
 def _check_shift(family):
     tally = _Tally("T-SHIFT")
-    size = family.max_exponent
-    for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            worst = {}  # a -> the largest _shift_index(a, i) over i in I, asked once per a
-            for m, n in family.mn_pairs:
-                # an unbreakable zero a (a**m == 0, a**n not in I) breaks
-                # closedness, so a weakly closed I has one iff it is weakly-only
-                if grid[m][n] != STATUS_WEAKLY_ONLY:
-                    tally.vacuous()
-                    continue
-                for a in unbreakable_zero_elements(ideal, m, n):
-                    if a not in worst:
-                        worst[a] = max(_shift_index(ring, a, i) for i in ideal.members)
-                    if worst[a] > m:
-                        # the first failing i, as a scan of the members finds it
-                        i = next(i for i in ideal.members if _shift_index(ring, a, i) > m)
-                        return tally.fail(
-                            **_instance(ring, ideal, m, n),
-                            element=_serialize(a),
-                            shifted_by=_serialize(i),
-                            detail="(a + i)**m != 0 for an unbreakable-zero a and i in I",
-                        )
-                tally.substantive()
+    for ring, ideal, grid in _ideal_grids(family):
+        worst = {}  # a -> the largest _shift_index(a, i) over i in I, asked once per a
+        for m, n in family.mn_pairs:
+            # an unbreakable zero a (a**m == 0, a**n not in I) breaks
+            # closedness, so a weakly closed I has one iff it is weakly-only
+            if grid[m][n] != STATUS_WEAKLY_ONLY:
+                tally.vacuous()
+                continue
+            for a in unbreakable_zero_elements(ideal, m, n):
+                if a not in worst:
+                    worst[a] = max(_shift_index(ring, a, i) for i in ideal.members)
+                if worst[a] > m:
+                    # the first failing i, as a scan of the members finds it
+                    i = next(i for i in ideal.members if _shift_index(ring, a, i) > m)
+                    return tally.fail(
+                        **_instance(ring, ideal, m, n),
+                        element=_serialize(a),
+                        shifted_by=_serialize(i),
+                        detail="(a + i)**m != 0 for an unbreakable-zero a and i in I",
+                    )
+            tally.substantive()
     return tally.done()
 
 
 def _check_nil(family):
     tally = _Tally("T-NIL")
-    size = family.max_exponent
-    for ring in _family_rings(family):
+    for ring, ideal, grid in _ideal_grids(family):
         nil = ring.nilpotents
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            for m, n in family.all_pairs:
-                if grid[m][n] != STATUS_WEAKLY_ONLY:
-                    tally.vacuous()
-                    continue
-                if not ideal.elements <= nil:
-                    stray = next(e for e in ideal.members if e not in nil)
-                    return tally.fail(
-                        **_instance(ring, ideal, m, n),
-                        element=_serialize(stray),
-                        detail="weakly-only ideal is not contained in the nilradical",
-                    )
-                tally.substantive()
+        for m, n in family.all_pairs:
+            if grid[m][n] != STATUS_WEAKLY_ONLY:
+                tally.vacuous()
+                continue
+            if not ideal.elements <= nil:
+                stray = next(e for e in ideal.members if e not in nil)
+                return tally.fail(
+                    **_instance(ring, ideal, m, n),
+                    element=_serialize(stray),
+                    detail="weakly-only ideal is not contained in the nilradical",
+                )
+            tally.substantive()
     return tally.done()
 
 
 def _check_nil_char(family):
     tally = _Tally("T-NIL-CHAR")
-    size = family.max_exponent
-    for ring in _family_rings(family):
-        char = ring.characteristic
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            for m, n in family.mn_pairs:
-                if not (
-                    grid[m][n] == STATUS_WEAKLY_ONLY and char == m and _is_prime_number(m)
-                ):
-                    tally.vacuous()
-                    continue
-                for i in ideal.members:
-                    if ring.power(i, m) != ring.zero:
-                        return tally.fail(
-                            **_instance(ring, ideal, m, n),
-                            element=_serialize(i),
-                            detail="i**m != 0 despite prime characteristic m",
-                        )
-                tally.substantive()
+    for ring, ideal, grid in _ideal_grids(family):
+        for m, n in family.mn_pairs:
+            if not (
+                grid[m][n] == STATUS_WEAKLY_ONLY
+                and ring.characteristic == m
+                and _is_prime_number(m)
+            ):
+                tally.vacuous()
+                continue
+            for i in ideal.members:
+                if ring.power(i, m) != ring.zero:
+                    return tally.fail(
+                        **_instance(ring, ideal, m, n),
+                        element=_serialize(i),
+                        detail="i**m != 0 despite prime characteristic m",
+                    )
+            tally.substantive()
     return tally.done()
 
 
@@ -371,7 +374,6 @@ def _check_nil_char(family):
 
 def _check_quot(family):
     tally = _Tally("T-QUOT")
-    size = family.max_exponent
     for ring in _family_rings(family, order_cap=family.quotient_order_cap):
         ideals = _proper_ideals(ring)
         grids = _status_grids(ring, family)
@@ -380,7 +382,7 @@ def _check_quot(family):
             for big, grid in zip(ideals, grids):
                 if not small.elements <= big.elements:
                     continue
-                image = status_grid(image_ideal(quotient, big), size)
+                image = _grid(family, image_ideal(quotient, big))
                 for m, n in family.mn_pairs:
                     if grid[m][n] == STATUS_NOT_WEAKLY:
                         tally.vacuous()
@@ -400,44 +402,35 @@ def _check_quot(family):
 
 def _check_prod_closed(family):
     tally = _Tally("T-PROD-CLOSED")
-    size = family.max_exponent
-    for ring in _family_rings(family, kind=ProductRing):
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            # an improper factor puts no condition on its side
-            factor_grids = [
-                status_grid(factor, size)
-                for factor in split_product_ideal(ring, ideal)
-                if factor.is_proper
-            ]
-            for m, n in family.all_pairs:
-                direct = grid[m][n] == STATUS_CLOSED
-                condition = all(g[m][n] == STATUS_CLOSED for g in factor_grids)
-                if not tally.agree(direct, condition):
-                    return tally.fail(
-                        **_instance(ring, ideal, m, n),
-                        detail=f"direct closedness {direct} but factor condition {condition}",
-                    )
+    for ring, ideal, grid in _ideal_grids(family, kind=ProductRing):
+        # an improper factor puts no condition on its side
+        factor_grids = [
+            _grid(family, factor)
+            for factor in split_product_ideal(ring, ideal)
+            if factor.is_proper
+        ]
+        for m, n in family.all_pairs:
+            direct = grid[m][n] == STATUS_CLOSED
+            condition = all(g[m][n] == STATUS_CLOSED for g in factor_grids)
+            if not tally.agree(direct, condition):
+                return tally.fail(
+                    **_instance(ring, ideal, m, n),
+                    detail=f"direct closedness {direct} but factor condition {condition}",
+                )
     return tally.done()
 
 
 def _check_prod_factor(family):
     tally = _Tally("T-PROD-FACTOR")
-    size = family.max_exponent
     for ring in _family_rings(family, kind=ProductRing):
-        left_enum = enumerate_ideals(ring.left)
-        right_enum = enumerate_ideals(ring.right)
         full_left = ideal_from_generators(ring.left, (ring.left.one,))
         full_right = ideal_from_generators(ring.right, (ring.right.one,))
-        sides = [(factor, full_right, "left") for factor in left_enum.ideals if factor.is_proper]
-        sides += [(factor, full_left, "right") for factor in right_enum.ideals if factor.is_proper]
-        for factor, full, side in sides:
-            if side == "left":
-                lifted = product_ideal(ring, factor, full)
-            else:
-                lifted = product_ideal(ring, full, factor)
-            factor_grid = status_grid(factor, size)
-            lifted_grid = status_grid(lifted, size)
+        # each proper factor ideal I, lifted to I x R or R x I
+        lifts = [(f, product_ideal(ring, f, full_right)) for f in _proper_ideals(ring.left)]
+        lifts += [(f, product_ideal(ring, full_left, f)) for f in _proper_ideals(ring.right)]
+        for factor, lifted in lifts:
+            factor_grid = _grid(family, factor)
+            lifted_grid = _grid(family, lifted)
             for m, n in family.all_pairs:
                 weak_lifted = lifted_grid[m][n] != STATUS_NOT_WEAKLY
                 closed_factor = factor_grid[m][n] == STATUS_CLOSED
@@ -461,11 +454,12 @@ def _nonzero_power_lands_in(ideal, m) -> bool:
     )
 
 
-def _factor_view(ideal, size):
+def _factor_view(family, ideal):
     # what `_add2_condition` asks of one factor ideal, read once: its
-    # status grid and the m <= size for which some 0 != x**m lies in it
+    # `_grid` and the m of the grid for which some 0 != x**m lies in it
+    size = family.max_exponent
     lands = frozenset(m for m in range(1, size + 1) if _nonzero_power_lands_in(ideal, m))
-    return status_grid(ideal, size), lands
+    return _grid(family, ideal), lands
 
 
 def _add2_condition(side, other, m, n) -> bool:
@@ -482,25 +476,22 @@ def _add2_condition(side, other, m, n) -> bool:
 
 def _check_prod_weak(family):
     tally = _Tally("T-PROD-WEAK")
-    size = family.max_exponent
-    for ring in _family_rings(family, kind=ProductRing):
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            left, right = split_product_ideal(ring, ideal)
-            views = None
-            if left.is_proper and right.is_proper:
-                views = (_factor_view(left, size), _factor_view(right, size))
-            for m, n in family.mn_pairs:
-                direct = grid[m][n] == STATUS_WEAKLY_ONLY
-                condition = views is not None and (
-                    _add2_condition(views[0], views[1], m, n)
-                    or _add2_condition(views[1], views[0], m, n)
+    for ring, ideal, grid in _ideal_grids(family, kind=ProductRing):
+        left, right = split_product_ideal(ring, ideal)
+        views = None
+        if left.is_proper and right.is_proper:
+            views = (_factor_view(family, left), _factor_view(family, right))
+        for m, n in family.mn_pairs:
+            direct = grid[m][n] == STATUS_WEAKLY_ONLY
+            condition = views is not None and (
+                _add2_condition(views[0], views[1], m, n)
+                or _add2_condition(views[1], views[0], m, n)
+            )
+            if not tally.agree(direct, condition):
+                return tally.fail(
+                    **_instance(ring, ideal, m, n),
+                    detail=f"direct weakly-only {direct} but factor conditions {condition}",
                 )
-                if not tally.agree(direct, condition):
-                    return tally.fail(
-                        **_instance(ring, ideal, m, n),
-                        detail=f"direct weakly-only {direct} but factor conditions {condition}",
-                    )
     return tally.done()
 
 
@@ -519,20 +510,18 @@ def extend_ideal_to_idealization(ring: IdealizationRing, base_ideal: Ideal) -> I
 
 
 def _module_annihilated(ring: IdealizationRing, a: int, m: int) -> bool:
-    # m * (a**(m-1) * x) == 0 in Z_d for every x
-    scale = pow(a, m - 1, ring.d)
-    return all((m * scale * x) % ring.d == 0 for x in range(ring.d))
+    # m * (a**(m-1) * x) == 0 in Z_d for every x: x = 1 implies the rest
+    return m * pow(a, m - 1, ring.d) % ring.d == 0
 
 
 def _check_idealization(family):
     tally = _Tally("T-IDEALIZATION")
-    size = family.max_exponent
     for ring in _family_rings(family, kind=IdealizationRing):
         base = build_ring(CyclicZ(ring.n), family.max_order)
         for base_ideal in _proper_ideals(base):
             extended = extend_ideal_to_idealization(ring, base_ideal)
-            grid = status_grid(extended, size)
-            base_grid = status_grid(base_ideal, size)
+            grid = _grid(family, extended)
+            base_grid = _grid(family, base_ideal)
             for m, n in family.mn_pairs:
                 direct = grid[m][n] == STATUS_WEAKLY_ONLY
                 condition = base_grid[m][n] == STATUS_WEAKLY_ONLY and all(
@@ -553,7 +542,6 @@ def _check_idealization(family):
 
 def _check_principal(family):
     tally = _Tally("T-PRINCIPAL")
-    size = family.max_exponent
     for p, c in family.principal_cases:
         modulus = p ** c
         ring = build_ring(CyclicZ(modulus), family.max_order)
@@ -562,7 +550,7 @@ def _check_principal(family):
             if not pairs:
                 continue
             ideal = ideal_from_generators(ring, (pow(p, k),))
-            grid = status_grid(ideal, size)
+            grid = _grid(family, ideal)
             for m, n in pairs:
                 q, r = divmod(k, m)
                 condition = r != 0 and k + 1 <= c <= m * (q + 1) and n * (q + 1) < k
@@ -583,10 +571,9 @@ def _check_principal(family):
 
 def _check_nilideal(family):
     tally = _Tally("T-NILIDEAL")
-    size = family.max_exponent
     for ring in _family_rings(family):
         nil = ring.nilpotents
-        grids = [status_grid(i, size) for i in _proper_ideals(ring) if i.elements <= nil]
+        grids = [_grid(family, i) for i in _proper_ideals(ring) if i.elements <= nil]
         for m, n in family.mn_pairs:
             all_weak = all(g[m][n] != STATUS_NOT_WEAKLY for g in grids)
             vanishing = all(ring.power(w, m) == ring.zero for w in nil)
@@ -1125,75 +1112,60 @@ def replay_counterexample(verdict: TheoremVerdict, family: InstanceFamily | None
 
 # --- counterexample search for non-theorems --------------------------------------
 
-SEARCH_PREDICATES = (
-    "weak-not-closed-exists",
-    "weak-not-monotone-in-m",
-    "weakly-closed-not-weakly-radical",
-)
-
-
-def search_counterexamples(predicate_id: str, family: InstanceFamily | None = None) -> list:
-    """Witnesses that separate the weak notions from the plain ones; all
-    witnesses in the family are returned, in canonical order."""
-    if family is None:
-        family = default_family()
-    if predicate_id == "weak-not-closed-exists":
-        return _search_weak_not_closed(family)
-    if predicate_id == "weak-not-monotone-in-m":
-        return _search_not_monotone(family)
-    if predicate_id == "weakly-closed-not-weakly-radical":
-        return _search_not_weakly_radical(family)
-    raise KeyError(f"unknown predicate {predicate_id!r}")
-
-
 def _search_weak_not_closed(family):
-    witnesses = []
-    size = family.max_exponent
-    for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            for m, n in family.mn_pairs:
-                if grid[m][n] == STATUS_WEAKLY_ONLY:
-                    witnesses.append(closure.classify(ideal, m, n).to_record())
-    return witnesses
+    return [
+        closure.classify(ideal, m, n).to_record()
+        for _, ideal, grid in _ideal_grids(family)
+        for m, n in family.mn_pairs
+        if grid[m][n] == STATUS_WEAKLY_ONLY
+    ]
 
 
 def _search_not_monotone(family):
     witnesses = []
-    size = family.max_exponent
-    for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            for n in family.n_values:
-                weak_at = {
-                    m: grid[m][n] != STATUS_NOT_WEAKLY for m in range(1, family.grid_max + 1)
-                }
-                for m, ok in weak_at.items():
-                    if not ok:
-                        continue
-                    for m_smaller in range(n + 1, m):
-                        if not weak_at[m_smaller]:
-                            witnesses.append(
-                                _instance(ring, ideal, m, n, m_smaller=m_smaller)
-                            )
+    for ring, ideal, grid in _ideal_grids(family):
+        for n in family.n_values:
+            weak_at = {m: grid[m][n] != STATUS_NOT_WEAKLY for m in range(1, family.grid_max + 1)}
+            for m, ok in weak_at.items():
+                if not ok:
+                    continue
+                for m_smaller in range(n + 1, m):
+                    if not weak_at[m_smaller]:
+                        witnesses.append(_instance(ring, ideal, m, n, m_smaller=m_smaller))
     return witnesses
 
 
 def _search_not_weakly_radical(family):
     witnesses = []
-    size = family.max_exponent
-    for ring in _family_rings(family):
-        for ideal in _proper_ideals(ring):
-            grid = status_grid(ideal, size)
-            radical = None  # the answer depends on the ideal only: ask once
-            for m, n in family.mn_pairs:
-                if grid[m][n] == STATUS_NOT_WEAKLY:
-                    continue
-                if radical is None:
-                    radical = closure.is_weakly_radical(ideal)
-                ok, witness = radical
-                if not ok:
-                    record = _instance(ring, ideal, m, n)
-                    record["radical_witness"] = [_serialize(witness[0]), witness[1]]
-                    witnesses.append(record)
+    for ring, ideal, grid in _ideal_grids(family):
+        radical = None  # the answer depends on the ideal only: ask once
+        for m, n in family.mn_pairs:
+            if grid[m][n] == STATUS_NOT_WEAKLY:
+                continue
+            if radical is None:
+                radical = closure.is_weakly_radical(ideal)
+            ok, witness = radical
+            if not ok:
+                record = _instance(ring, ideal, m, n)
+                record["radical_witness"] = [_serialize(witness[0]), witness[1]]
+                witnesses.append(record)
     return witnesses
+
+
+_SEARCHES = {
+    "weak-not-closed-exists": _search_weak_not_closed,
+    "weak-not-monotone-in-m": _search_not_monotone,
+    "weakly-closed-not-weakly-radical": _search_not_weakly_radical,
+}
+
+SEARCH_PREDICATES = tuple(_SEARCHES)
+
+
+def search_counterexamples(predicate_id: str, family: InstanceFamily | None = None) -> list:
+    """Witnesses that separate the weak notions from the plain ones; all
+    witnesses in the family are returned, in canonical order."""
+    if predicate_id not in _SEARCHES:
+        raise KeyError(f"unknown predicate {predicate_id!r}")
+    if family is None:
+        family = default_family()
+    return _SEARCHES[predicate_id](family)

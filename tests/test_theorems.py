@@ -21,6 +21,7 @@ from closure_lab import (
 )
 from closure_lab import closure, regularity, theorems
 from closure_lab.families import make_family, tiny_family
+from closure_lab.ideals import Ideal
 from closure_lab.theorems import (
     FAIL,
     PASS,
@@ -229,16 +230,19 @@ _Z8_FAMILY = make_family(
 )
 
 
+def _with_cell(rows, cell, value):
+    # a copy of a table indexed rows[m][n] with one cell replaced
+    m, n = cell
+    row = rows[m][:n] + (value,) + rows[m][n + 1 :]
+    return rows[:m] + (row,) + rows[m + 1 :]
+
+
 def _force_unsolvable(monkeypatch, element, cell):
     real = theorems.vnr_rows
 
     def forced(ring, x, size):
         rows = real(ring, x, size)
-        if x != element:
-            return rows
-        m, n = cell
-        row = rows[m][:n] + (False,) + rows[m][n + 1 :]
-        return rows[:m] + (row,) + rows[m + 1 :]
+        return _with_cell(rows, cell, False) if x == element else rows
 
     monkeypatch.setattr(theorems, "vnr_rows", forced)
 
@@ -411,6 +415,296 @@ def test_replay_rejects_passing_verdicts(family):
         replay_counterexample(verdict, family)
 
 
+# --- forced failures: every failure branch of every checker -------------------
+#
+# Each case flips one answer that a checker reads through a name in
+# `theorems` (a status grid cell, a ring-level decision, an absorbing
+# verdict) and pins the failure the flip causes: the counts up to it, the
+# whole counterexample record, and its replay on the narrowed family.  The
+# pins are what the checkers reported when these cases were written, so
+# they hold the canonical order of every loop as well as each record.
+
+_FORCED_FAMILY = make_family(
+    cyclic_moduli=tuple(range(2, 9)), product_moduli=(2, 4), idealization_max=4,
+    principal_primes=(2,), principal_max_exponent=5, m_max=3,
+)
+
+_CLOSED, _WEAKLY, _NOT_WEAKLY = (
+    closure.STATUS_CLOSED, closure.STATUS_WEAKLY_ONLY, closure.STATUS_NOT_WEAKLY,
+)
+
+
+def _key(first):
+    # a ring by its spec, an ideal by its ring's spec and its element set
+    if isinstance(first, Ideal):
+        return first.ring.spec_str, first.elements
+    return first.spec_str
+
+
+def _flip_grid(ring, members, cell, status):
+    """A patch: the status grid of the ideal of `ring` with element set
+    `members` reads `status` at `cell`."""
+
+    def patch(monkeypatch):
+        real = theorems.status_grid
+
+        def forced(ideal, size):
+            grid = real(ideal, size)
+            if _key(ideal) == (ring, frozenset(members)):
+                return _with_cell(grid, cell, status)
+            return grid
+
+        monkeypatch.setattr(theorems, "status_grid", forced)
+
+    return patch
+
+
+def _force(name, target, args, answer):
+    """A patch: `theorems.<name>` answers `answer` when called on `target`
+    (a ring spec, or a (ring spec, element set) pair for an ideal) with
+    the further positional arguments `args`."""
+    if isinstance(target, tuple):
+        target = (target[0], frozenset(target[1]))
+
+    def patch(monkeypatch):
+        real = getattr(theorems, name)
+
+        def forced(first, *rest, **options):
+            if (_key(first), rest) == (target, args):
+                return answer
+            return real(first, *rest, **options)
+
+        monkeypatch.setattr(theorems, name, forced)
+
+    return patch
+
+
+_FORCED_CASES = [
+    pytest.param(
+        "T-BASIC-1",
+        _force("is_n_absorbing", ("Z8", {0, 4}), (1,), (True, None)),
+        21, 0,
+        {"ring": "Z8", "ideal_gens": [4], "ideal": [0, 4], "m": 2, "n": 1,
+         "detail": "weakly n-absorbing ideal is not weakly (n+1,n)-closed"},
+        id="T-BASIC-1",
+    ),
+    pytest.param(
+        "T-BASIC-2",
+        _flip_grid("Z6", {0, 2, 4}, (3, 3), _NOT_WEAKLY),
+        65, 0,
+        {"ring": "Z6", "ideal_gens": [2], "ideal": [0, 2, 4], "m": 3, "n": 1, "n_bigger": 3,
+         "detail": "weak closedness is not monotone in the target exponent"},
+        id="T-BASIC-2",
+    ),
+    pytest.param(
+        "T-BASIC-3",
+        _flip_grid("Z5", {0}, (4, 1), _NOT_WEAKLY),
+        9, 0,
+        {"ring": "Z5", "ideal_gens": [0], "ideal": [0], "m": 4, "n": 1,
+         "detail": "weakly n-absorbing ideal is not weakly (m,n)-closed"},
+        id="T-BASIC-3",
+    ),
+    pytest.param(
+        "T-BASIC-4",
+        _flip_grid("Z6", {0}, (2, 1), _NOT_WEAKLY),
+        28, 2,
+        {"ring": "Z6", "ideal_gens": [3], "ideal": [0, 3], "m": 2, "n": 1,
+         "other_ideal": [0, 2, 4],
+         "detail": "intersection of weakly closed ideals is not weakly closed"},
+        id="T-BASIC-4",
+    ),
+    pytest.param(
+        "T-NIL",
+        _flip_grid("Z6", {0, 2, 4}, (3, 2), _WEAKLY),
+        66, 63,
+        {"ring": "Z6", "ideal_gens": [2], "ideal": [0, 2, 4], "m": 3, "n": 2, "element": 2,
+         "detail": "weakly-only ideal is not contained in the nilradical"},
+        id="T-NIL",
+    ),
+    pytest.param(
+        "T-NIL-CHAR",
+        _flip_grid("Z2 x Z2", {(0, 0), (1, 0)}, (2, 1), _WEAKLY),
+        43, 42,
+        {"ring": "Z2 x Z2", "ideal_gens": [[1, 0], [0, 0]], "ideal": [[0, 0], [1, 0]],
+         "m": 2, "n": 1, "element": [1, 0],
+         "detail": "i**m != 0 despite prime characteristic m"},
+        id="T-NIL-CHAR",
+    ),
+    pytest.param(
+        "T-QUOT",
+        _flip_grid("Z4/(2)", {0}, (3, 1), _NOT_WEAKLY),
+        14, 0,
+        {"ring": "Z4", "ideal_gens": [2], "ideal": [0, 2], "m": 3, "n": 1,
+         "modulus_ideal": [0, 2],
+         "detail": "image of a weakly closed ideal is not weakly closed in the quotient"},
+        id="T-QUOT",
+    ),
+    pytest.param(
+        "T-PROD-CLOSED",
+        _flip_grid("Z4 x Z2", {(0, 0), (0, 1)}, (2, 1), _CLOSED),
+        82, 6,
+        {"ring": "Z4 x Z2", "ideal_gens": [[0, 0], [0, 1]], "ideal": [[0, 0], [0, 1]],
+         "m": 2, "n": 1,
+         "detail": "direct closedness True but factor condition False"},
+        id="T-PROD-CLOSED",
+    ),
+    pytest.param(
+        "T-PROD-FACTOR",
+        _flip_grid("Z4", {0, 2}, (3, 1), _WEAKLY),
+        38, 2,
+        {"ring": "Z2 x Z4", "ideal_gens": [[1, 0], [0, 2]],
+         "ideal": [[0, 0], [0, 2], [1, 0], [1, 2]], "m": 3, "n": 1,
+         "detail": "equivalence broken: weakly(IxR)=True, closed(I)=False, closed(IxR)=True"},
+        id="T-PROD-FACTOR",
+    ),
+    pytest.param(
+        "T-PROD-WEAK",
+        _flip_grid("Z2 x Z4", {(0, 0)}, (2, 1), _CLOSED),
+        10, 9,
+        {"ring": "Z2 x Z4", "ideal_gens": [[0, 0]], "ideal": [[0, 0]], "m": 2, "n": 1,
+         "detail": "direct weakly-only False but factor conditions True"},
+        id="T-PROD-WEAK",
+    ),
+    pytest.param(
+        "T-IDEALIZATION",
+        _flip_grid("Z4 (+) Z2", {(0, 0), (0, 1), (2, 0), (2, 1)}, (2, 1), _WEAKLY),
+        22, 17,
+        {"ring": "Z4 (+) Z2", "ideal_gens": [[2, 0], [0, 1]],
+         "ideal": [[0, 0], [0, 1], [2, 0], [2, 1]], "m": 2, "n": 1, "base_ideal": [0, 2],
+         "detail": "direct weakly-only True but module criterion False"},
+        id="T-IDEALIZATION",
+    ),
+    pytest.param(
+        "T-PRINCIPAL",
+        _flip_grid("Z32", {0, 16}, (3, 2), _WEAKLY),
+        5, 2,
+        {"ring": "Z32", "ideal_gens": [16], "ideal": [0, 16], "m": 3, "n": 2,
+         "p": 2, "c": 5, "k": 4,
+         "detail": "arithmetic conditions False but direct status True"},
+        id="T-PRINCIPAL",
+    ),
+    pytest.param(
+        "T-NILIDEAL",
+        _flip_grid("Z8", {0, 4}, (3, 1), _NOT_WEAKLY),
+        20, 1,
+        {"ring": "Z8", "m": 3, "n": 1,
+         "detail": "nil-contained ideals all weakly closed: False, "
+                   "w**m == 0 on the nilradical: True"},
+        id="T-NILIDEAL",
+    ),
+    pytest.param(
+        "T-VNRFACTS-7",
+        _force("is_mn_regular_ring", "Z6", (4, 4), False),
+        725, 425,
+        {"ring": "Z6",
+         "detail": "(2,1)-regular is True but all-pairs regular is False"},
+        id="T-VNRFACTS-7-ring-rider",
+    ),
+    pytest.param(
+        "T-BK",
+        _force("_is_vnr", "Z8", (4, 2, 1), True),
+        32, 0,
+        {"ring": "Z8", "element": 4, "k": 2,
+         "detail": "profile k is not minimal"},
+        id="T-BK-minimality",
+    ),
+    pytest.param(
+        "T-STRONG",
+        _force("is_strongly_pi_regular", "Z6", (), (False, None)),
+        13, 2,
+        {"ring": "Z6", "m": 2, "n": 1,
+         "detail": "(m,n)-regular ring is not strongly pi-regular"},
+        id="T-STRONG-not-strongly",
+    ),
+    pytest.param(
+        "T-STRONG",
+        _force("krull_dim", "Z2 x Z2", (), 1),
+        22, 5,
+        {"ring": "Z2 x Z2", "m": 2, "n": 1,
+         "detail": "(m,n)-regular ring has nonzero dimension"},
+        id="T-STRONG-dimension",
+    ),
+    pytest.param(
+        "T-SPR",
+        _force("krull_dim", "Z4", (), 1),
+        3, 0,
+        {"ring": "Z4",
+         "detail": "strongly pi-regular equivalence broken: direct True, some-pair True, "
+                   "uniform-n True, structural False"},
+        id="T-SPR-equivalence",
+    ),
+    pytest.param(
+        "T-SPR",
+        _force("vnr_profile_ring", "Z8", (), regularity.VnrProfile(9)),
+        7, 0,
+        {"ring": "Z8",
+         "detail": "smallest strongly-pi exponent 3 differs from profile k"},
+        id="T-SPR-smallest-k",
+    ),
+    pytest.param(
+        "T-ALLWEAK",
+        _force("_weakly_closed_characterization", "Z6", (3, 1), False),
+        14, 0,
+        {"ring": "Z6", "m": 3, "n": 1,
+         "detail": "all ideals weakly closed: True, element characterization: False"},
+        id="T-ALLWEAK",
+    ),
+    pytest.param(
+        "T-ALLCLOSED",
+        _force("is_mn_regular_ring", "Z6", (2, 2), False),
+        42, 2,
+        {"ring": "Z6", "m": 2, "n": 2,
+         "detail": "all ideals closed: True, ring regular: False"},
+        id="T-ALLCLOSED",
+    ),
+    pytest.param(
+        "T-DIM0",
+        _flip_grid("Z6", {0, 3}, (3, 2), _WEAKLY),
+        15, 2,
+        {"ring": "Z6", "m": 3, "n": 2,
+         "detail": "three-way equivalence broken: all ideals closed False, regular True, "
+                   "dim-0-with-vanishing-nil True"},
+        id="T-DIM0",
+    ),
+    pytest.param(
+        "T-REDUCED",
+        _force("is_mn_regular_ring", "Z2 x Z2", (3, 1), False),
+        49, 2,
+        {"ring": "Z2 x Z2", "m": 3, "n": 1,
+         "detail": "reduced-ring equivalence broken: weakly True, closed True, regular False"},
+        id="T-REDUCED",
+    ),
+    pytest.param(
+        "T-ZPK",
+        _force("vnr_profile_ring", "Z8", (), regularity.VnrProfile(2)),
+        6, 0,
+        {"ring": "Z8", "expected_k": 3, "got_k": 2,
+         "detail": "Z_(p**k) does not have profile B_k"},
+        id="T-ZPK",
+    ),
+    pytest.param(
+        "T-PRODMAX",
+        _force("vnr_profile_ring", "Z4 x Z2", (), regularity.VnrProfile(1)),
+        3, 0,
+        {"ring": "Z4 x Z2", "expected_k": 2, "got_k": 1,
+         "detail": "product profile is not the factor maximum"},
+        id="T-PRODMAX",
+    ),
+]
+
+
+@pytest.mark.parametrize("theorem_id, patch, checked, vacuous, record", _FORCED_CASES)
+def test_forced_failures_are_pinned_and_replay(
+    monkeypatch, theorem_id, patch, checked, vacuous, record
+):
+    patch(monkeypatch)
+    verdict = verify_theorem(theorem_id, _FORCED_FAMILY)
+    assert verdict.status == FAIL
+    assert (verdict.instances_checked, verdict.vacuous_count) == (checked, vacuous)
+    assert verdict.counterexample == record
+    assert replay_counterexample(verdict, _FORCED_FAMILY)
+
+
 # --- separating-witness searches ----------------------------------------------
 
 
@@ -458,3 +752,41 @@ def test_search_weakly_closed_not_weakly_radical(search_family):
         and w["m"] == 2 and w["n"] == 1
     ]
     assert hits and hits[0]["radical_witness"] == [2, 3]
+
+
+def test_prod_weak_reaches_its_closed_other_side_case(monkeypatch):
+    # `_add2_condition` returns the other side's closedness only when one
+    # side is weakly-only and holds a nonzero m-th power while the other
+    # side holds none.  On Z8 (+) Z8 x Z2 one ideal reaches that case, at
+    # (3, 1), with a closed other side, and the theorem still holds there.
+    reached = []
+    real = theorems._add2_condition
+
+    def spy(side, other, m, n):
+        (side_grid, side_lands), (other_grid, other_lands) = side, other
+        if side_grid[m][n] == _WEAKLY and m in side_lands and m not in other_lands:
+            reached.append((m, n, other_grid[m][n]))
+        return real(side, other, m, n)
+
+    monkeypatch.setattr(theorems, "_add2_condition", spy)
+    family = make_family(
+        cyclic_moduli=(), product_moduli=(), idealization_max=1, m_max=3,
+        principal_primes=(), principal_max_exponent=2,
+        extra_specs=(parse_ring_spec("Z8 (+) Z8 x Z2"),),
+    )
+    verdict = verify_theorem("T-PROD-WEAK", family)
+    assert (verdict.status, verdict.instances_checked, verdict.vacuous_count) == (PASS, 75, 66)
+    assert reached == [(3, 1, _CLOSED)]
+
+
+def test_grids_reach_every_pair_past_grid_max():
+    # pairs and n + 1 steps up to 4 on a grid_max of 2: every checker must
+    # read grids as long as `InstanceFamily.max_exponent`, not grid_max
+    family = make_family(
+        cyclic_moduli=tuple(range(2, 9)), product_moduli=(2, 4), idealization_max=4,
+        principal_primes=(2,), principal_max_exponent=5, m_max=4, grid_max=2,
+        spot_pairs=((1, 1), (1, 3)),
+    )
+    assert (family.grid_max, family.max_exponent) == (2, 4)
+    for theorem_id in THEOREM_IDS:
+        assert verify_theorem(theorem_id, family).status == PASS, theorem_id
