@@ -135,11 +135,17 @@ def _resolve_workers(args) -> int:
     return workers
 
 
+def _load_family(args):
+    """The --family source, under --max-order when that flag is given."""
+    family = load_family(args.family)
+    if args.max_order is not None:
+        family = with_max_order(family, args.max_order)
+    return family
+
+
 def _cmd_verify(args) -> int:
     workers = _resolve_workers(args)
-    family = load_family(args.family)
-    if args.max_order != DEFAULT_ORDER_CAP:
-        family = with_max_order(family, args.max_order)
+    family = _load_family(args)
     if args.theorems == "all":
         ids = list(THEOREM_IDS)
     else:
@@ -176,9 +182,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    family = load_family(args.family)
-    if args.max_order != DEFAULT_ORDER_CAP:
-        family = with_max_order(family, args.max_order)
+    family = _load_family(args)
     witnesses = search_counterexamples(args.predicate, family)
     for witness in witnesses:
         if args.format == "machine":
@@ -228,14 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--family", default="default", help="'default' or a config path")
     p_verify.add_argument("--workers", type=int, default=None)
     p_verify.add_argument("--format", choices=("text", "machine"), default="text")
-    p_verify.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
+    p_verify.add_argument("--max-order", type=int, help="default: the family's max_order")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_search = sub.add_parser("search", help="search a family for separating witnesses")
     p_search.add_argument("predicate", choices=SEARCH_PREDICATES)
     p_search.add_argument("--family", default="default", help="'default' or a config path")
     p_search.add_argument("--format", choices=("text", "machine"), default="text")
-    p_search.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
+    p_search.add_argument("--max-order", type=int, help="default: the family's max_order")
     p_search.set_defaults(func=_cmd_search)
 
     return parser

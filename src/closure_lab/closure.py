@@ -107,19 +107,12 @@ def _set_thresholds(ring, members: frozenset) -> tuple:
     each None when there is none.  tau <= nu whenever nu exists, and
     x**t lies in I exactly when t >= tau.
 
-    Each row is one multiplication chain that stops at zero or at t = L =
-    `order.bit_length()`.  The bound is exact: a finite commutative ring
-    is a product of local rings R_i, and R_i has length l_i <= log2|R_i|
-    (every composition factor is a field with at least two elements), so
-    its maximal ideal M_i has M_i**l_i = 0.  For t >= l_i the component
-    of x**t in R_i is therefore 0 (x_i in M_i) or a unit, so x**t R is
-    the same ideal for every t >= max l_i, and max l_i <= log2|R| < L.
-    Hence x**t lies in I (or is 0) for some t only if it does for some
-    t <= L, and tau <= L and nu <= L whenever they exist.
+    Each row is one multiplication chain that stops at zero or at t = L,
+    the ring's `power_bound`: tau <= L and nu <= L whenever they exist.
     """
     mul = ring.mul
     zero = ring.zero
-    bound = ring.order.bit_length()
+    bound = ring.power_bound
     rows = []
     for x in ring.representatives:
         tau = nu = None
@@ -164,18 +157,18 @@ def _set_status_grid(ring, members: frozenset, size: int) -> tuple:
     as not_weakly when nu is None or nu > m and weakly_only otherwise,
     and a cell keeps the worse of its marks.
 
-    Past L = `order.bit_length()` the grid repeats itself: tau <= L and
-    nu <= L whenever they exist, so for m >= L the tests tau <= m and
-    nu > m give what they give at m = L, and for n >= L the test
-    n < tau fails as it does at n = L.  Hence status(m, n) =
-    status(min(m, L), min(n, L)), and only the cells up to L are
-    computed; longer rows and columns repeat the last computed ones.
+    Past L = `power_bound` the grid repeats itself: tau <= L and nu <= L
+    whenever they exist, so for m >= L the tests tau <= m and nu > m give
+    what they give at m = L, and for n >= L the test n < tau fails as it
+    does at n = L.  Hence status(m, n) = status(min(m, L), min(n, L)),
+    and only the cells up to L are computed; longer rows and columns
+    repeat the last computed ones.
     The checks run on a miss only: a failed call is not remembered.
     """
     if ring.one in members:
         raise ValueError(_IMPROPER)
     _require_positive(size)
-    top = min(size, ring.order.bit_length())
+    top = min(size, ring.power_bound)
     worst = [[0] * (top + 1) for _ in range(top + 1)]
     thresholds = _set_thresholds(ring, members)
     pairs = {(tau, nu) for _, tau, nu in thresholds if tau is not None and tau > 1}

@@ -254,20 +254,9 @@ def is_prime_ideal(ideal: Ideal) -> bool:
 @lru_cache(maxsize=None)
 def krull_dim(ring: FiniteRing) -> int:
     """Length of the longest strict chain of prime ideals, minus one."""
-    enumeration = enumerate_ideals(ring)
-    primes = [i for i in enumeration.proper if is_prime_ideal(i)]
-    depth: dict = {}
-
-    def chain_length(index: int) -> int:
-        if index in depth:
-            return depth[index]
-        best = 1
-        for j, other in enumerate(primes):
-            if j != index and other.elements < primes[index].elements:
-                best = max(best, 1 + chain_length(j))
-        depth[index] = best
-        return best
-
-    if not primes:
-        return -1
-    return max(chain_length(i) for i in range(len(primes))) - 1
+    # `proper` is sorted by size, so every prime inside P comes before P
+    chains = []  # (prime, longest chain of primes ending at it)
+    for p in (i for i in enumerate_ideals(ring).proper if is_prime_ideal(i)):
+        below = [length for q, length in chains if q.elements < p.elements]
+        chains.append((p, 1 + max(below, default=0)))
+    return max((length for _, length in chains), default=0) - 1

@@ -82,14 +82,13 @@ def vnr_rows(ring: FiniteRing, x, size: int) -> tuple:
 @lru_cache(maxsize=4096)
 def _entry_rows(ring: FiniteRing, x, size: int) -> tuple:
     """`vnr_rows` of the class-table entry x.  x**t R is one ideal for
-    every t >= L = `order.bit_length()` (the length argument of
-    `closure._set_thresholds`), so x**t and x**L are associates: only
+    every t >= L = `power_bound`, so x**t and x**L are associates: only
     cells up to L are decided, once per entry, and a longer table pads
     the L table, repeating its last row and column.  Every decided cell
     is a divisibility test, never read off the B_k shape the theorems
     test."""
     _require_positive(size)
-    top = ring.order.bit_length()
+    top = ring.power_bound
     if size > top:
         pad = size - top
         rows = [(*row, *row[-1:] * pad) for row in _entry_rows(ring, x, top)]
@@ -109,14 +108,14 @@ def vnr_grid(ring: FiniteRing, x, max_m: int = 6, max_n: int = 6) -> dict:
 
 
 def vnr_profile_element(ring: FiniteRing, x) -> VnrProfile:
-    """Smallest k with x (k+1, k)-vnr; finite for every element of a
-    finite ring because power sequences are eventually periodic."""
+    """Smallest k with x (k+1, k)-vnr; at most L = `power_bound`, since
+    x**(L+1) R = x**L R."""
     ring.require_member(x)
-    for n in range(1, ring.order + 2):
+    for n in range(1, ring.power_bound + 1):
         if _is_vnr(ring, x, n + 1, n):
             return VnrProfile(n)
     raise ConsistencyError(
-        f"no profile within order bound for {x!r} in {ring.spec_str}"
+        f"no profile within the power bound for {x!r} in {ring.spec_str}"
     )
 
 
@@ -133,8 +132,8 @@ def vnr_profile_ring(ring: FiniteRing) -> VnrProfile:
 @lru_cache(maxsize=4096)
 def regular_rows(ring: FiniteRing) -> tuple:
     """``rows[m][n]``: every class-table entry is (m,n)-vnr, for 1 <= m, n
-    <= L = `order.bit_length()`; past L the answer is the one at L."""
-    top = ring.order.bit_length()
+    <= L = `power_bound`; past L the answer is the one at L."""
+    top = ring.power_bound
     tables = [vnr_rows(ring, x, top) for x in ring.representatives]
     rows = [(None,) * (top + 1)]
     for m in range(1, top + 1):
@@ -145,7 +144,7 @@ def regular_rows(ring: FiniteRing) -> tuple:
 def is_mn_regular_ring(ring: FiniteRing, m: int, n: int) -> bool:
     """Every element is (m,n)-vnr: one cell of `regular_rows`."""
     _require_positive(m, n)
-    top = ring.order.bit_length()
+    top = ring.power_bound
     return regular_rows(ring)[min(m, top)][min(n, top)]
 
 
@@ -155,7 +154,7 @@ def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
     Divisibility answers come from the class-table rows `vnr_rows`, never
     from `status_grid`, so this stays an independent cross-check."""
     _require_positive(m, n)
-    top = ring.order.bit_length()
+    top = ring.power_bound
     nil = ring.nilpotency_indices
     return all(
         nil[x] <= m if x in nil else vnr_rows(ring, x, top)[min(m, top)][min(n, top)]
@@ -197,10 +196,11 @@ def all_proper_ideals_closed(ring: FiniteRing, m: int, n: int) -> bool:
 
 def is_strongly_pi_regular(ring: FiniteRing):
     """Smallest n such that x**(2n) * r == x**n is solvable for every x,
-    found by direct ascending search.  Finite rings always have one;
-    returns (True, n), or (False, None) should the bound ever be passed.
+    found by direct ascending search up to L = `power_bound`, where
+    x**(2L) R = x**L R.  Finite rings always have one; returns (True, n),
+    or (False, None) should the bound ever be passed.
     """
-    for n in range(1, ring.order + 2):
+    for n in range(1, ring.power_bound + 1):
         if all(_is_vnr(ring, x, 2 * n, n) for x in ring.representatives):
             return True, n
     return False, None

@@ -33,7 +33,6 @@ from .specs import (
     RingSpec,
     SpecError,
     format_ring_spec,
-    spec_order,
 )
 
 DEFAULT_ORDER_CAP = 2 ** 20
@@ -60,11 +59,24 @@ class ForeignElementError(ValueError):
 
 
 class FiniteRing:
-    """Base class; subclasses fix the arithmetic for one spec kind."""
+    """Base class; subclasses fix the arithmetic for one spec kind.
+
+    `power_bound` is L = `order.bit_length()`, the one bound on powers
+    that every table relies on: x**t R is the same ideal for all t >= L.
+    Proof: a finite commutative ring is a product of local rings R_i, and
+    R_i has length l_i <= log2|R_i| (every composition factor is a field
+    with at least two elements), so its maximal ideal M_i has M_i**l_i =
+    0.  For t >= l_i the component of x**t in R_i is therefore 0 (x_i in
+    M_i) or a unit, so x**t R is the same ideal for every t >= max l_i,
+    and max l_i <= log2|R| < L.  Hence x**t lies in an ideal I (or is 0)
+    for some t only if it does for some t <= L, and the least such t is
+    at most L.
+    """
 
     def __init__(self, spec: RingSpec, order: int, zero, one, max_order: int):
         self.spec = spec
         self.order = order
+        self.power_bound = order.bit_length()
         self.zero = zero
         self.one = one
         self.max_order = max_order
@@ -180,15 +192,12 @@ class FiniteRing:
     def nilpotency_index(self, x):
         """Smallest k >= 1 with x**k == 0, or None for non-nilpotents.
 
-        Powers are iterated until zero, never past k = `order.bit_length()`:
-        a nilpotent's index is at most that bound (the length argument of
-        `closure._set_thresholds`).
+        Powers are iterated until zero, never past k = `power_bound`.
         """
-        bound = self.order.bit_length()
         y = x
         k = 1
         while y != self.zero:
-            if k >= bound:
+            if k >= self.power_bound:
                 return None
             y = self.mul(y, x)
             k += 1
@@ -280,7 +289,11 @@ class CyclicRing(FiniteRing):
         n = spec.modulus
         super().__init__(spec, n, 0, 1, max_order)
         self.n = n
-        self._radical = squarefree_radical(n)
+
+    @cached_property
+    def _radical(self):
+        # on first use, not at build time: the order cap is checked first
+        return squarefree_radical(self.n)
 
     def add(self, x, y):
         return (x + y) % self.n
@@ -325,10 +338,6 @@ class CyclicRing(FiniteRing):
     @cached_property
     def units(self):
         return frozenset(x for x in range(self.n) if math.gcd(x, self.n) == 1)
-
-    @cached_property
-    def characteristic(self):
-        return self.n
 
 
 class ProductRing(FiniteRing):
@@ -397,10 +406,6 @@ class ProductRing(FiniteRing):
     def units(self):
         return frozenset(iter_product(self.left.units, self.right.units))
 
-    @cached_property
-    def characteristic(self):
-        return math.lcm(self.left.characteristic, self.right.characteristic)
-
 
 class IdealizationRing(FiniteRing):
     """Trivial extension Z_n (+) Z_d: (r, m)(s, u) = (rs, ru + sm)."""
@@ -410,7 +415,10 @@ class IdealizationRing(FiniteRing):
         super().__init__(spec, n * d, (0, 0), (1, 0), max_order)
         self.n = n
         self.d = d
-        self._radical = squarefree_radical(n)
+
+    @cached_property
+    def _radical(self):
+        return squarefree_radical(self.n)
 
     def add(self, x, y):
         return ((x[0] + y[0]) % self.n, (x[1] + y[1]) % self.d)
@@ -501,10 +509,6 @@ class IdealizationRing(FiniteRing):
             if math.gcd(r, self.n) == 1
             for m in range(self.d)
         )
-
-    @cached_property
-    def characteristic(self):
-        return self.n
 
 
 class QuotientRing(FiniteRing):
@@ -608,12 +612,9 @@ def additive_closure(ring: FiniteRing, seed) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
-    arithmetic_order = spec_order(spec)
-    if arithmetic_order is not None and arithmetic_order > max_order:
-        raise OrderCapError(
-            f"{format_ring_spec(spec)} has order {arithmetic_order}, "
-            f"exceeding the cap {max_order}"
-        )
+    # every kind builds without listing its elements, so the cap is checked
+    # on the built ring; a quotient's base passes its own check before
+    # `QuotientRing` walks it
     if isinstance(spec, CyclicZ):
         ring: FiniteRing = CyclicRing(spec, max_order)
     elif isinstance(spec, Product):
@@ -641,6 +642,10 @@ def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
         ring = QuotientRing(spec, base, members, max_order)
     else:
         raise TypeError(f"not a ring spec: {spec!r}")
+    if ring.order > max_order:
+        raise OrderCapError(
+            f"{ring.spec_str} has order {ring.order}, exceeding the cap {max_order}"
+        )
     return ring
 
 

@@ -279,19 +279,3 @@ def parse_ring_with_ideal(text: str):
         parser.expect(_T_RP, "')'")
     parser.finish()
     return spec, gens
-
-
-def spec_order(spec: RingSpec):
-    """Arithmetic order of a spec, or None when it needs realization
-    (quotients: the ideal size is only known after saturation)."""
-    if isinstance(spec, CyclicZ):
-        return spec.modulus
-    if isinstance(spec, Idealization):
-        return spec.base_modulus * spec.module_modulus
-    if isinstance(spec, Product):
-        left = spec_order(spec.left)
-        right = spec_order(spec.right)
-        if left is None or right is None:
-            return None
-        return left * right
-    return None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
+from itertools import product, repeat
 from math import inf
 
 from . import closure
@@ -944,9 +944,9 @@ def _check_reduced(family):
 def _check_spr(family):
     tally = _Tally("T-SPR")
     for ring in _family_rings(family, order_cap=family.spr_order_cap):
-        # every power value x**m already occurs for some m <= order + 1,
-        # so the bounded sweeps below decide the unbounded quantifiers
-        bound = ring.order + 1
+        # x**t R is one ideal from t = L = `power_bound` on, so the sweeps
+        # up to L decide the unbounded quantifiers
+        bound = ring.power_bound
         strongly, smallest = is_strongly_pi_regular(ring)
         some_pair = any(
             is_mn_regular_ring(ring, m, n)
@@ -1058,11 +1058,6 @@ def verify_theorem(theorem_id: str, family: InstanceFamily | None = None) -> The
     return checker(family)
 
 
-def _verify_task(args):
-    theorem_id, family = args
-    return verify_theorem(theorem_id, family)
-
-
 def verify_many(
     theorem_ids, family: InstanceFamily | None = None, workers: int = 1
 ) -> list:
@@ -1081,7 +1076,7 @@ def verify_many(
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_verify_task, [(theorem_id, family) for theorem_id in ids]))
+        return list(pool.map(verify_theorem, ids, repeat(family)))
 
 
 def replay_counterexample(verdict: TheoremVerdict, family: InstanceFamily | None = None) -> bool:
@@ -1103,9 +1098,6 @@ def replay_counterexample(verdict: TheoremVerdict, family: InstanceFamily | None
             narrow = replace(narrow, mn_pairs=((m, n),), spot_pairs=())
         else:
             narrow = replace(narrow, mn_pairs=(), spot_pairs=((m, n),))
-    elif "n" in record:
-        n = record["n"]
-        narrow = replace(narrow, mn_pairs=((n + 1, n),), spot_pairs=())
     replayed = verify_theorem(verdict.theorem_id, narrow)
     return replayed.status == FAIL
 

@@ -84,6 +84,31 @@ def test_max_order_violation_named(capsys):
     assert "cap" in err
 
 
+def test_max_order_caps_products_with_quotient_factors(capsys):
+    # each factor has order 1000, within the cap; the product does not
+    code, out, err = run_cli(capsys, "profile", "--ring", "Z1000 x Z1000/(0)", "--max-order", "1000")
+    assert code == 1
+    assert out == ""
+    assert "has order 1000000, exceeding the cap 1000" in err
+
+
+def test_explicit_max_order_overrides_the_family_file(capsys, tmp_path):
+    # an explicit --max-order applies whatever its value, the default included
+    path = tmp_path / "capped.family"
+    path.write_text("cyclic_moduli = 2, 128\nmax_order = 64\n", encoding="utf-8")
+    family = ("--family", str(path))
+    code, out, err = run_cli(
+        capsys, "verify", "--theorems", "T-ZPK", "--workers", "1", *family, "--max-order", "1048576"
+    )
+    assert (code, err) == (0, "")
+    assert "summary: 1/1 pass" in out
+    code, _, err = run_cli(capsys, "search", "weak-not-closed-exists", *family, "--max-order", "1048576")
+    assert (code, err) == (0, "")
+    code, _, err = run_cli(capsys, "verify", "--theorems", "T-ZPK", "--workers", "1", *family)
+    assert code == 1
+    assert "exceeding the cap 64" in err
+
+
 def test_negative_ideal_literal_rejected(capsys):
     code, out, err = run_cli(capsys, "check", "--ring", "Z8", "--ideal", "-4", "--m", "2", "--n", "1")
     assert code == 1

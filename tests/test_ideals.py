@@ -20,6 +20,7 @@ from closure_lab import (
     quotient_ring,
     split_product_ideal,
 )
+from closure_lab import ideals
 from closure_lab.rings import CyclicRing, ProductRing
 
 from _oracles import brute_all_ideals, brute_ideal_lattice, naive_ideal_closure
@@ -134,6 +135,29 @@ def test_prime_and_dimension_examples():
 )
 def test_krull_dimension_zero(text):
     assert krull_dim(ring(text)) == 0
+
+
+@pytest.fixture
+def fresh_krull_dim():
+    krull_dim.cache_clear()
+    yield
+    krull_dim.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "text, prime, expected",
+    [
+        ("Z8", lambda i: True, 2),  # 0 < 4Z8 < 2Z8
+        ("Z2 x Z2", lambda i: True, 1),  # 0 < Z2 x 0
+        ("Z8", lambda i: False, -1),
+    ],
+)
+def test_krull_dim_chains_of_patched_primes(monkeypatch, fresh_krull_dim, text, prime, expected):
+    # finite rings have dimension 0, so the chain walk only runs when
+    # primality is forced: every proper ideal "prime" gives the longest
+    # inclusion chain of proper ideals, none prime gives -1
+    monkeypatch.setattr(ideals, "is_prime_ideal", prime)
+    assert krull_dim(ring(text)) == expected
 
 
 def test_ideal_lattice_maps_onto_quotient_ideals():

@@ -21,8 +21,10 @@ from closure_lab import (
     power,
     quotient_ring,
     units,
+    vnr_profile_element,
     zero_divisors,
 )
+from closure_lab import rings
 from closure_lab.rings import additive_closure, ideal_closure
 
 from _oracles import (
@@ -56,6 +58,43 @@ def test_order_cap():
     with pytest.raises(OrderCapError):
         build_ring(CyclicZ(100), max_order=64)
     assert build_ring(CyclicZ(100), max_order=128).order == 100
+
+
+def test_order_cap_holds_for_products_with_quotient_factors():
+    # each factor has order 1000, within the cap; the product does not
+    with pytest.raises(OrderCapError, match="has order 1000000, exceeding the cap 1000"):
+        build_ring(parse_ring_spec("Z1000 x Z1000/(0)"), 1000)
+    # a quotient's base is checked before the quotient walks it
+    with pytest.raises(OrderCapError, match="^Z1000 has order 1000, exceeding the cap 999"):
+        build_ring(parse_ring_spec("Z1000/(0) x Z2"), 999)
+
+
+@pytest.mark.parametrize("text", ["Z100000000000000000039", "Z100000000000000000039 (+) Z1"])
+def test_order_cap_is_checked_before_the_modulus_is_factored(monkeypatch, text):
+    # a 21-digit prime modulus: factoring it by trial division would not end
+    def no_factoring(n):
+        raise AssertionError(f"{n} factored at build time")
+
+    monkeypatch.setattr(rings, "squarefree_radical", no_factoring)
+    with pytest.raises(OrderCapError, match="exceeding the cap 1048576"):
+        build_ring(parse_ring_spec(text))
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_power_bound_is_where_principal_powers_settle(text):
+    # x**L R == x**(L+1) R for L = power_bound, so the least k with
+    # x**(k+1) dividing x**k, looked for up to order + 1, is at most L
+    r = ring(text)
+    bound = r.power_bound
+    assert bound == r.order.bit_length()
+    for x in r.elements:
+        settled = brute_multiples(r, brute_power(r, x, bound))
+        assert brute_multiples(r, brute_power(r, x, bound + 1)) == settled, x
+        k = next(
+            n for n in range(1, r.order + 2)
+            if brute_divides(r, brute_power(r, x, n + 1), brute_power(r, x, n))
+        )
+        assert k <= bound and vnr_profile_element(r, x).k == k, x
 
 
 def test_arithmetic_examples():
