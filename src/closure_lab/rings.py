@@ -13,10 +13,12 @@ of those kinds never builds `elements`.  Rings are immutable once built;
 `build_ring` memoizes on the spec, so repeated builds of the same spec
 share one object (and its caches).
 
-Divisibility and structural sets are computed with per-kind shortcuts
-(gcd tests for cyclic rings, componentwise products, and so on); the
-test suite checks each shortcut against the exhaustive definition on
-small rings.
+Divisibility, literal indexing and class tables are per kind (gcd tests
+for cyclic rings, componentwise rules for products, and so on); the test
+suite checks each against the exhaustive definition on small rings.
+Units, nilpotents, zero-divisors and the characteristic come from the
+definitions, once, in `FiniteRing`: the divisors of 1, the elements with
+a zero power, the nonzero non-units, the additive order of 1.
 """
 
 from __future__ import annotations
@@ -217,20 +219,10 @@ class FiniteRing:
     def nilpotents(self) -> frozenset:
         return frozenset(self.nilpotency_indices)
 
-    def _is_unit(self, x) -> bool:
-        # in a finite commutative ring x is a unit iff some power of x is 1
-        seen = set()
-        y = x
-        while y not in seen:
-            if y == self.one:
-                return True
-            seen.add(y)
-            y = self.mul(y, x)
-        return False
-
     @cached_property
     def units(self) -> frozenset:
-        return frozenset(x for x in self.elements if self._is_unit(x))
+        """The divisors of 1."""
+        return frozenset(x for x in self.elements if self.divides(x, self.one))
 
     @cached_property
     def zero_divisors(self) -> frozenset:
@@ -279,21 +271,11 @@ def _is_prime_number(n: int) -> bool:
     return len(factors) == 1 and factors[0][1] == 1
 
 
-def squarefree_radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    return reduce(lambda acc, pe: acc * pe[0], _factorize(n), 1)
-
-
 class CyclicRing(FiniteRing):
     def __init__(self, spec: CyclicZ, max_order: int):
         n = spec.modulus
         super().__init__(spec, n, 0, 1, max_order)
         self.n = n
-
-    @cached_property
-    def _radical(self):
-        # on first use, not at build time: the order cap is checked first
-        return squarefree_radical(self.n)
 
     def add(self, x, y):
         return (x + y) % self.n
@@ -329,15 +311,6 @@ class CyclicRing(FiniteRing):
     @cached_property
     def additive_generators(self):
         return (1,)
-
-    @cached_property
-    def nilpotency_indices(self):
-        # the nilpotents of Z_n are the multiples of its squarefree radical
-        return {x: self.nilpotency_index(x) for x in range(0, self.n, self._radical)}
-
-    @cached_property
-    def units(self):
-        return frozenset(x for x in range(self.n) if math.gcd(x, self.n) == 1)
 
 
 class ProductRing(FiniteRing):
@@ -394,18 +367,6 @@ class ProductRing(FiniteRing):
             (self.left.zero, g) for g in self.right.additive_generators
         )
 
-    @cached_property
-    def nilpotency_indices(self):
-        return {
-            (a, b): max(ka, kb)
-            for a, ka in self.left.nilpotency_indices.items()
-            for b, kb in self.right.nilpotency_indices.items()
-        }
-
-    @cached_property
-    def units(self):
-        return frozenset(iter_product(self.left.units, self.right.units))
-
 
 class IdealizationRing(FiniteRing):
     """Trivial extension Z_n (+) Z_d: (r, m)(s, u) = (rs, ru + sm)."""
@@ -415,10 +376,6 @@ class IdealizationRing(FiniteRing):
         super().__init__(spec, n * d, (0, 0), (1, 0), max_order)
         self.n = n
         self.d = d
-
-    @cached_property
-    def _radical(self):
-        return squarefree_radical(self.n)
 
     def add(self, x, y):
         return ((x[0] + y[0]) % self.n, (x[1] + y[1]) % self.d)
@@ -484,31 +441,6 @@ class IdealizationRing(FiniteRing):
     def additive_generators(self):
         # 1 % d: the module Z1 has no element (0, 1)
         return ((1, 0), (0, 1 % self.d))
-
-    @cached_property
-    def nilpotency_indices(self):
-        # (r, m)**t = (r**t, t * r**(t-1) * m): with k the index of r in Z_n,
-        # the first coordinate vanishes from t = k on and the second from
-        # t = k + 1 on (d | n), so the index is k or k + 1
-        indices = {}
-        for r in range(0, self.n, self._radical):
-            k, y = 1, r
-            while y:
-                y, k = y * r % self.n, k + 1
-            scale = k * pow(r, k - 1, self.d)
-            for m in range(self.d):
-                indices[(r, m)] = k if scale * m % self.d == 0 else k + 1
-        return indices
-
-    @cached_property
-    def units(self):
-        # (r, m) is a unit iff r is a unit: the inverse is (r^-1, -r^-2 m)
-        return frozenset(
-            (r, m)
-            for r in range(self.n)
-            if math.gcd(r, self.n) == 1
-            for m in range(self.d)
-        )
 
 
 class QuotientRing(FiniteRing):

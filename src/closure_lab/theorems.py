@@ -941,6 +941,19 @@ def _check_reduced(family):
     return tally.done()
 
 
+def _unbounded_nilpotency_index(ring, x):
+    """Least k with x**k == 0, or None once the powers of x repeat first;
+    unlike `FiniteRing.nilpotency_index`, k is not capped at L."""
+    seen = set()
+    y, k = x, 1
+    while y != ring.zero:
+        if y in seen:
+            return None
+        seen.add(y)
+        y, k = ring.mul(y, x), k + 1
+    return k
+
+
 def _check_spr(family):
     tally = _Tally("T-SPR")
     for ring in _family_rings(family, order_cap=family.spr_order_cap):
@@ -957,7 +970,7 @@ def _check_spr(family):
             all(is_mn_regular_ring(ring, m, n) for m in range(1, bound + 1))
             for n in range(1, bound + 1)
         )
-        max_nil_index = max(ring.nilpotency_index(w) for w in ring.nilpotents)
+        max_nil_index = max(_unbounded_nilpotency_index(ring, x) or 0 for x in ring.elements)
         structural = krull_dim(ring) == 0 and max_nil_index <= bound
         if not (strongly == some_pair == uniform_n == structural):
             return tally.fail(

@@ -15,6 +15,7 @@ from closure_lab import (
     characteristic,
     element_arithmetic,
     enumerate_ideals,
+    ideal_from_generators,
     nilpotency_index,
     nilradical,
     parse_ring_spec,
@@ -24,7 +25,7 @@ from closure_lab import (
     vnr_profile_element,
     zero_divisors,
 )
-from closure_lab import rings
+from closure_lab import rings, theorems
 from closure_lab.rings import additive_closure, ideal_closure
 
 from _oracles import (
@@ -75,7 +76,7 @@ def test_order_cap_is_checked_before_the_modulus_is_factored(monkeypatch, text):
     def no_factoring(n):
         raise AssertionError(f"{n} factored at build time")
 
-    monkeypatch.setattr(rings, "squarefree_radical", no_factoring)
+    monkeypatch.setattr(rings, "_factorize", no_factoring)
     with pytest.raises(OrderCapError, match="exceeding the cap 1048576"):
         build_ring(parse_ring_spec(text))
 
@@ -286,17 +287,29 @@ def _assert_nilpotency_indices(r):
     assert list(r.nilpotency_indices.items()) == list(expected.items()), r
     assert frozenset(r.nilpotency_indices) == brute_nilpotents(r) == r.nilpotents, r
     assert all(r.nilpotency_index(x) == expected.get(x) for x in r.elements), r
+    assert all(
+        theorems._unbounded_nilpotency_index(r, x) == expected.get(x) for x in r.elements
+    ), r
+    assert r.units == brute_units(r) and r.zero_divisors == brute_zero_divisors(r), r
+
+
+def _extension_quotient():
+    # T-QUOT builds quotients of trivial extensions, which the grammar
+    # cannot spell; (4, 2) identifies (4, 0) with (0, 2)
+    base = ring("Z8 (+) Z4")
+    return quotient_ring(base, ideal_from_generators(base, [(4, 2)]))
 
 
 @pytest.mark.parametrize(
-    "text",
+    "source",
     [
         "Z2", "Z64", "Z72", "Z2 x Z4", "Z8 x Z9", "(Z4 (+) Z2) x Z2", "Z8 (+) Z1",
         "Z8 (+) Z4", "Z12 (+) Z6", "Z16 (+) Z16", "Z24/(8)", "(Z4 x Z4)/(2)", "Z24/(8) x Z4",
+        pytest.param(_extension_quotient, id="(Z8 (+) Z4)/((4, 2))"),
     ],
 )
-def test_nilpotency_indices_match_definition_on_every_kind(text):
-    _assert_nilpotency_indices(ring(text))
+def test_nilpotency_indices_match_definition_on_every_kind(source):
+    _assert_nilpotency_indices(source() if callable(source) else ring(source))
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,6 +392,7 @@ def test_large_ring_is_lazy_but_usable():
     assert "units" not in r.__dict__  # nothing structural is computed at build time
     assert r.power(3, 5) == 243
     assert 3 in r.units  # computed on demand
+    assert len(r.units) == 2 ** 16
 
 
 @pytest.mark.parametrize("text", KIND_RINGS + ["Z2 (+) Z1", "Z6 (+) Z1 x Z3"])

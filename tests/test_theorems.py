@@ -642,6 +642,16 @@ _FORCED_CASES = [
         id="T-SPR-smallest-k",
     ),
     pytest.param(
+        "T-SPR",
+        # L = 4 in Z8: an index past L breaks the structural clause
+        _force("_unbounded_nilpotency_index", "Z8", (2,), 5),
+        7, 0,
+        {"ring": "Z8",
+         "detail": "strongly pi-regular equivalence broken: direct True, some-pair True, "
+                   "uniform-n True, structural False"},
+        id="T-SPR-nilpotency-bound",
+    ),
+    pytest.param(
         "T-ALLWEAK",
         _force("_weakly_closed_characterization", "Z6", (3, 1), False),
         14, 0,
