@@ -5,12 +5,12 @@ weakly (m,n)-closed when that is only required for x**m nonzero.  The
 gap between the two notions is witnessed by unbreakable-zero elements:
 a with a**m == 0 but a**n not in I.
 
-One table per element set answers closedness, weak radicality and
-nonzero-power questions: `_thresholds` lists, for every entry x of the
-class table `FiniteRing.representatives` (one entry per associate
-class), the least t with x**t in I and the nilpotency index of x.  x
-breaks (m,n)-closedness exactly when n < tau(x) <= m, and weak
-(m,n)-closedness when also x**m != 0.
+One table per ideal (its element set, whatever its generators) answers
+closedness, weak radicality and nonzero-power questions: `_thresholds`
+lists, for every entry x of the class table `FiniteRing.representatives`
+(one entry per associate class), the least t with x**t in I and the
+nilpotency index of x.  x breaks (m,n)-closedness exactly when
+n < tau(x) <= m, and weak (m,n)-closedness when also x**m != 0.
 
 Status questions are answered by `status_grid`, which reads the status
 of every (m, n) of an ideal off the distinct (tau, nu) pairs of that
@@ -78,12 +78,9 @@ class ClosednessReport:
         return record
 
 
-_IMPROPER = "property is only defined for proper ideals"
-
-
 def _require_proper(ideal: Ideal):
     if not ideal.is_proper:
-        raise ValueError(_IMPROPER)
+        raise ValueError("property is only defined for proper ideals")
 
 
 def _require_positive(*values):
@@ -92,16 +89,9 @@ def _require_positive(*values):
             raise ValueError("exponents must be positive")
 
 
-def _thresholds(ideal: Ideal) -> tuple:
-    """The threshold table of an ideal, `_set_thresholds` of its ring and
-    element set: ideals with one element set share one table, whatever
-    their generators."""
-    return _set_thresholds(ideal.ring, ideal.elements)
-
-
-# bounded; the pinned 148-ring family asks for 2852 distinct element sets
+# bounded; one table per ideal value, 2852 of them on the pinned 148-ring family
 @lru_cache(maxsize=4096)
-def _set_thresholds(ring, members: frozenset) -> tuple:
+def _thresholds(ideal: Ideal) -> tuple:
     """One row (x, tau, nu) per class-table entry x, in table order: tau
     the least t >= 1 with x**t in I, nu the least t >= 1 with x**t == 0,
     each None when there is none.  tau <= nu whenever nu exists, and
@@ -110,6 +100,7 @@ def _set_thresholds(ring, members: frozenset) -> tuple:
     Each row is one multiplication chain that stops at zero or at t = L,
     the ring's `power_bound`: tau <= L and nu <= L whenever they exist.
     """
+    ring, members = ideal.ring, ideal.elements
     mul = ring.mul
     zero = ring.zero
     bound = ring.power_bound
@@ -133,25 +124,17 @@ def _set_thresholds(ring, members: frozenset) -> tuple:
 _STATUSES = (STATUS_CLOSED, STATUS_WEAKLY_ONLY, STATUS_NOT_WEAKLY)
 
 
+# bounded like `_thresholds`, whose rows it reads
+@lru_cache(maxsize=4096)
 def status_grid(ideal: Ideal, size: int) -> tuple:
     """The status of every (m, n) with 1 <= m, n <= size: ``grid[m][n]``
     is `STATUS_CLOSED`, `STATUS_WEAKLY_ONLY` or `STATUS_NOT_WEAKLY`, the
     status `classify` reports.  Exponents are positive, so row 0 and
     column 0 hold None; they only let the grid be indexed by exponent.
-    Every status depends on the element set alone, so ideals with one
-    element set share one grid (`_set_status_grid`), which checks that
-    the ideal is proper and size positive."""
-    return _set_status_grid(ideal.ring, ideal.elements, size)
-
-
-# bounded like `_set_thresholds`, whose rows it reads
-@lru_cache(maxsize=4096)
-def _set_status_grid(ring, members: frozenset, size: int) -> tuple:
-    """`status_grid` of the ideal with element set `members`.
 
     x breaks (m,n)-closedness exactly when n < tau(x) <= m, and weak
     (m,n)-closedness when also nu(x) > m or nu(x) is None (see
-    `_set_thresholds`), so the grid follows from the distinct (tau, nu)
+    `_thresholds`), so the grid follows from the distinct (tau, nu)
     pairs of the threshold table; rows with tau = 1 never satisfy
     n < tau and are left out.  Each pair marks the cells n < tau <= m,
     as not_weakly when nu is None or nu > m and weakly_only otherwise,
@@ -163,15 +146,14 @@ def _set_status_grid(ring, members: frozenset, size: int) -> tuple:
     does at n = L.  Hence status(m, n) = status(min(m, L), min(n, L)),
     and only the cells up to L are computed; longer rows and columns
     repeat the last computed ones.
-    The checks run on a miss only: a failed call is not remembered.
+    One grid per (ideal value, size); the checks run on a miss only, and a
+    failed call is not remembered.
     """
-    if ring.one in members:
-        raise ValueError(_IMPROPER)
+    _require_proper(ideal)
     _require_positive(size)
-    top = min(size, ring.power_bound)
+    top = min(size, ideal.ring.power_bound)
     worst = [[0] * (top + 1) for _ in range(top + 1)]
-    thresholds = _set_thresholds(ring, members)
-    pairs = {(tau, nu) for _, tau, nu in thresholds if tau is not None and tau > 1}
+    pairs = {(tau, nu) for _, tau, nu in _thresholds(ideal) if tau is not None and tau > 1}
     for tau, nu in pairs:
         for m in range(tau, top + 1):
             level = 2 if nu is None or nu > m else 1
@@ -287,9 +269,9 @@ def is_n_absorbing(
     so the cut holds no failure and the first witness is the one a full
     scan finds.
 
-    The answer of each (ideal, n, weak) sweep is remembered (up to 4096
-    of them).  Raises `AbsorbingBudgetError` when order**(n+1) exceeds
-    the budget, checked before any remembered answer is read.
+    Each (ideal value, n, weak) answer is remembered (up to 4096 of
+    them).  Raises `AbsorbingBudgetError` when order**(n+1) exceeds the
+    budget, checked before any remembered answer is read.
     """
     _require_proper(ideal)
     _require_positive(n)

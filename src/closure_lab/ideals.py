@@ -1,12 +1,12 @@
 """Ideals as explicit element sets: construction, enumeration, quotients.
 
-An `Ideal` carries its full (canonical, sorted) element set alongside the
-generators that produced it, so every membership-quantified property can
-be decided exactly by iteration.  Enumeration is complete by
-construction for every ring kind: structural for cyclic and product
-rings, and for trivial extensions and quotients a fixpoint that joins
-principal ideals until nothing new appears (every ideal is the sum of
-the principal ideals of its members).
+An ideal is its element set: an `Ideal` compares and hashes by ring and
+element set alone, and its generators are presentation only (records,
+quotient literals and enumeration joins read them).  Enumeration is
+complete by construction for every ring kind: structural for cyclic and
+product rings, and for trivial extensions and quotients a fixpoint that
+joins principal ideals until nothing new appears (every ideal is the sum
+of the principal ideals of its members).
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .specs import Quotient
 
 
 class Ideal:
-    """An ideal of a realized finite ring, as an explicit element set."""
+    """An ideal of a realized finite ring, as an explicit element set; equal
+    ideals share ring and element set, whatever their generators."""
 
     __slots__ = ("ring", "elements", "generators", "members", "_hash")
 
@@ -35,7 +36,7 @@ class Ideal:
         self.elements = elements
         self.generators = tuple(generators)
         self.members = tuple(sorted(elements))
-        self._hash = hash((ring, elements, self.generators))
+        self._hash = hash((ring, elements))
 
     def __contains__(self, x) -> bool:
         return x in self.elements
@@ -55,7 +56,6 @@ class Ideal:
             isinstance(other, Ideal)
             and self.ring == other.ring
             and self.elements == other.elements
-            and self.generators == other.generators
         )
 
     def __hash__(self):

@@ -78,7 +78,7 @@ def vnr_rows(ring: FiniteRing, x, size: int) -> tuple:
     return _entry_rows(ring, ring.class_entry(x), size)
 
 
-# bounded like `closure._set_status_grid`; 1526 entries on the pinned family
+# bounded like `closure.status_grid`; 1526 entries on the pinned family
 @lru_cache(maxsize=4096)
 def _entry_rows(ring: FiniteRing, x, size: int) -> tuple:
     """`vnr_rows` of the class-table entry x.  x**t R is one ideal for

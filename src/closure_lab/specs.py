@@ -179,6 +179,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    # each 'x' or '(' nests one level, and a product of k factors has order
+    # at least 2**k (the default cap admits 20): refusing text past 100 levels
+    # keeps parsing, hashing and printing a spec inside the recursion limit
+    MAX_DEPTH = 100
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -198,14 +203,16 @@ class _Parser:
             raise SpecSyntaxError(f"expected {what or kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_spec(self) -> RingSpec:
-        left = self.parse_term()
+    def parse_spec(self, depth=0) -> RingSpec:
+        if depth > self.MAX_DEPTH:
+            raise SpecSyntaxError(f"spec nested deeper than {self.MAX_DEPTH}", self.peek()[2])
+        left = self.parse_term(depth)
         if self.peek()[0] == _T_CROSS:
             self.next()
-            return Product(left, self.parse_spec())
+            return Product(left, self.parse_spec(depth + 1))
         return left
 
-    def parse_term(self) -> RingSpec:
+    def parse_term(self, depth) -> RingSpec:
         kind, _, pos = self.peek()
         if kind == _T_Z:
             self.next()
@@ -219,7 +226,7 @@ class _Parser:
                 base = CyclicZ(n)
         elif kind == _T_LP:
             self.next()
-            base = self.parse_spec()
+            base = self.parse_spec(depth + 1)
             self.expect(_T_RP, "')'")
         else:
             raise SpecSyntaxError("expected 'Z<int>' or '('", pos)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 from closure_lab import THEOREM_IDS
 from closure_lab.cli import main
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +92,34 @@ def test_max_order_caps_products_with_quotient_factors(capsys):
     assert code == 1
     assert out == ""
     assert "has order 1000000, exceeding the cap 1000" in err
+
+
+def test_deep_specs_exit_one_with_one_error_line(capsys, tmp_path):
+    # nested this deep, the spec's own hash (600 factors) and the parser
+    # (1200) overflowed the recursion limit with a traceback
+    for factors in (600, 1200):
+        code, out, err = run_cli(capsys, "profile", "--ring", " x ".join(["Z2"] * factors))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    path = tmp_path / "deep.family"
+    path.write_text("extra_rings = " + " x ".join(["Z2"] * 700) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--family", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1, err
+
+
+def test_readme_machine_examples_match_the_cli(capsys):
+    check, verdict = re.findall(r"```json\n(.*?)\n```", (ROOT / "README.md").read_text(), re.S)
+    code, out, _ = run_cli(
+        capsys, "check", "--ring", "Z8", "--ideal", "4", "--m", "3", "--n", "1", "--format", "machine"
+    )
+    assert (code, out) == (0, check + "\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "--theorems", "T-NIL", "--family", "default", "--format", "machine"
+    )
+    # the verdict record, then the summary record that ends every stream
+    assert code == 0
+    assert out == verdict + "\n" + '{"passed":1,"summary":true,"total":1}\n'
 
 
 def test_explicit_max_order_overrides_the_family_file(capsys, tmp_path):

@@ -191,6 +191,16 @@ def test_n_absorbing_sweep_runs_once_per_instance():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_n_absorbing_sweep_runs_once_per_ideal_value():
+    # (6) and (6, 0) present one ideal of Z12: one sweep answers both
+    _first_absorbing_failure.cache_clear()
+    r = ring("Z12")
+    first = is_n_absorbing(ideal_from_generators(r, (6,)), 2, weak=True)
+    assert is_n_absorbing(ideal_from_generators(r, (6, 0)), 2, weak=True) == first
+    info = _first_absorbing_failure.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize(
     "text", ["Z8", "Z12", "Z16", "Z2 x Z4", "Z3 x Z4", "Z4 (+) Z2", "Z4 (+) Z4", "Z24/(8)", "(Z4 x Z4)/(2)"]
 )

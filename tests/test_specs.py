@@ -71,6 +71,17 @@ def test_syntax_error_carries_position():
     assert "expected" in str(err.value)
 
 
+def test_nesting_depth_is_capped_at_a_syntax_error():
+    # 101 factors nest 100 deep, the limit; one more factor or one more
+    # pair of parentheses passes it, at the position where it does
+    deepest = " x ".join(["Z2"] * 101)
+    assert format_ring_spec(parse_ring_spec(deepest)) == deepest
+    for text in (deepest + " x Z2", f"({deepest})"):
+        with pytest.raises(SpecSyntaxError, match="nested deeper than 100") as err:
+            parse_ring_spec(text)
+        assert text[err.value.position] == "Z"
+
+
 def test_quotient_only_after_cyclic_or_product():
     with pytest.raises(SpecSyntaxError):
         parse_ring_spec("(Z8 (+) Z4)/(3)")
