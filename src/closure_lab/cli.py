@@ -8,12 +8,14 @@ sorted keys, so identical invocations are byte-identical.
 
 Exit codes: 0 for success (for `check`: the ideal is weakly closed;
 for `verify`: every theorem passed), 1 for usage or parse errors, 2 when
-the queried property is false or a theorem did not pass.
+the queried property is false or a theorem did not pass, and 141 when
+stdout was closed before the output was written (see `run`).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -34,6 +36,9 @@ from .theorems import (
 )
 
 WORKERS_ENV = "CLOSURE_LAB_WORKERS"
+# exit code when stdout is closed under the command: 128 + SIGPIPE, what a
+# shell reports for a process that SIGPIPE ended
+BROKEN_PIPE_EXIT = 141
 
 
 def _machine_line(record: dict) -> str:
@@ -246,6 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  A closed stdout raises
+    `BrokenPipeError`; every other input or OS error prints one `error:`
+    line and returns 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -253,10 +261,35 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (SpecError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+def run() -> None:
+    """The `closure-lab` script and ``python -m closure_lab``: run `main`,
+    flush stdout and stderr, and leave through `os._exit` with its code.
+
+    A one-shot process has no use for freeing its caches, so it skips the
+    interpreter's teardown, and it stops the cyclic garbage collector,
+    which would only scan the caches again and again: the commands leave
+    no reference cycle behind but the parser's (a test pins that for the
+    theorem catalog and the searches).  Any process pool is shut down
+    inside `main`, so no child outlives it.  An exception still ends the
+    process with its traceback.  A reader that closes stdout early gets
+    exit code `BROKEN_PIPE_EXIT` and no traceback.
+    """
+    gc.disable()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = BROKEN_PIPE_EXIT
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

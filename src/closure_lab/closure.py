@@ -15,6 +15,11 @@ n < tau(x) <= m, and weak (m,n)-closedness when also x**m != 0.
 Status questions are answered by `status_grid`, which reads the status
 of every (m, n) of an ideal off the distinct (tau, nu) pairs of that
 table at once; callers that ask about many pairs fetch the grid once.
+A grid depends only on those pairs, L and its length, so it is built
+once per such signature (`_signature_grid`): ideals with equal
+signatures share one grid object, which lets callers key on identity.
+Unbreakable zeros are read off a second table per ideal,
+`_nil_thresholds`, which holds tau and nu for every nilpotent.
 Witness questions are answered by the three closedness deciders
 (`classify`, `is_mn_closed`, `is_weakly_mn_closed`), which read one
 sweep of the table, `_failure_scan`, finding the first failing x and
@@ -136,24 +141,36 @@ def status_grid(ideal: Ideal, size: int) -> tuple:
     (m,n)-closedness when also nu(x) > m or nu(x) is None (see
     `_thresholds`), so the grid follows from the distinct (tau, nu)
     pairs of the threshold table; rows with tau = 1 never satisfy
-    n < tau and are left out.  Each pair marks the cells n < tau <= m,
-    as not_weakly when nu is None or nu > m and weakly_only otherwise,
-    and a cell keeps the worse of its marks.
-
-    Past L = `power_bound` the grid repeats itself: tau <= L and nu <= L
-    whenever they exist, so for m >= L the tests tau <= m and nu > m give
-    what they give at m = L, and for n >= L the test n < tau fails as it
-    does at n = L.  Hence status(m, n) = status(min(m, L), min(n, L)),
-    and only the cells up to L are computed; longer rows and columns
-    repeat the last computed ones.
+    n < tau and are left out.  Past L = `power_bound` the grid repeats
+    itself (see `_signature_grid`), so it depends only on those pairs,
+    min(size, L) and size: ideals with equal signatures share one grid
+    object.
     One grid per (ideal value, size); the checks run on a miss only, and a
     failed call is not remembered.
     """
     _require_proper(ideal)
     _require_positive(size)
-    top = min(size, ideal.ring.power_bound)
+    pairs = frozenset(
+        (tau, nu) for _, tau, nu in _thresholds(ideal) if tau is not None and tau > 1
+    )
+    return _signature_grid(pairs, min(size, ideal.ring.power_bound), size)
+
+
+# bounded; 113 signatures for the 2852 ideals of the pinned 148-ring family
+@lru_cache(maxsize=4096)
+def _signature_grid(pairs: frozenset, top: int, size: int) -> tuple:
+    """The grid of `status_grid` from its signature: the (tau, nu) pairs
+    with tau > 1, top = min(size, L) and size.
+
+    Each pair marks the cells n < tau <= m, as not_weakly when nu is None
+    or nu > m and weakly_only otherwise, and a cell keeps the worse of
+    its marks.  tau <= L and nu <= L whenever they exist, so for m >= L
+    the tests tau <= m and nu > m give what they give at m = L, and for
+    n >= L the test n < tau fails as it does at n = L.  Hence status(m, n)
+    = status(min(m, L), min(n, L)), and only the cells up to top are
+    computed; longer rows and columns repeat the last computed ones.
+    """
     worst = [[0] * (top + 1) for _ in range(top + 1)]
-    pairs = {(tau, nu) for _, tau, nu in _thresholds(ideal) if tau is not None and tau > 1}
     for tau, nu in pairs:
         for m in range(tau, top + 1):
             level = 2 if nu is None or nu > m else 1
@@ -207,19 +224,28 @@ def is_weakly_mn_closed(ideal: Ideal, m: int, n: int):
 def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
     """All a with a**m == 0 and a**n not in I, in canonical order.
 
-    a**m == 0 means nu(a) <= m, and a**n outside I needs a**n != 0, that
-    is nu(a) > n; the candidates are read off `nilpotency_indices` and
-    a**n is computed for them alone.
+    a**m == 0 means nu(a) <= m, and a**n lies outside I exactly when
+    n < tau(a); both are read off `_nil_thresholds`.
     """
     _require_proper(ideal)
     _require_positive(m, n)
-    ring = ideal.ring
-    members = ideal.elements
-    return tuple(
-        a
-        for a, nu in ring.nilpotency_indices.items()
-        if n < nu <= m and ring.power(a, n) not in members
-    )
+    return tuple(a for a, tau, nu in _nil_thresholds(ideal) if nu <= m and n < tau)
+
+
+# bounded like `_thresholds`; one table per ideal value
+@lru_cache(maxsize=4096)
+def _nil_thresholds(ideal: Ideal) -> tuple:
+    """One row (a, tau, nu) per nilpotent a, in canonical order: nu its
+    nilpotency index and tau the least t >= 1 with a**t in I, so tau <= nu
+    (0 lies in I) and a**t lies in I exactly when t >= tau."""
+    ring, members = ideal.ring, ideal.elements
+    rows = []
+    for a, nu in ring.nilpotency_indices.items():
+        y, tau = a, 1
+        while y not in members:
+            y, tau = ring.mul(y, a), tau + 1
+        rows.append((a, tau, nu))
+    return tuple(rows)
 
 
 def classify(ideal: Ideal, m: int, n: int) -> ClosednessReport:
@@ -322,4 +348,8 @@ def _first_absorbing_failure(ideal: Ideal, n: int, weak: bool):
                 return chosen + (x,)
         return None
 
-    return extend(0, ring.one, [], ())
+    witness = extend(0, ring.one, [], ())
+    # the recursive closure refers to itself; cut that cycle, so that it is
+    # freed now and not left to the cyclic collector (which `cli.run` stops)
+    del extend
+    return witness

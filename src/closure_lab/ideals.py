@@ -171,7 +171,9 @@ def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
         grown = []
         for members, gens in frontier:
             for extra_members, extra_gens in principal:
-                if extra_members <= members:
+                # J + P is J when P <= J, and the principal P (found
+                # already) when J <= P
+                if extra_members <= members or members <= extra_members:
                     continue
                 joined = _ideal_sum(ring, members, extra_members)
                 if joined not in found:
@@ -211,7 +213,9 @@ def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:
     """Image of an ideal of the base ring under the natural projection."""
     if ideal.ring != quotient.base:
         raise ValueError("ideal does not belong to the base ring")
-    elements = frozenset(quotient.project(x) for x in ideal.elements)
+    # the members are base elements already: read the coset map unchecked
+    coset_of = quotient._rep_map
+    elements = frozenset(coset_of[x] for x in ideal.elements)
     gens = []
     for g in ideal.generators:
         image = quotient.project(g)

@@ -53,7 +53,12 @@ def _serialize(element):
 
 
 class OrderCapError(ValueError):
-    """Requested ring exceeds the configured order cap."""
+    """Requested ring exceeds the configured order cap; `spec` is the ring
+    over the cap, which may be a part of the ring asked for."""
+
+    def __init__(self, message: str, spec: RingSpec | None = None):
+        super().__init__(message)
+        self.spec = spec
 
 
 class ForeignElementError(ValueError):
@@ -94,7 +99,8 @@ class FiniteRing:
         return self.spec_str
 
     def __eq__(self, other):
-        return isinstance(other, FiniteRing) and self.spec == other.spec
+        # built rings are cached per spec, so most comparisons are identical
+        return self is other or (isinstance(other, FiniteRing) and self.spec == other.spec)
 
     def __hash__(self):
         return self._hash
@@ -576,15 +582,22 @@ def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
         raise TypeError(f"not a ring spec: {spec!r}")
     if ring.order > max_order:
         raise OrderCapError(
-            f"{ring.spec_str} has order {ring.order}, exceeding the cap {max_order}"
+            f"{ring.spec_str} has order {ring.order}, exceeding the cap {max_order}", spec
         )
     return ring
 
 
 def build_ring(spec: RingSpec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Realize a spec.  Elements and structural sets are computed on first
-    use and then cached on the ring; the default order cap is 2**20."""
-    return _build_cached(spec, max_order)
+    use and then cached on the ring; the default order cap is 2**20.  An
+    order-cap error for a part of `spec` (a factor, a quotient's base)
+    names `spec` too."""
+    try:
+        return _build_cached(spec, max_order)
+    except OrderCapError as exc:
+        if exc.spec == spec:
+            raise
+        raise OrderCapError(f"{exc} (in {format_ring_spec(spec)})", spec) from None
 
 
 # --- checked operation surface ----------------------------------------------

@@ -16,7 +16,11 @@ per theorem, so it cannot reorder anything observable.
 
 Checkers read an ideal's statuses through `_grid`, one status grid per
 ideal, and sweep every proper ideal of the family rings through
-`_ideal_grids`.
+`_ideal_grids`.  Ideals with one signature share one grid object
+(`closure.status_grid`), so a checker that reads only grids walks each
+distinct combination of grid objects once, through `_Tally.once` with
+an `_Tally.identity` key, and a ring-wide ``all(...)`` runs over the
+ring's distinct grids (`_distinct`).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .ideals import (
     enumerate_ideals,
     ideal_from_generators,
     image_ideal,
-    intersect_ideals,
     krull_dim,
     product_ideal,
     quotient_ring,
@@ -106,6 +109,7 @@ class _Tally:
         self.vacuous_count = 0
         self.skipped = 0
         self._walked: dict = {}  # key -> counts of a passed `once` walk
+        self._kept: dict = {}  # id -> object, for every object of an `identity` key
 
     def substantive(self):
         self.checked += 1
@@ -148,6 +152,17 @@ class _Tally:
         if failure is None:
             self._walked[key] = (self.checked - checked, self.vacuous_count - vacuous)
         return failure
+
+    def identity(self, *objects) -> tuple:
+        """A `once` key for `objects` by identity, cheap to hash however
+        large they are: equal status grids are one object per signature
+        (`closure.status_grid`).  The tally keeps every keyed object alive
+        for its own life, so no id in a key can be reused by another
+        object."""
+        kept = self._kept
+        for obj in objects:
+            kept[id(obj)] = obj
+        return tuple(map(id, objects))
 
     def fail(self, **record) -> TheoremVerdict:
         self.checked += 1
@@ -196,6 +211,12 @@ def _ideal_grids(family: InstanceFamily, **filters):
 def _status_grids(ring: FiniteRing, family: InstanceFamily) -> list:
     """The `_grid` of every proper ideal, in enumeration order."""
     return [_grid(family, ideal) for ideal in _proper_ideals(ring)]
+
+
+def _distinct(grids) -> list:
+    """`grids` without repeats, by identity: ideals with one signature
+    share one grid object, so a ring-wide ``all(...)`` reads each once."""
+    return list({id(g): g for g in grids}.values())
 
 
 def _instance(ring, ideal=None, m=None, n=None, **extra) -> dict:
@@ -248,18 +269,25 @@ def _check_basic_1(family):
 def _check_basic_2(family):
     tally = _Tally("T-BASIC-2")
     for ring, ideal, grid in _ideal_grids(family):
-        for m, n in family.all_pairs:
-            if grid[m][n] == STATUS_NOT_WEAKLY:
-                tally.vacuous()
-                continue
-            for n_bigger in range(n, family.grid_max + 1):
-                if grid[m][n_bigger] == STATUS_NOT_WEAKLY:
-                    return tally.fail(
-                        **_instance(ring, ideal, m, n),
-                        n_bigger=n_bigger,
-                        detail="weak closedness is not monotone in the target exponent",
-                    )
-            tally.substantive()
+
+        def walk():
+            for m, n in family.all_pairs:
+                if grid[m][n] == STATUS_NOT_WEAKLY:
+                    tally.vacuous()
+                    continue
+                for n_bigger in range(n, family.grid_max + 1):
+                    if grid[m][n_bigger] == STATUS_NOT_WEAKLY:
+                        return tally.fail(
+                            **_instance(ring, ideal, m, n),
+                            n_bigger=n_bigger,
+                            detail="weak closedness is not monotone in the target exponent",
+                        )
+                tally.substantive()
+            return None
+
+        failure = tally.once(tally.identity(grid), walk)
+        if failure is not None:
+            return failure
     return tally.done()
 
 
@@ -277,20 +305,29 @@ def _check_basic_4(family):
     for ring in _family_rings(family):
         ideals = _proper_ideals(ring)
         grids = _status_grids(ring, family)
+        # the meet of two proper ideals is a proper ideal of the ring
+        grid_of = {ideal.elements: grid for ideal, grid in zip(ideals, grids)}
         for i, (first, first_grid) in enumerate(zip(ideals, grids)):
             for second, second_grid in zip(ideals[i + 1 :], grids[i + 1 :]):
-                meet = _grid(family, intersect_ideals(first, second))
-                for m, n in family.all_pairs:
-                    if STATUS_NOT_WEAKLY in (first_grid[m][n], second_grid[m][n]):
-                        tally.vacuous()
-                        continue
-                    if meet[m][n] == STATUS_NOT_WEAKLY:
-                        return tally.fail(
-                            **_instance(ring, first, m, n),
-                            other_ideal=[_serialize(e) for e in second.members],
-                            detail="intersection of weakly closed ideals is not weakly closed",
-                        )
-                    tally.substantive()
+                meet = grid_of[first.elements & second.elements]
+
+                def walk():
+                    for m, n in family.all_pairs:
+                        if STATUS_NOT_WEAKLY in (first_grid[m][n], second_grid[m][n]):
+                            tally.vacuous()
+                            continue
+                        if meet[m][n] == STATUS_NOT_WEAKLY:
+                            return tally.fail(
+                                **_instance(ring, first, m, n),
+                                other_ideal=[_serialize(e) for e in second.members],
+                                detail="intersection of weakly closed ideals is not weakly closed",
+                            )
+                        tally.substantive()
+                    return None
+
+                failure = tally.once(tally.identity(first_grid, second_grid, meet), walk)
+                if failure is not None:
+                    return failure
     return tally.done()
 
 
@@ -305,7 +342,10 @@ def _shift_index(ring, a, i):
 def _check_shift(family):
     tally = _Tally("T-SHIFT")
     for ring, ideal, grid in _ideal_grids(family):
-        worst = {}  # a -> the largest _shift_index(a, i) over i in I, asked once per a
+        index = ring.nilpotency_indices
+        # a -> the largest _shift_index(a, i) over i in I, that is the
+        # largest nu over the coset a + I: asked once per coset
+        worst = {}
         for m, n in family.mn_pairs:
             # an unbreakable zero a (a**m == 0, a**n not in I) breaks
             # closedness, so a weakly closed I has one iff it is weakly-only
@@ -314,7 +354,8 @@ def _check_shift(family):
                 continue
             for a in unbreakable_zero_elements(ideal, m, n):
                 if a not in worst:
-                    worst[a] = max(_shift_index(ring, a, i) for i in ideal.members)
+                    coset = [ring.add(a, i) for i in ideal.members]
+                    worst.update(dict.fromkeys(coset, max(index.get(b, inf) for b in coset)))
                 if worst[a] > m:
                     # the first failing i, as a scan of the members finds it
                     i = next(i for i in ideal.members if _shift_index(ring, a, i) > m)
@@ -332,18 +373,26 @@ def _check_nil(family):
     tally = _Tally("T-NIL")
     for ring, ideal, grid in _ideal_grids(family):
         nil = ring.nilpotents
-        for m, n in family.all_pairs:
-            if grid[m][n] != STATUS_WEAKLY_ONLY:
-                tally.vacuous()
-                continue
-            if not ideal.elements <= nil:
-                stray = next(e for e in ideal.members if e not in nil)
-                return tally.fail(
-                    **_instance(ring, ideal, m, n),
-                    element=_serialize(stray),
-                    detail="weakly-only ideal is not contained in the nilradical",
-                )
-            tally.substantive()
+        inside = ideal.elements <= nil
+
+        def walk():
+            for m, n in family.all_pairs:
+                if grid[m][n] != STATUS_WEAKLY_ONLY:
+                    tally.vacuous()
+                    continue
+                if not inside:
+                    stray = next(e for e in ideal.members if e not in nil)
+                    return tally.fail(
+                        **_instance(ring, ideal, m, n),
+                        element=_serialize(stray),
+                        detail="weakly-only ideal is not contained in the nilradical",
+                    )
+                tally.substantive()
+            return None
+
+        failure = tally.once((*tally.identity(grid), inside), walk)
+        if failure is not None:
+            return failure
     return tally.done()
 
 
@@ -383,17 +432,24 @@ def _check_quot(family):
                 if not small.elements <= big.elements:
                     continue
                 image = _grid(family, image_ideal(quotient, big))
-                for m, n in family.mn_pairs:
-                    if grid[m][n] == STATUS_NOT_WEAKLY:
-                        tally.vacuous()
-                        continue
-                    if image[m][n] == STATUS_NOT_WEAKLY:
-                        return tally.fail(
-                            **_instance(ring, big, m, n),
-                            modulus_ideal=[_serialize(e) for e in small.members],
-                            detail="image of a weakly closed ideal is not weakly closed in the quotient",
-                        )
-                    tally.substantive()
+
+                def walk():
+                    for m, n in family.mn_pairs:
+                        if grid[m][n] == STATUS_NOT_WEAKLY:
+                            tally.vacuous()
+                            continue
+                        if image[m][n] == STATUS_NOT_WEAKLY:
+                            return tally.fail(
+                                **_instance(ring, big, m, n),
+                                modulus_ideal=[_serialize(e) for e in small.members],
+                                detail="image of a weakly closed ideal is not weakly closed in the quotient",
+                            )
+                        tally.substantive()
+                    return None
+
+                failure = tally.once(tally.identity(grid, image), walk)
+                if failure is not None:
+                    return failure
     return tally.done()
 
 
@@ -409,14 +465,21 @@ def _check_prod_closed(family):
             for factor in split_product_ideal(ring, ideal)
             if factor.is_proper
         ]
-        for m, n in family.all_pairs:
-            direct = grid[m][n] == STATUS_CLOSED
-            condition = all(g[m][n] == STATUS_CLOSED for g in factor_grids)
-            if not tally.agree(direct, condition):
-                return tally.fail(
-                    **_instance(ring, ideal, m, n),
-                    detail=f"direct closedness {direct} but factor condition {condition}",
-                )
+
+        def walk():
+            for m, n in family.all_pairs:
+                direct = grid[m][n] == STATUS_CLOSED
+                condition = all(g[m][n] == STATUS_CLOSED for g in factor_grids)
+                if not tally.agree(direct, condition):
+                    return tally.fail(
+                        **_instance(ring, ideal, m, n),
+                        detail=f"direct closedness {direct} but factor condition {condition}",
+                    )
+            return None
+
+        failure = tally.once(tally.identity(grid, *factor_grids), walk)
+        if failure is not None:
+            return failure
     return tally.done()
 
 
@@ -431,18 +494,25 @@ def _check_prod_factor(family):
         for factor, lifted in lifts:
             factor_grid = _grid(family, factor)
             lifted_grid = _grid(family, lifted)
-            for m, n in family.all_pairs:
-                weak_lifted = lifted_grid[m][n] != STATUS_NOT_WEAKLY
-                closed_factor = factor_grid[m][n] == STATUS_CLOSED
-                closed_lifted = lifted_grid[m][n] == STATUS_CLOSED
-                if not tally.agree(weak_lifted, closed_factor, closed_lifted):
-                    return tally.fail(
-                        **_instance(ring, lifted, m, n),
-                        detail=(
-                            f"equivalence broken: weakly(IxR)={weak_lifted}, "
-                            f"closed(I)={closed_factor}, closed(IxR)={closed_lifted}"
-                        ),
-                    )
+
+            def walk():
+                for m, n in family.all_pairs:
+                    weak_lifted = lifted_grid[m][n] != STATUS_NOT_WEAKLY
+                    closed_factor = factor_grid[m][n] == STATUS_CLOSED
+                    closed_lifted = lifted_grid[m][n] == STATUS_CLOSED
+                    if not tally.agree(weak_lifted, closed_factor, closed_lifted):
+                        return tally.fail(
+                            **_instance(ring, lifted, m, n),
+                            detail=(
+                                f"equivalence broken: weakly(IxR)={weak_lifted}, "
+                                f"closed(I)={closed_factor}, closed(IxR)={closed_lifted}"
+                            ),
+                        )
+                return None
+
+            failure = tally.once(tally.identity(factor_grid, lifted_grid), walk)
+            if failure is not None:
+                return failure
     return tally.done()
 
 
@@ -569,14 +639,21 @@ def _check_principal(family):
 # --- nilradical-bounded ideals (T-NILIDEAL) -------------------------------------
 
 
+def _nil_vanishes(ring, exponents) -> dict:
+    """{e: w**e == 0 for every nilpotent w}, decided once per exponent."""
+    nil, zero = ring.nilpotents, ring.zero
+    return {e: all(ring.power(w, e) == zero for w in nil) for e in set(exponents)}
+
+
 def _check_nilideal(family):
     tally = _Tally("T-NILIDEAL")
     for ring in _family_rings(family):
         nil = ring.nilpotents
-        grids = [_grid(family, i) for i in _proper_ideals(ring) if i.elements <= nil]
+        grids = _distinct(_grid(family, i) for i in _proper_ideals(ring) if i.elements <= nil)
+        vanishes = _nil_vanishes(ring, (m for m, _ in family.mn_pairs))
         for m, n in family.mn_pairs:
             all_weak = all(g[m][n] != STATUS_NOT_WEAKLY for g in grids)
-            vanishing = all(ring.power(w, m) == ring.zero for w in nil)
+            vanishing = vanishes[m]
             if not tally.agree(all_weak, vanishing):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
@@ -870,7 +947,7 @@ def _check_strong(family):
 def _check_allweak(family):
     tally = _Tally("T-ALLWEAK")
     for ring in _family_rings(family):
-        grids = _status_grids(ring, family)
+        grids = _distinct(_status_grids(ring, family))
         for m, n in family.mn_pairs:
             characterization = _weakly_closed_characterization(ring, m, n)
             direct = all(g[m][n] != STATUS_NOT_WEAKLY for g in grids)
@@ -886,7 +963,7 @@ def _check_allweak(family):
 def _check_allclosed(family):
     tally = _Tally("T-ALLCLOSED")
     for ring in _family_rings(family):
-        grids = _status_grids(ring, family)
+        grids = _distinct(_status_grids(ring, family))
         for m, n in family.all_pairs:
             regular = is_mn_regular_ring(ring, m, n)
             direct = all(g[m][n] == STATUS_CLOSED for g in grids)
@@ -901,13 +978,13 @@ def _check_allclosed(family):
 def _check_dim0(family):
     tally = _Tally("T-DIM0")
     for ring in _family_rings(family):
-        grids = _status_grids(ring, family)
+        grids = _distinct(_status_grids(ring, family))
         dim = krull_dim(ring)
-        nil = ring.nilpotents
+        vanishes = _nil_vanishes(ring, (n for _, n in family.mn_pairs))
         for m, n in family.mn_pairs:
             all_closed = all(g[m][n] == STATUS_CLOSED for g in grids)
             regular = is_mn_regular_ring(ring, m, n)
-            structural = dim == 0 and all(ring.power(w, n) == ring.zero for w in nil)
+            structural = dim == 0 and vanishes[n]
             if not tally.agree(all_closed, regular, structural):
                 return tally.fail(
                     **_instance(ring, m=m, n=n),
@@ -925,7 +1002,7 @@ def _check_reduced(family):
         if ring.nilpotents != frozenset({ring.zero}):
             tally.vacuous()
             continue
-        grids = _status_grids(ring, family)
+        grids = _distinct(_status_grids(ring, family))
         for m, n in family.all_pairs:
             all_weak = all(g[m][n] != STATUS_NOT_WEAKLY for g in grids)
             all_closed = all(g[m][n] == STATUS_CLOSED for g in grids)

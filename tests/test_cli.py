@@ -3,12 +3,15 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from closure_lab import THEOREM_IDS
-from closure_lab.cli import main
+from closure_lab.cli import BROKEN_PIPE_EXIT, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -92,6 +95,18 @@ def test_max_order_caps_products_with_quotient_factors(capsys):
     assert code == 1
     assert out == ""
     assert "has order 1000000, exceeding the cap 1000" in err
+
+
+def test_order_cap_error_names_the_ring_asked_for(capsys):
+    # the right-nested product is built inside out, and its innermost 21
+    # factors are the first part over the cap
+    spec = " x ".join(["Z2"] * 25)
+    code, out, err = run_cli(capsys, "profile", "--ring", spec)
+    assert (code, out) == (1, "")
+    inner = " x ".join(["Z2"] * 21)
+    assert err == (
+        f"error: {inner} has order 2097152, exceeding the cap 1048576 (in {spec})\n"
+    )
 
 
 def test_deep_specs_exit_one_with_one_error_line(capsys, tmp_path):
@@ -301,17 +316,63 @@ def test_nonpositive_workers_env_rejected(capsys, family_file, monkeypatch):
         assert "CLOSURE_LAB_WORKERS" in err
 
 
-def test_module_entry_point(family_file):
+def _module_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        [sys.executable, "-m", "closure_lab", "check", "--ring", "Z8",
-         "--ideal", "4", "--m", "3", "--n", "1", "--format", "machine"],
-        capture_output=True, text=True, env=env,
+    return env
+
+
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "closure_lab", *argv],
+        capture_output=True, text=True, env=_module_env(),
     )
+
+
+def test_module_entry_point(family_file):
+    # the real entry point leaves through os._exit: its exit codes, stdout
+    # and stderr must still be those `main` produced
+    check = ("check", "--ring", "Z8", "--ideal", "4", "--n", "1", "--format", "machine")
+    result = _run_module(*check, "--m", "3")
     assert result.returncode == 0
     assert json.loads(result.stdout.strip())["status"] == "weakly_only"
     assert result.stderr == ""
+    result = _run_module(*check, "--m", "2")
+    assert (result.returncode, result.stderr) == (2, "")
+    assert json.loads(result.stdout) == {
+        "ideal_gens": [4], "m": 2, "n": 1, "ring_spec": "Z8", "status": "not_weakly", "witness": 2,
+    }
+    result = _run_module("check", "--ring", "Z8 x", "--ideal", "4", "--m", "2", "--n", "1")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
+def test_entry_point_lets_exceptions_through():
+    # only `main`'s own exit codes leave through os._exit: anything else
+    # still ends the process with its traceback
+    code = "from closure_lab import cli\ncli.main = lambda: 1 // 0\ncli.run()\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env()
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("Traceback") and "ZeroDivisionError" in result.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    # 755 kB of records: more than a pipe holds, so the command is still
+    # writing when the reader closes its end after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "closure_lab", "classify", "--ring", "Z8192", "--ideal", "4096",
+         "--m", "1..100", "--n", "1..100", "--format", "machine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert json.loads(first)["ring_spec"] == "Z8192"
+    assert proc.wait() == BROKEN_PIPE_EXIT == 141
+    assert stderr == b""
 
 
 def test_cli_runs_without_numpy():
@@ -323,10 +384,8 @@ def test_cli_runs_without_numpy():
         "sys.exit(main(['classify', '--ring', 'Z8192', '--ideal', '4096',"
         " '--m', '1..6', '--n', '1..5', '--format', 'machine']))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env()
     )
     assert result.returncode == 0, result.stderr
     assert len(result.stdout.splitlines()) == 30
@@ -374,28 +433,39 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         f"layers = [m for m in {LAYERS!r} if 'closure_lab.' + m not in sys.modules]\n"
         "print(pool, layers)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env()
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[] []\n"
 
 
-def test_verify_two_workers_matches_one_byte_for_byte():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+def _left_running(pgid) -> bool:
+    """Whether a process of group `pgid` still runs; kills the group if so."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_verify_two_workers_matches_one_byte_for_byte(tmp_path):
     outputs = []
     for workers in ("1", "2"):
-        result = subprocess.run(
-            [sys.executable, "-m", "closure_lab", "verify", "--workers", workers,
-             "--format", "machine"],
-            capture_output=True, env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stderr == b""
-        outputs.append(result.stdout)
+        # its own process group, which a pool worker left running would
+        # keep alive, and files instead of pipes, which it would keep open
+        out, err = tmp_path / f"out{workers}", tmp_path / f"err{workers}"
+        with out.open("wb") as stdout, err.open("wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "closure_lab", "verify", "--workers", workers,
+                 "--format", "machine"],
+                stdout=stdout, stderr=stderr, env=_module_env(), start_new_session=True,
+            )
+            code = proc.wait(timeout=300)
+        assert not _left_running(proc.pid)
+        assert code == 0, err.read_bytes()
+        assert err.read_bytes() == b""
+        outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
     assert len(lines) == len(THEOREM_IDS) + 1

@@ -98,6 +98,48 @@ def test_unbreakable_zero_examples():
     assert unbreakable_zero_elements(closed, 2, 1) == ()
 
 
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_unbreakable_zeros_match_oracle_on_every_kind(text):
+    # read off the per-ideal nilpotent table: a**n not in I iff n < tau(a)
+    r = ring(text)
+    for i in enumerate_ideals(r).proper:
+        for m in range(1, 7):
+            for n in range(1, 7):
+                assert unbreakable_zero_elements(i, m, n) == brute_unbreakable(
+                    r, i.elements, m, n
+                ), (i, m, n)
+
+
+def _signature(i, size):
+    # what a status grid depends on, from the oracle's thresholds
+    r = i.ring
+    pairs = brute_power_thresholds(r, i.elements, r.representatives).values()
+    taus = frozenset((tau, nu) for tau, nu in pairs if tau is not None and tau > 1)
+    return taus, min(size, r.order.bit_length()), size
+
+
+def test_equal_signatures_share_one_grid():
+    # ideals with one signature get one grid object, and its every cell
+    # is the status `classify` reports for each of them
+    size = 6
+    shared = 0
+    for text in KIND_RINGS:
+        by_signature = {}
+        for i in enumerate_ideals(ring(text)).proper:
+            grid = status_grid(i, size)
+            by_signature.setdefault(_signature(i, size), []).append((i, grid))
+            for m in range(1, size + 1):
+                for n in range(1, size + 1):
+                    assert grid[m][n] == classify(i, m, n).status, (i, m, n)
+        for group in by_signature.values():
+            assert len({id(grid) for _, grid in group}) == 1, [i for i, _ in group]
+            shared += len(group) > 1
+        grids = {id(grid) for group in by_signature.values() for _, grid in group}
+        assert len(grids) == len(by_signature), text
+    # distinct ideals with one signature occur on all but the chain rings
+    assert shared >= len(KIND_RINGS) - 2
+
+
 def test_classify_examples():
     rep = classify(ideal("Z8", 4), 3, 1)
     assert (rep.status, rep.witness) == ("weakly_only", 2)

@@ -24,7 +24,7 @@ from closure_lab import ideals
 from closure_lab.rings import CyclicRing, ProductRing
 
 from _oracles import brute_all_ideals, brute_ideal_lattice, naive_ideal_closure
-from _strategies import small_rings
+from _strategies import KIND_RINGS, small_rings
 
 PINNED_FAMILY = Path(__file__).resolve().parent.parent / "perfbench" / "family.conf"
 
@@ -223,6 +223,41 @@ def test_enumerate_matches_lattice_oracle_beyond_the_family(text):
     enum = enumerate_ideals(r)
     assert {i.elements for i in enum.ideals} == brute_ideal_lattice(r)
     assert len(enum.ideals) == len({i.elements for i in enum.ideals})
+
+
+def _fixpoint_without_skip(r):
+    # the join loop as it was before sums J + P with J <= P were skipped:
+    # (element set, generators) of every ideal, in the order found
+    found = {}
+    for x in r.representatives:
+        found.setdefault(ideals.ideal_closure(r, (x,)), (x,))
+    principal = sorted(found.items(), key=lambda kv: kv[1])
+    frontier = principal
+    while frontier:
+        grown = []
+        for members, gens in frontier:
+            for extra_members, extra_gens in principal:
+                if extra_members <= members:
+                    continue
+                joined = ideals._ideal_sum(r, members, extra_members)
+                if joined not in found:
+                    found[joined] = gens + extra_gens
+                    grown.append((joined, gens + extra_gens))
+        frontier = sorted(grown, key=lambda kv: kv[1])
+    return {members: gens for members, gens in found.items()}
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_join_skip_keeps_every_ideal_and_its_generators(text):
+    # J + P == P when J <= P, a principal ideal found already, so skipping
+    # those sums changes neither the ideals nor their generators
+    r = ring(text)
+    expected = _fixpoint_without_skip(r)
+    enumerations = [ideals._enumerate_by_generators(r)]
+    if not isinstance(r, (CyclicRing, ProductRing)):
+        enumerations.append(enumerate_ideals(r))
+    for enum in enumerations:
+        assert {i.elements: i.generators for i in enum.ideals} == expected
 
 
 def test_lattice_oracle_matches_subset_oracle():

@@ -1,5 +1,7 @@
 """Theorem verifier: catalog behavior, determinism, counterexample replay."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -31,7 +33,7 @@ from closure_lab.theorems import (
     _proper_ideals,
 )
 
-from _oracles import brute_multiples, brute_power
+from _oracles import brute_multiples, brute_power, brute_power_thresholds
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +354,34 @@ def test_tally_remembers_passing_walks_only():
     assert walks == [False, True, True]
 
 
+def test_identity_keys_keep_their_objects_alive():
+    # an identity key is only sound while no other object can take its id:
+    # the tally holds every keyed object until the tally itself is freed
+    class Table:
+        pass
+
+    tally = _Tally("T-X")
+    table = Table()
+    alive = weakref.ref(table)
+    assert tally.once(tally.identity(table), tally.substantive) is None
+    del table
+    gc.collect()
+    assert alive() is not None
+    # the same object again: its walk's count is added, not walked again
+    assert tally.once(tally.identity(alive()), lambda: pytest.fail("walked twice")) is None
+    assert tally.checked == 2
+    # an equal but distinct object is another key, and is walked
+    first, second = tuple(range(3)), tuple(range(3))
+    assert first == second and first is not second
+    walked = []
+    for grid in (first, second):
+        assert tally.once(tally.identity(grid), lambda: walked.append(grid)) is None
+    assert walked == [first, second]
+    del tally
+    gc.collect()
+    assert alive() is None
+
+
 @pytest.mark.parametrize("cell", [(3, 3), (6, 6)])
 def test_strong_failure_reports_the_first_weaker_pair(monkeypatch, cell):
     # Z8 is (m,n)-regular iff m <= n or n >= 3; (4, 3) is its first regular
@@ -373,13 +403,19 @@ def test_tables_are_built_once_per_value(monkeypatch):
     # a status grid depends on (ring, element set, size) and a vnr table on
     # (ring, class entry, size), so a verify of every theorem builds one per
     # distinct key asked for; a table longer than L = order.bit_length()
-    # pads the L table of its entry, which counts as a key too
+    # pads the L table of its entry, which counts as a key too.  The grid
+    # itself is built once per signature: the (tau, nu) pairs with tau > 1,
+    # min(size, L) and size
     family = tiny_family()
-    grids, tables = set(), set()
+    grids, signatures, tables = set(), set(), set()
     real_grid, real_rows = closure.status_grid, regularity.vnr_rows
 
     def grid(ideal, size):
-        grids.add((ideal.ring, ideal.elements, size))
+        ring = ideal.ring
+        grids.add((ring, ideal.elements, size))
+        rows = brute_power_thresholds(ring, ideal.elements, ring.representatives)
+        pairs = frozenset((tau, nu) for tau, nu in rows.values() if tau is not None and tau > 1)
+        signatures.add((pairs, min(size, ring.order.bit_length()), size))
         return real_grid(ideal, size)
 
     def rows(ring, x, size):
@@ -394,11 +430,32 @@ def test_tables_are_built_once_per_value(monkeypatch):
         monkeypatch.setattr(module, "status_grid", grid)
         monkeypatch.setattr(module, "vnr_rows", rows)
     closure.status_grid.cache_clear()
+    closure._signature_grid.cache_clear()
     regularity._entry_rows.cache_clear()
     regularity.regular_rows.cache_clear()
     assert all(v.status == PASS for v in verify_many(THEOREM_IDS, family))
     assert closure.status_grid.cache_info().misses == len(grids) > 0
+    assert closure._signature_grid.cache_info().misses == len(signatures) < len(grids)
     assert regularity._entry_rows.cache_info().misses == len(tables) > 0
+
+
+def test_catalog_and_searches_leave_no_cyclic_garbage():
+    # `cli.run` stops the cyclic collector, so what a command drops must be
+    # freed by reference counting alone
+    family = tiny_family()
+    closure._first_absorbing_failure.cache_clear()  # so that the sweeps run
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert all(v.status == PASS for v in verify_many(THEOREM_IDS, family))
+        for predicate in SEARCH_PREDICATES:
+            search_counterexamples(predicate, family)
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_ideals_with_one_element_set_share_one_grid():
@@ -714,6 +771,32 @@ def test_forced_failures_are_pinned_and_replay(
     assert (verdict.instances_checked, verdict.vacuous_count) == (checked, vacuous)
     assert verdict.counterexample == record
     assert replay_counterexample(verdict, _FORCED_FAMILY)
+
+
+def test_nil_walks_are_keyed_by_containment_too(monkeypatch):
+    # one grid object, weakly-only at (2, 1), for {0} inside Nil(Z12) =
+    # {0, 6} and for {0, 4, 8} outside it: the second ideal reads the same
+    # grid and must still be walked, and fail
+    real = theorems.status_grid
+    shared = {}
+
+    def forced(ideal, size):
+        if ideal.ring.spec_str == "Z12" and ideal.elements in ({0}, {0, 4, 8}):
+            if size not in shared:
+                zero = ideal_from_generators(ideal.ring, ())
+                shared[size] = _with_cell(real(zero, size), (2, 1), _WEAKLY)
+            return shared[size]
+        return real(ideal, size)
+
+    monkeypatch.setattr(theorems, "status_grid", forced)
+    family = make_family(
+        cyclic_moduli=(12,), product_moduli=(), idealization_max=1, m_max=3,
+        principal_primes=(), principal_max_exponent=2,
+    )
+    verdict = verify_theorem("T-NIL", family)
+    assert verdict.status == FAIL
+    record = verdict.counterexample
+    assert (record["ideal"], record["m"], record["n"], record["element"]) == ([0, 4, 8], 2, 1, 4)
 
 
 # --- separating-witness searches ----------------------------------------------
