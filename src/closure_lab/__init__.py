@@ -7,6 +7,7 @@ von Neumann regularity profiles, and exhaustively verifies a catalog of
 theorems about these notions over configurable instance families.
 """
 
+from . import closure, ideals, regularity, rings
 from .closure import (
     AbsorbingBudgetError,
     ClosednessReport,
@@ -97,3 +98,22 @@ from .theorems import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache: built rings, ideal lattices, Krull
+    dimensions, factorizations, signature grids and vnr tables.  Per-ideal
+    tables live in their ideal's store (`Ideal.table`), which the emptied
+    caches no longer keep alive; the registry of stores is emptied too, so
+    ideals made from now on build their tables afresh."""
+    for cache in (
+        rings._build_cached,
+        rings._factorize,
+        ideals.enumerate_ideals,
+        ideals.krull_dim,
+        closure._signature_grid,
+        regularity._entry_rows,
+        regularity.regular_rows,
+    ):
+        cache.cache_clear()
+    ideals._TABLES.clear()

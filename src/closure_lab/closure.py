@@ -26,8 +26,16 @@ sweep of the table, `_failure_scan`, finding the first failing x and
 the first failing x with x**m != 0; like every first-witness sweep here
 it finds the first witness a scan of all elements finds.
 
-`is_n_absorbing` prunes its multiset sweep and remembers each answer in
-a bounded memo; its docstring says why the first witness is unchanged.
+`is_n_absorbing` prunes its multiset sweep and remembers each answer;
+its docstring says why the first witness is unchanged, and why an
+ideal weakly n-absorbing is weakly (n+1)-absorbing.
+
+Where the tables live: threshold rows, status grids, nilpotent rows and
+n-absorbing answers are kept in the ideal's own store (`Ideal.table`),
+once per ideal value, and are freed with the last equal ideal; no
+module-level cache here is keyed on an ideal.  Only the grids of
+`_signature_grid` sit in a bounded module-level cache, keyed on small
+signatures, and `closure_lab.clear_caches` empties it with the rest.
 """
 
 from __future__ import annotations
@@ -94,9 +102,13 @@ def _require_positive(*values):
             raise ValueError("exponents must be positive")
 
 
-# bounded; one table per ideal value, 2852 of them on the pinned 148-ring family
-@lru_cache(maxsize=4096)
 def _thresholds(ideal: Ideal) -> tuple:
+    """One row (x, tau, nu) per class-table entry x (see `_threshold_rows`),
+    once per ideal value."""
+    return ideal.table("thresholds", _threshold_rows)
+
+
+def _threshold_rows(ideal: Ideal) -> tuple:
     """One row (x, tau, nu) per class-table entry x, in table order: tau
     the least t >= 1 with x**t in I, nu the least t >= 1 with x**t == 0,
     each None when there is none.  tau <= nu whenever nu exists, and
@@ -129,8 +141,6 @@ def _thresholds(ideal: Ideal) -> tuple:
 _STATUSES = (STATUS_CLOSED, STATUS_WEAKLY_ONLY, STATUS_NOT_WEAKLY)
 
 
-# bounded like `_thresholds`, whose rows it reads
-@lru_cache(maxsize=4096)
 def status_grid(ideal: Ideal, size: int) -> tuple:
     """The status of every (m, n) with 1 <= m, n <= size: ``grid[m][n]``
     is `STATUS_CLOSED`, `STATUS_WEAKLY_ONLY` or `STATUS_NOT_WEAKLY`, the
@@ -148,6 +158,11 @@ def status_grid(ideal: Ideal, size: int) -> tuple:
     One grid per (ideal value, size); the checks run on a miss only, and a
     failed call is not remembered.
     """
+    return ideal.table(("grid", size), _grid_of, size)
+
+
+def _grid_of(ideal: Ideal, size: int) -> tuple:
+    """The status grid of `status_grid`, built after its checks."""
     _require_proper(ideal)
     _require_positive(size)
     pairs = frozenset(
@@ -232,12 +247,15 @@ def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
     return tuple(a for a, tau, nu in _nil_thresholds(ideal) if nu <= m and n < tau)
 
 
-# bounded like `_thresholds`; one table per ideal value
-@lru_cache(maxsize=4096)
 def _nil_thresholds(ideal: Ideal) -> tuple:
     """One row (a, tau, nu) per nilpotent a, in canonical order: nu its
     nilpotency index and tau the least t >= 1 with a**t in I, so tau <= nu
-    (0 lies in I) and a**t lies in I exactly when t >= tau."""
+    (0 lies in I) and a**t lies in I exactly when t >= tau.  Once per ideal
+    value."""
+    return ideal.table("nil_thresholds", _nil_threshold_rows)
+
+
+def _nil_threshold_rows(ideal: Ideal) -> tuple:
     ring, members = ideal.ring, ideal.elements
     rows = []
     for a, nu in ring.nilpotency_indices.items():
@@ -295,25 +313,41 @@ def is_n_absorbing(
     so the cut holds no failure and the first witness is the one a full
     scan finds.
 
-    Each (ideal value, n, weak) answer is remembered (up to 4096 of
-    them).  Raises `AbsorbingBudgetError` when order**(n+1) exceeds the
-    budget, checked before any remembered answer is read.
+    A weakly n-absorbing ideal is weakly (n+1)-absorbing: let 0 != a_1
+    ... a_(n+2) lie in I and group the last two factors into b = a_(n+1)
+    a_(n+2).  The n+1 factors a_1, ..., a_n, b have a nonzero product in
+    I, so n of them multiply into I.  If b is among those n, they are
+    n+1 of the original factors; if not, a_1 ... a_n lies in I and so
+    does a_1 ... a_(n+1).  Without "nonzero" the same grouping proves the
+    plain form (Anderson and Badawi, Comm. Algebra 39 (2011)).  So when
+    the answer kept for n - 1 is None, the answer at n is None without a
+    sweep.
+
+    Each (ideal value, n, weak) answer is kept with the ideal's tables
+    (`Ideal.table`).  Raises `AbsorbingBudgetError` when order**(n+1)
+    exceeds the budget, checked before any kept answer is read.
     """
     _require_proper(ideal)
     _require_positive(n)
     required = ideal.ring.order ** (n + 1)
     if required > budget:
         raise AbsorbingBudgetError(required, budget)
-    witness = _first_absorbing_failure(ideal, n, weak)
+    witness = ideal.table(("absorbing", n, weak), _absorbing_answer, n, weak)
     return witness is None, witness
 
 
-# bounded; holds the 1795 in-budget weak (ideal, n) sweeps of the default family
-@lru_cache(maxsize=4096)
-def _first_absorbing_failure(ideal: Ideal, n: int, weak: bool):
-    """The first failing multiset of `is_n_absorbing`, or None: the
-    pruned depth-first search over nondecreasing index sequences of the
-    class table."""
+def _absorbing_answer(ideal: Ideal, n: int, weak: bool):
+    # absorbing at n - 1 means absorbing at n (see `is_n_absorbing`); no
+    # witness is the empty tuple, so only a kept None at n - 1 matches
+    if ideal.tables.get(("absorbing", n - 1, weak), ()) is None:
+        return None
+    return _absorbing_sweep(ideal, n, weak)
+
+
+def _absorbing_sweep(ideal: Ideal, n: int, weak: bool):
+    """The pruned depth-first search of `is_n_absorbing` over
+    nondecreasing index sequences of the class table: its first failing
+    multiset, or None."""
     ring = ideal.ring
     elements = ring.representatives
     members = ideal.elements

@@ -7,10 +7,19 @@ complete by construction for every ring kind: structural for cyclic and
 product rings, and for trivial extensions and quotients a fixpoint that
 joins principal ideals until nothing new appears (every ideal is the sum
 of the principal ideals of its members).
+
+The deciders' per-ideal tables (threshold rows, status grids, nilpotent
+rows, n-absorbing answers) live in one store per ideal value,
+`Ideal.table`: every equal ideal shares it, and it is freed with the
+last of them, by reference counting alone.  So a table lives as long as
+some ideal that can ask for it: the ideals of a family ring as long as
+`enumerate_ideals` keeps them, a quotient's image ideals only while
+their checker holds them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -19,17 +28,28 @@ from .rings import (
     FiniteRing,
     ProductRing,
     QuotientRing,
-    build_ring,
     ideal_closure,
 )
 from .specs import Quotient
+
+
+class _Tables(dict):
+    """The tables of one ideal value, keyed by table name and arguments;
+    weakly referenceable, so the registry does not keep it alive."""
+
+    __slots__ = ("__weakref__",)
+
+
+# (ring, element set) -> the tables of that ideal value, while an equal
+# ideal holds them
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class Ideal:
     """An ideal of a realized finite ring, as an explicit element set; equal
     ideals share ring and element set, whatever their generators."""
 
-    __slots__ = ("ring", "elements", "generators", "members", "_hash")
+    __slots__ = ("ring", "elements", "generators", "members", "_hash", "_tables")
 
     def __init__(self, ring: FiniteRing, elements: frozenset, generators: tuple):
         self.ring = ring
@@ -37,6 +57,31 @@ class Ideal:
         self.generators = tuple(generators)
         self.members = tuple(sorted(elements))
         self._hash = hash((ring, elements))
+        self._tables = None
+
+    @property
+    def tables(self) -> dict:
+        """The table store of this ideal's value, shared by every equal
+        ideal and freed with the last of them."""
+        tables = self._tables
+        if tables is None:
+            value = (self.ring, self.elements)
+            tables = _TABLES.get(value)
+            if tables is None:
+                tables = _TABLES[value] = _Tables()
+            self._tables = tables
+        return tables
+
+    def table(self, key, build, *args):
+        """The table `key` of this ideal's value: ``build(self, *args)`` on
+        first use, then kept in `tables`.  A build that raises leaves
+        nothing behind."""
+        tables = self.tables
+        try:
+            return tables[key]
+        except KeyError:
+            table = tables[key] = build(self, *args)
+            return table
 
     def __contains__(self, x) -> bool:
         return x in self.elements
@@ -198,15 +243,17 @@ def _ideal_sum(ring: FiniteRing, first: frozenset, second: frozenset) -> frozens
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
     """The ring of cosets R/I, with `project` as the natural map.
 
-    Built through the spec cache, so repeated quotients by the same ideal
-    return the same object.
+    Built from the element set `ideal` holds, outside the spec cache: each
+    call returns a fresh ring, equal to the one `build_ring` makes from the
+    same spec, and freed once nothing holds it.  A quotient is never
+    larger than its base, so the base's order cap holds.
     """
     if ideal.ring != ring:
         raise ValueError("ideal does not belong to this ring")
     if not ideal.is_proper:
         raise ValueError(f"cannot quotient {ring.spec_str} by an improper ideal")
     literals = tuple(ring.index_of(g) for g in ideal.generators)
-    return build_ring(Quotient(ring.spec, literals), ring.max_order)
+    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.elements, ring.max_order)
 
 
 def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:

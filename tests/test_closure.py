@@ -28,9 +28,10 @@ from closure_lab import (
     quotient_ring,
     unbreakable_zero_elements,
 )
+from closure_lab import clear_caches, closure
 from closure_lab.closure import (
+    _absorbing_sweep,
     _failure_scan,
-    _first_absorbing_failure,
     _thresholds,
     status_grid,
 )
@@ -216,31 +217,69 @@ def test_n_absorbing_budget_checked_after_a_remembered_answer():
             is_n_absorbing(i, 2, weak=weak, budget=1)
 
 
-def test_n_absorbing_weak_and_plain_answers_kept_apart():
-    _first_absorbing_failure.cache_clear()
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every n-absorbing sweep run from here on, as (n, weak), with every
+    cache emptied first."""
+    clear_caches()
+    runs = []
+    real = closure._absorbing_sweep
+
+    def counted(ideal, n, weak):
+        runs.append((n, weak))
+        return real(ideal, n, weak)
+
+    monkeypatch.setattr(closure, "_absorbing_sweep", counted)
+    return runs
+
+
+def test_n_absorbing_weak_and_plain_answers_kept_apart(sweeps):
     zero = ideal("Z8")
     assert is_n_absorbing(zero, 2, weak=True) == (True, None)
     assert is_n_absorbing(zero, 2, weak=False) == (False, (2, 2, 2))
-    assert _first_absorbing_failure.cache_info().hits == 0
+    assert len(sweeps) == 2
 
 
-def test_n_absorbing_sweep_runs_once_per_instance():
-    _first_absorbing_failure.cache_clear()
+def test_n_absorbing_sweep_runs_once_per_instance(sweeps):
     i = ideal("Z12", 6)
     first = is_n_absorbing(i, 2, weak=True)
     assert is_n_absorbing(i, 2, weak=True) == first
-    info = _first_absorbing_failure.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert len(sweeps) == 1
 
 
-def test_n_absorbing_sweep_runs_once_per_ideal_value():
-    # (6) and (6, 0) present one ideal of Z12: one sweep answers both
-    _first_absorbing_failure.cache_clear()
+def test_n_absorbing_sweep_runs_once_per_ideal_value(sweeps):
+    # (6) and (6, 0) present one ideal of Z12: while one of them lives, one
+    # sweep answers both
     r = ring("Z12")
-    first = is_n_absorbing(ideal_from_generators(r, (6,)), 2, weak=True)
+    six = ideal_from_generators(r, (6,))
+    first = is_n_absorbing(six, 2, weak=True)
     assert is_n_absorbing(ideal_from_generators(r, (6, 0)), 2, weak=True) == first
-    info = _first_absorbing_failure.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_n_absorbing_is_monotone_in_n(sweeps, text):
+    # an ideal (weakly) absorbing at n - 1 is answered at n without a
+    # sweep; every answer is the sweep's, and the brute force's on rings up
+    # to order 16 (the brute force takes minutes on the larger ones)
+    r = ring(text)
+    skipped = 0
+    for i in enumerate_ideals(r).proper:
+        for weak in (True, False):
+            below = ()
+            for n in (1, 2, 3):
+                before = len(sweeps)
+                ok, witness = is_n_absorbing(i, n, weak=weak, budget=2 ** 30)
+                assert len(sweeps) - before == (below is not None)
+                skipped += below is None
+                expected = _absorbing_sweep(i, n, weak)
+                if r.order <= 16:
+                    assert expected == brute_first_absorbing_failure(r, i.elements, n, weak)
+                    if below is None:
+                        assert expected is None
+                assert (ok, witness) == (expected is None, expected), (i, n, weak)
+                below = witness
+    assert skipped > 0
 
 
 @pytest.mark.parametrize(

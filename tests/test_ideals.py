@@ -1,5 +1,6 @@
 """Ideal construction, enumeration, quotients, primes, dimension."""
 
+import weakref
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closure_lab import (
+    Quotient,
     build_ring,
+    clear_caches,
     enumerate_ideals,
     ideal_from_generators,
     image_ideal,
@@ -20,7 +23,7 @@ from closure_lab import (
     quotient_ring,
     split_product_ideal,
 )
-from closure_lab import ideals
+from closure_lab import closure, ideals, rings
 from closure_lab.rings import CyclicRing, ProductRing
 
 from _oracles import brute_all_ideals, brute_ideal_lattice, naive_ideal_closure
@@ -114,6 +117,50 @@ def test_quotient_ring_examples():
 
     field = quotient_ring(z8, ideal_from_generators(z8, (2,)))
     assert field.order == 2
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_quotient_ring_is_built_from_the_held_ideal(monkeypatch, text):
+    # equal to the quotient the spec cache builds, but fresh, and made
+    # without recomputing the element set the ideal already holds
+    r = ring(text)
+    closures = []
+    real = rings.ideal_closure
+
+    def counted(ring_, generators):
+        closures.append(generators)
+        return real(ring_, generators)
+
+    for module in (rings, ideals):
+        monkeypatch.setattr(module, "ideal_closure", counted)
+    for j in enumerate_ideals(r).proper:
+        literals = tuple(r.index_of(g) for g in j.generators)
+        spec_built = build_ring(Quotient(r.spec, literals), r.max_order)
+        del closures[:]
+        q = quotient_ring(r, j)
+        assert closures == []
+        assert q == spec_built and q is not spec_built
+        assert q.elements == spec_built.elements
+        assert q._rep_map == spec_built._rep_map
+        assert q.representatives == spec_built.representatives
+
+
+def test_tables_are_freed_with_the_last_equal_ideal():
+    clear_caches()
+    r = ring("Z12")
+    first, second = ideal_from_generators(r, (2,)), ideal_from_generators(r, (10, 4))
+    rows = closure._thresholds(first)
+    assert closure._thresholds(second) is rows and second.tables is first.tables
+    key = (r, first.elements)
+    assert ideals._TABLES[key] is first.tables
+    probe = weakref.ref(first.tables)
+    del first
+    assert probe() is not None and key in ideals._TABLES
+    del second
+    assert probe() is None and key not in ideals._TABLES
+    # a new equal ideal starts a new store
+    third = ideal_from_generators(r, (2,))
+    assert closure._thresholds(third) == rows and ideals._TABLES[key] is third.tables
 
 
 def test_quotient_requires_proper():

@@ -10,9 +10,11 @@ from closure_lab import (
     CATALOG,
     SEARCH_PREDICATES,
     THEOREM_IDS,
+    CyclicZ,
     TheoremVerdict,
     build_ring,
     classify,
+    clear_caches,
     enumerate_ideals,
     ideal_from_generators,
     parse_ring_spec,
@@ -21,9 +23,10 @@ from closure_lab import (
     verify_many,
     verify_theorem,
 )
-from closure_lab import closure, regularity, theorems
+from closure_lab import closure, ideals, regularity, theorems
 from closure_lab.families import make_family, tiny_family
 from closure_lab.ideals import Ideal
+from closure_lab.rings import IdealizationRing, QuotientRing
 from closure_lab.theorems import (
     FAIL,
     PASS,
@@ -426,15 +429,20 @@ def test_tables_are_built_once_per_value(monkeypatch):
         tables.add((ring, x, min(size, ring.order.bit_length())))
         return real_rows(ring, x, size)
 
+    builds = []
+    real_build = closure._grid_of
+
+    def build(ideal, size):
+        builds.append(size)  # not the ideal: holding it would keep its tables
+        return real_build(ideal, size)
+
     for module in (theorems, regularity):
         monkeypatch.setattr(module, "status_grid", grid)
         monkeypatch.setattr(module, "vnr_rows", rows)
-    closure.status_grid.cache_clear()
-    closure._signature_grid.cache_clear()
-    regularity._entry_rows.cache_clear()
-    regularity.regular_rows.cache_clear()
+    monkeypatch.setattr(closure, "_grid_of", build)
+    clear_caches()
     assert all(v.status == PASS for v in verify_many(THEOREM_IDS, family))
-    assert closure.status_grid.cache_info().misses == len(grids) > 0
+    assert len(builds) == len(grids) > 0
     assert closure._signature_grid.cache_info().misses == len(signatures) < len(grids)
     assert regularity._entry_rows.cache_info().misses == len(tables) > 0
 
@@ -443,7 +451,7 @@ def test_catalog_and_searches_leave_no_cyclic_garbage():
     # `cli.run` stops the cyclic collector, so what a command drops must be
     # freed by reference counting alone
     family = tiny_family()
-    closure._first_absorbing_failure.cache_clear()  # so that the sweeps run
+    clear_caches()  # so that every table is built, and the sweeps run
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -456,6 +464,29 @@ def test_catalog_and_searches_leave_no_cyclic_garbage():
         gc.set_debug(0)
         gc.garbage.clear()
     assert garbage == []
+
+
+def test_catalog_keeps_no_tables_of_quotients_or_principal_rings():
+    # T-QUOT's quotients and image ideals, and T-PRINCIPAL's ideals of
+    # Z_(p**c), are read by one checker each: their tables go with them
+    family = tiny_family()
+    clear_caches()
+    verdicts = verify_many(THEOREM_IDS, family)
+    assert all(v.status == PASS for v in verdicts)
+    checked = {v.theorem_id: v.instances_checked for v in verdicts}
+    assert checked["T-QUOT"] > 0 and checked["T-PRINCIPAL"] > 0
+    family_rings = set(_family_rings(family))
+    principal = {
+        build_ring(CyclicZ(p ** c), family.max_order) for p, c in family.principal_cases
+    } - family_rings
+    kept = {ring for ring, _ in ideals._TABLES.keys()}
+    assert principal and not kept & principal
+    assert not [r for r in kept if isinstance(r, QuotientRing) and r not in family_rings]
+    assert kept <= family_rings | {
+        build_ring(CyclicZ(r.n), family.max_order)
+        for r in family_rings
+        if isinstance(r, IdealizationRing)
+    }
 
 
 def test_ideals_with_one_element_set_share_one_grid():
