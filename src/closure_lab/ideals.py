@@ -204,13 +204,11 @@ def split_product_ideal(ring: ProductRing, ideal: Ideal):
 
 
 def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
-    # associates generate the same principal ideal; setdefault keeps the least
-    found: dict = {}
-    for x in ring.representatives:
-        found.setdefault(ideal_closure(ring, (x,)), (x,))
+    # the class table holds one entry per principal ideal, in generator order
+    found = {ideal_closure(ring, (x,)): (x,) for x in ring.representatives}
     # every ideal is the sum of the principal ideals of its members, so
     # joining principal ideals until nothing new appears reaches them all
-    principal = sorted(found.items(), key=lambda kv: kv[1])
+    principal = list(found.items())
     frontier = principal
     while frontier:
         grown = []
@@ -253,7 +251,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
     if not ideal.is_proper:
         raise ValueError(f"cannot quotient {ring.spec_str} by an improper ideal")
     literals = tuple(ring.index_of(g) for g in ideal.generators)
-    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.elements, ring.max_order)
+    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.elements)
 
 
 def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:

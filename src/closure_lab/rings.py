@@ -5,17 +5,20 @@ arithmetic (`add`/`mul`/`neg`/`power`), divisibility (`divides`: b in
 aR), and cached structural sets: the nilradical with the nilpotency
 index of each member, the unit group, the zero-divisors, and the
 characteristic.  `representatives` is the class table that
-first-witness sweeps run over: one entry per associate class.
-`additive_generators` spans the ring as an additive group, and
+first-witness sweeps run over: one entry per principal ideal, its least
+generator.  `additive_generators` spans the ring as an additive group, and
 `element_at` reads one literal.  All three are closed form for cyclic,
 product and trivial-extension rings, so a one-shot query on a large ring
 of those kinds never builds `elements`.  Rings are immutable once built;
 `build_ring` memoizes on the spec, so repeated builds of the same spec
 share one object (and its caches).
 
-Divisibility, literal indexing and class tables are per kind (gcd tests
-for cyclic rings, componentwise rules for products, and so on); the test
-suite checks each against the exhaustive definition on small rings.
+Divisibility and literal indexing are per kind (gcd tests for cyclic
+rings, componentwise rules for products, and so on), and so are class
+tables: the divisors of n on Z_n, pairs of factor entries on products, an
+orbit rule on trivial extensions, the first image of each principal ideal
+on quotients.  The test suite checks each against the exhaustive
+definition on small rings.
 Units, nilpotents, zero-divisors and the characteristic come from the
 definitions, once, in `FiniteRing`: the divisors of 1, the elements with
 a zero power, the nonzero non-units, the additive order of 1.
@@ -80,13 +83,12 @@ class FiniteRing:
     at most L.
     """
 
-    def __init__(self, spec: RingSpec, order: int, zero, one, max_order: int):
+    def __init__(self, spec: RingSpec, order: int, zero, one):
         self.spec = spec
         self.order = order
         self.power_bound = order.bit_length()
         self.zero = zero
         self.one = one
-        self.max_order = max_order
         self._hash = hash(spec)  # once: every cache keyed on a ring hashes it
 
     # -- identity ----------------------------------------------------------
@@ -151,14 +153,15 @@ class FiniteRing:
 
     @cached_property
     def representatives(self) -> tuple:
-        """A subsequence of `elements` holding the least member of every
-        associate class.  In a finite ring xR == yR iff y = ux for a unit u;
-        then x**t lies in an ideal I (or is 0) iff y**t does, and xz lies in
-        I iff yz does.  Swapping each factor of a failing tuple for the least
-        member of its class keeps it failing and its sorted index tuple
-        pointwise no larger, so the first witness in canonical order is made
-        of table entries.  Extra entries do no harm, but every sweep and
-        every row of `closure._thresholds` pays for them."""
+        """The class table: the least member of every associate class, in
+        canonical order, so one entry per principal ideal.  In a finite ring
+        xR == yR iff y = ux for a unit u; then x**t lies in an ideal I (or
+        is 0) iff y**t does, and xz lies in I iff yz does.  Swapping each
+        factor of a failing tuple for the least member of its class keeps it
+        failing and its sorted index tuple pointwise no larger, so the first
+        witness in canonical order is made of table entries.  Every sweep
+        and every row of `closure._thresholds` runs over this table, and
+        ideal enumeration takes its entries as the principal generators."""
         raise NotImplementedError
 
     @cached_property
@@ -167,22 +170,13 @@ class FiniteRing:
 
     @cached_property
     def _class_entries(self) -> dict:
-        # {y: the least table entry associate to y}: the associates of an
-        # entry e are {ue : u a unit}, and the table holds the least member
-        # of every class, so units x table covers the ring.  An entry met
-        # already is a later entry of a class that is mapped to its first
-        # (least) one, and is passed over.
-        entries: dict = {}
-        for e in self.representatives:
-            if e in entries:
-                continue
-            for u in self.units:
-                entries[self.mul(u, e)] = e
-        return entries
+        # {y: the table entry associate to y}: the associates of an entry e
+        # are {ue : u a unit}, and the table holds one entry per class
+        return {self.mul(u, e): e for e in self.representatives for u in self.units}
 
     def class_entry(self, x):
-        """x itself when x is a class-table entry, else the least entry of
-        its associate class.  Only elements outside the table build the
+        """x itself when x is a class-table entry, else the entry of its
+        associate class.  Only elements outside the table build the
         element-to-entry map, which lists the units."""
         if x in self._table:
             return x
@@ -278,9 +272,9 @@ def _is_prime_number(n: int) -> bool:
 
 
 class CyclicRing(FiniteRing):
-    def __init__(self, spec: CyclicZ, max_order: int):
+    def __init__(self, spec: CyclicZ):
         n = spec.modulus
-        super().__init__(spec, n, 0, 1, max_order)
+        super().__init__(spec, n, 0, 1)
         self.n = n
 
     def add(self, x, y):
@@ -320,13 +314,9 @@ class CyclicRing(FiniteRing):
 
 
 class ProductRing(FiniteRing):
-    def __init__(self, spec: Product, left: FiniteRing, right: FiniteRing, max_order: int):
+    def __init__(self, spec: Product, left: FiniteRing, right: FiniteRing):
         super().__init__(
-            spec,
-            left.order * right.order,
-            (left.zero, right.zero),
-            (left.one, right.one),
-            max_order,
+            spec, left.order * right.order, (left.zero, right.zero), (left.one, right.one)
         )
         self.left = left
         self.right = right
@@ -377,9 +367,9 @@ class ProductRing(FiniteRing):
 class IdealizationRing(FiniteRing):
     """Trivial extension Z_n (+) Z_d: (r, m)(s, u) = (rs, ru + sm)."""
 
-    def __init__(self, spec: Idealization, max_order: int):
+    def __init__(self, spec: Idealization):
         n, d = spec.base_modulus, spec.module_modulus
-        super().__init__(spec, n * d, (0, 0), (1, 0), max_order)
+        super().__init__(spec, n * d, (0, 0), (1, 0))
         self.n = n
         self.d = d
 
@@ -435,13 +425,18 @@ class IdealizationRing(FiniteRing):
 
     @cached_property
     def representatives(self):
-        # a unit (u, 0) takes (r, m) to (g, um) with g = gcd(r, n), the least
-        # first coordinate of the class; the unit (1, v) takes (g, m) to
-        # (g, m + vg), so m can be lowered mod gcd(g, d) and the least member
-        # (g, m) of every class has m < gcd(g, d) (all m when g = 0)
-        return tuple(
-            (g, m) for g in (0,) + _divisors(self.n)[:-1] for m in range(math.gcd(g, self.d))
-        )
+        # the unit (u, v) takes (g, m) to (ug, um + vg): g = gcd(r, n) is the
+        # least first coordinate of the class of (r, m), and the units fixing
+        # g (u = 1 mod n/g; all when g = 0) move m by the multiples of h =
+        # gcd(g, d) and multiply m mod h by every a in (Z_h)* with a = 1 mod
+        # gcd(n/g, h) (a CRT lift), so the row keeps each m < h least in its orbit
+        entries = []
+        for g in (0,) + _divisors(self.n)[:-1]:
+            h = math.gcd(g, self.d)
+            q = math.gcd(self.n // g if g else 1, h)
+            scalars = [a for a in range(h) if math.gcd(a, h) == 1 and (a - 1) % q == 0]
+            entries += [(g, m) for m in range(h) if all(a * m % h >= m for a in scalars)]
+        return tuple(entries)
 
     @cached_property
     def additive_generators(self):
@@ -457,7 +452,7 @@ class QuotientRing(FiniteRing):
     element order of the quotient is inherited from the base.
     """
 
-    def __init__(self, spec: Quotient, base: FiniteRing, ideal_members: frozenset, max_order: int):
+    def __init__(self, spec: Quotient, base: FiniteRing, ideal_members: frozenset):
         rep_map = {}
         reps = []
         for e in base.elements:
@@ -469,9 +464,8 @@ class QuotientRing(FiniteRing):
             reps.append(e)
         order = len(reps)
         assert order * len(ideal_members) == base.order
-        super().__init__(spec, order, rep_map[base.zero], rep_map[base.one], max_order)
+        super().__init__(spec, order, rep_map[base.zero], rep_map[base.one])
         self.base = base
-        self.ideal_members = ideal_members
         self._rep_map = rep_map
         self._reps = tuple(reps)
 
@@ -504,9 +498,14 @@ class QuotientRing(FiniteRing):
 
     @cached_property
     def representatives(self):
-        # units lift to R/J, so least class members are images of base entries
+        # units lift to R/J, so least class members are images of base
+        # entries: the first image of each principal ideal
         image = {self._rep_map[x] for x in self.base.representatives}
-        return tuple(x for x in self._reps if x in image)
+        first: dict = {}
+        for x in self._reps:
+            if x in image:
+                first.setdefault(ideal_closure(self, (x,)), x)
+        return tuple(first.values())
 
     @cached_property
     def additive_generators(self):
@@ -554,13 +553,13 @@ def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
     # on the built ring; a quotient's base passes its own check before
     # `QuotientRing` walks it
     if isinstance(spec, CyclicZ):
-        ring: FiniteRing = CyclicRing(spec, max_order)
+        ring: FiniteRing = CyclicRing(spec)
     elif isinstance(spec, Product):
         left = _build_cached(spec.left, max_order)
         right = _build_cached(spec.right, max_order)
-        ring = ProductRing(spec, left, right, max_order)
+        ring = ProductRing(spec, left, right)
     elif isinstance(spec, Idealization):
-        ring = IdealizationRing(spec, max_order)
+        ring = IdealizationRing(spec)
     elif isinstance(spec, Quotient):
         base = _build_cached(spec.base, max_order)
         gen_elements = []
@@ -577,7 +576,7 @@ def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
                 f"improper quotient ideal: generators {spec.generators} "
                 f"generate the whole of {base.spec_str}"
             )
-        ring = QuotientRing(spec, base, members, max_order)
+        ring = QuotientRing(spec, base, members)
     else:
         raise TypeError(f"not a ring spec: {spec!r}")
     if ring.order > max_order:

@@ -135,7 +135,7 @@ def test_quotient_ring_is_built_from_the_held_ideal(monkeypatch, text):
         monkeypatch.setattr(module, "ideal_closure", counted)
     for j in enumerate_ideals(r).proper:
         literals = tuple(r.index_of(g) for g in j.generators)
-        spec_built = build_ring(Quotient(r.spec, literals), r.max_order)
+        spec_built = build_ring(Quotient(r.spec, literals))
         del closures[:]
         q = quotient_ring(r, j)
         assert closures == []

@@ -26,6 +26,7 @@ from closure_lab import (
     zero_divisors,
 )
 from closure_lab import rings, theorems
+from closure_lab.families import tiny_family
 from closure_lab.rings import additive_closure, ideal_closure
 
 from _oracles import (
@@ -350,10 +351,10 @@ def test_quotient_of_product():
 
 def _assert_class_table(r):
     # a strictly increasing subsequence of `elements` that holds the least
-    # member of every associate class
+    # member of every associate class and nothing else
     positions = [r.index_of(x) for x in r.representatives]
     assert positions == sorted(set(positions)), r
-    assert brute_least_associates(r) <= set(r.representatives), r
+    assert brute_least_associates(r) == set(r.representatives), r
 
 
 @pytest.mark.parametrize(
@@ -422,9 +423,9 @@ def test_ideal_closure_matches_oracles_on_every_kind(text):
 @pytest.mark.parametrize("text", KIND_RINGS + ["Z36/(12)"])
 def test_class_entries_are_least_associates(text):
     # every element maps to the least element generating its principal
-    # ideal; class-table entries read themselves.  The trivial-extension
-    # and quotient tables here hold more entries than classes, Z36/(12)
-    # among them, so the least entry must win over a later one.
+    # ideal; class-table entries read themselves.  Each table holds one
+    # entry per principal ideal, on Z36/(12) too, where the base entries 3
+    # and 9 become associates (9 = 3 * 3 and 3 = 9 * 7 mod 12)
     r = ring(text)
     least = {}
     for x in r.elements:
@@ -433,10 +434,49 @@ def test_class_entries_are_least_associates(text):
         entry = least[brute_multiples(r, x)]
         assert r._class_entries[x] == entry, x
         assert r.class_entry(x) == (x if x in r.representatives else entry), x
-    if text == "Z36/(12)":
-        assert len(r.representatives) > len(least)
+    assert len(r.representatives) == len(least)
     with pytest.raises(ForeignElementError):
         r.class_entry("x")
+
+
+def _assert_one_entry_per_principal_ideal(r):
+    # each entry generates a principal ideal no earlier entry does and is
+    # the least of its associates, and units x table covers the ring: so
+    # the table is the least member of every associate class, once
+    principal, covered = set(), set()
+    for e in r.representatives:
+        multiples = brute_multiples(r, e)
+        assert multiples not in principal, (r, e)
+        principal.add(multiples)
+        associates = {r.mul(u, e) for u in r.units}
+        assert min(associates, key=r.index_of) == e, (r, e)
+        covered |= associates
+    assert covered == set(r.elements), r
+
+
+def test_trivial_extension_tables_are_exact():
+    # the orbit rule of `IdealizationRing.representatives` on every
+    # Z_n (+) Z_d with n <= 40; for g = 0 it keeps (0, 0) and (0, e) for
+    # each proper divisor e of d
+    for n in range(2, 41):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            r = build_ring(Idealization(n, d))
+            _assert_one_entry_per_principal_ideal(r)
+            zero_row = [m for g, m in r.representatives if g == 0]
+            assert zero_row == [0] + [e for e in range(1, d) if d % e == 0], r
+
+
+def test_quotient_tables_are_exact():
+    # every quotient the tiny family's T-QUOT builds
+    family = tiny_family()
+    quotients = [
+        quotient_ring(r, i)
+        for r in theorems._family_rings(family, order_cap=family.quotient_order_cap)
+        for i in theorems._proper_ideals(r)
+    ]
+    assert len(quotients) > 100
+    for q in quotients:
+        _assert_one_entry_per_principal_ideal(q)
 
 
 def test_one_shot_queries_leave_large_rings_unlisted():

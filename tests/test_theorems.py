@@ -1,6 +1,7 @@
 """Theorem verifier: catalog behavior, determinism, counterexample replay."""
 
 import gc
+import json
 import weakref
 from dataclasses import replace
 
@@ -26,7 +27,13 @@ from closure_lab import (
 from closure_lab import closure, ideals, regularity, theorems
 from closure_lab.families import make_family, tiny_family
 from closure_lab.ideals import Ideal
-from closure_lab.rings import IdealizationRing, QuotientRing
+from closure_lab.rings import (
+    CyclicRing,
+    FiniteRing,
+    IdealizationRing,
+    ProductRing,
+    QuotientRing,
+)
 from closure_lab.theorems import (
     FAIL,
     PASS,
@@ -36,7 +43,15 @@ from closure_lab.theorems import (
     _proper_ideals,
 )
 
-from _oracles import brute_multiples, brute_power, brute_power_thresholds
+from _oracles import (
+    brute_first_absorbing_failure,
+    brute_is_mn_closed,
+    brute_is_weakly_mn_closed,
+    brute_least_associates,
+    brute_multiples,
+    brute_power,
+    brute_power_thresholds,
+)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +163,61 @@ def test_nonzero_power_sweep_matches_every_element(text):
                 for x in r.elements
             )
             assert _nonzero_power_lands_in(ideal, m) == expected, (ideal, m)
+
+
+def _oracle_grid(ideal, size):
+    # cell by cell from the definitions, as fresh tuples that no two ideals
+    # share, so every identity-keyed walk misses
+    ring, members = ideal.ring, ideal.elements
+    rows = [(None,) * (size + 1)]
+    for m in range(1, size + 1):
+        cells = [None]
+        for n in range(1, size + 1):
+            if brute_is_mn_closed(ring, members, m, n):
+                cells.append(closure.STATUS_CLOSED)
+            elif brute_is_weakly_mn_closed(ring, members, m, n):
+                cells.append(closure.STATUS_WEAKLY_ONLY)
+            else:
+                cells.append(closure.STATUS_NOT_WEAKLY)
+        rows.append(tuple(cells))
+    return tuple(rows)
+
+
+def test_catalog_on_the_oracles_matches_the_fast_path(monkeypatch):
+    # every record of the catalog, once as shipped and once with the
+    # shortcuts swapped for the definitions: grids cell by cell, n-absorbing
+    # answers by a full multiset scan, divisibility by a scan of the ring,
+    # every `once` walk run again, and each class table the least members
+    # of its associate classes
+    family = tiny_family()
+    fast = [json.dumps(v.to_record()) for v in verify_many(THEOREM_IDS, family)]
+    least = {}
+
+    def representatives(ring):
+        if ring not in least:
+            least[ring] = tuple(sorted(brute_least_associates(ring)))
+        return least[ring]
+
+    monkeypatch.setattr(closure, "_grid_of", _oracle_grid)
+    monkeypatch.setattr(
+        closure,
+        "_absorbing_answer",
+        lambda ideal, n, weak: brute_first_absorbing_failure(
+            ideal.ring, ideal.elements, n, weak
+        ),
+    )
+    monkeypatch.setattr(_Tally, "once", lambda self, key, walk: walk())
+    for kind in (CyclicRing, ProductRing, IdealizationRing, QuotientRing):
+        if "divides" in vars(kind):
+            monkeypatch.setattr(kind, "divides", FiniteRing.divides)
+        monkeypatch.setattr(kind, "representatives", property(representatives))
+    clear_caches()  # so that every ring, table and sweep is made afresh
+    try:
+        oracle = [json.dumps(v.to_record()) for v in verify_many(THEOREM_IDS, family)]
+    finally:
+        clear_caches()  # drop what the swapped code built
+    assert len(oracle) == len(fast) == 30
+    assert oracle == fast
 
 
 def test_workers_produce_identical_verdicts(family):
