@@ -7,7 +7,9 @@ von Neumann regularity profiles, and exhaustively verifies a catalog of
 theorems about these notions over configurable instance families.
 """
 
-from . import closure, ideals, regularity, rings
+import gc
+
+from . import closure, rings
 from .closure import (
     AbsorbingBudgetError,
     ClosednessReport,
@@ -101,19 +103,11 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache: built rings, ideal lattices, Krull
-    dimensions, factorizations, signature grids and vnr tables.  Per-ideal
-    tables live in their ideal's store (`Ideal.table`), which the emptied
-    caches no longer keep alive; the registry of stores is emptied too, so
-    ideals made from now on build their tables afresh."""
-    for cache in (
-        rings._build_cached,
-        rings._factorize,
-        ideals.enumerate_ideals,
-        ideals.krull_dim,
-        closure._signature_grid,
-        regularity._entry_rows,
-        regularity.regular_rows,
-    ):
+    """Empty the three module-level caches, all keyed on values: built
+    rings (by spec), factorizations and signature grids.  Ring tables live
+    on their ring and ideal tables on their ideal, so they go with them;
+    the collector runs last, because a ring and its lattice refer to each
+    other and `cli.run` turns automatic collection off."""
+    for cache in (rings._build_cached, rings._factorize, closure._signature_grid):
         cache.cache_clear()
-    ideals._TABLES.clear()
+    gc.collect()

@@ -32,10 +32,9 @@ ideal weakly n-absorbing is weakly (n+1)-absorbing.
 
 Where the tables live: threshold rows, status grids, nilpotent rows and
 n-absorbing answers are kept in the ideal's own store (`Ideal.table`),
-once per ideal value, and are freed with the last equal ideal; no
-module-level cache here is keyed on an ideal.  Only the grids of
-`_signature_grid` sit in a bounded module-level cache, keyed on small
-signatures, and `closure_lab.clear_caches` empties it with the rest.
+once per ideal value, and are freed with the last equal ideal.  The one
+module-level cache here, `_signature_grid`, is keyed on small
+signatures, and `closure_lab.clear_caches` empties it.
 """
 
 from __future__ import annotations

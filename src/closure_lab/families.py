@@ -100,6 +100,8 @@ def make_family(
     **bounds,
 ) -> InstanceFamily:
     max_order = bounds.get("max_order", DEFAULT_ORDER_CAP)
+    if bounds.get("grid_max", 1) < 1:
+        raise ValueError(f"grid_max must be at least 1, got {bounds['grid_max']}")
     return InstanceFamily(
         ring_specs=_family_specs(cyclic_moduli, product_moduli, idealization_max, extra_specs),
         principal_cases=_principal_cases(principal_primes, principal_max_exponent, max_order),

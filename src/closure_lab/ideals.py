@@ -10,10 +10,10 @@ of the principal ideals of its members).
 
 The deciders' per-ideal tables (threshold rows, status grids, nilpotent
 rows, n-absorbing answers) live in one store per ideal value,
-`Ideal.table`: every equal ideal shares it, and it is freed with the
-last of them, by reference counting alone.  So a table lives as long as
-some ideal that can ask for it: the ideals of a family ring as long as
-`enumerate_ideals` keeps them, a quotient's image ideals only while
+`Ideal.table`: every equal ideal of a ring shares it, and it is freed
+with the last of them, by reference counting alone.  So a table lives
+as long as some ideal that can ask for it: a lattice's ideals as long
+as their ring (`rings.per_ring`), a quotient's image ideals only while
 their checker holds them.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .rings import (
     CyclicRing,
@@ -29,6 +29,7 @@ from .rings import (
     ProductRing,
     QuotientRing,
     ideal_closure,
+    per_ring,
 )
 from .specs import Quotient
 
@@ -40,9 +41,10 @@ class _Tables(dict):
     __slots__ = ("__weakref__",)
 
 
-# (ring, element set) -> the tables of that ideal value, while an equal
-# ideal holds them
-_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+@per_ring
+def _stores(ring: FiniteRing) -> weakref.WeakValueDictionary:
+    # element set -> the tables of that ideal value, while an equal ideal holds them
+    return weakref.WeakValueDictionary()
 
 
 class Ideal:
@@ -62,13 +64,13 @@ class Ideal:
     @property
     def tables(self) -> dict:
         """The table store of this ideal's value, shared by every equal
-        ideal and freed with the last of them."""
+        ideal of its ring and freed with the last of them."""
         tables = self._tables
         if tables is None:
-            value = (self.ring, self.elements)
-            tables = _TABLES.get(value)
+            stores = _stores(self.ring)
+            tables = stores.get(self.elements)
             if tables is None:
-                tables = _TABLES[value] = _Tables()
+                tables = stores[self.elements] = _Tables()
             self._tables = tables
         return tables
 
@@ -139,7 +141,6 @@ def is_proper(ideal: Ideal) -> bool:
 class IdealEnumeration:
     """Every ideal of the ring, sorted by size and then by members."""
 
-    ring: FiniteRing
     ideals: tuple
 
     @cached_property
@@ -152,7 +153,7 @@ def _sorted_ideals(ideals) -> tuple:
     return tuple(sorted(ideals, key=lambda i: (len(i.members), i.members)))
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def enumerate_ideals(ring: FiniteRing) -> IdealEnumeration:
     """Every ideal of a ring.
 
@@ -165,7 +166,7 @@ def enumerate_ideals(ring: FiniteRing) -> IdealEnumeration:
     """
     if isinstance(ring, CyclicRing):
         ideals = [ideal_from_generators(ring, (g,)) for g in ring.representatives]
-        return IdealEnumeration(ring, _sorted_ideals(ideals))
+        return IdealEnumeration(_sorted_ideals(ideals))
     if isinstance(ring, ProductRing):
         left = enumerate_ideals(ring.left)
         right = enumerate_ideals(ring.right)
@@ -173,7 +174,7 @@ def enumerate_ideals(ring: FiniteRing) -> IdealEnumeration:
         for i1 in left.ideals:
             for i2 in right.ideals:
                 ideals.append(product_ideal(ring, i1, i2))
-        return IdealEnumeration(ring, _sorted_ideals(ideals))
+        return IdealEnumeration(_sorted_ideals(ideals))
     return _enumerate_by_generators(ring)
 
 
@@ -225,7 +226,7 @@ def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
                     grown.append((joined, new_gens))
         frontier = sorted(grown, key=lambda kv: kv[1])
     ideals = _sorted_ideals(Ideal(ring, members, gens) for members, gens in found.items())
-    return IdealEnumeration(ring, ideals)
+    return IdealEnumeration(ideals)
 
 
 def _ideal_sum(ring: FiniteRing, first: frozenset, second: frozenset) -> frozenset:
@@ -300,7 +301,7 @@ def is_prime_ideal(ideal: Ideal) -> bool:
     return first is None
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def krull_dim(ring: FiniteRing) -> int:
     """Length of the longest strict chain of prime ideals, minus one."""
     # `proper` is sorted by size, so every prime inside P comes before P

@@ -12,19 +12,18 @@ and `vnr_profile_element` finds the k.  B_omega (pairs with m <= n only)
 is representable for API completeness but unreachable from finite rings:
 every finite commutative ring is strongly pi-regular, which the profile
 computation asserts by always terminating with a finite k.
-Many-cell questions read the bounded tables `vnr_rows` (one associate
-class) and `regular_rows` (one ring); searches that stop at the first answer
+Many-cell questions read `vnr_rows` (one associate class) and `regular_rows`
+(one ring), tables kept on the ring; searches that stop at the first answer
 ask `_is_vnr` one pair at a time, so a one-shot query builds no table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .closure import STATUS_CLOSED, STATUS_NOT_WEAKLY, _require_positive, status_grid
 from .ideals import enumerate_ideals
-from .rings import FiniteRing, _serialize
+from .rings import FiniteRing, _serialize, per_ring
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,7 @@ def vnr_rows(ring: FiniteRing, x, size: int) -> tuple:
     return _entry_rows(ring, ring.class_entry(x), size)
 
 
-# bounded like `closure.status_grid`; 1526 entries on the pinned family
-@lru_cache(maxsize=4096)
+@per_ring
 def _entry_rows(ring: FiniteRing, x, size: int) -> tuple:
     """`vnr_rows` of the class-table entry x.  x**t R is one ideal for
     every t >= L = `power_bound`, so x**t and x**L are associates: only
@@ -128,8 +126,7 @@ def vnr_profile_ring(ring: FiniteRing) -> VnrProfile:
     return VnrProfile(k)
 
 
-# bounded like `vnr_rows`, whose class-table rows it joins
-@lru_cache(maxsize=4096)
+@per_ring
 def regular_rows(ring: FiniteRing) -> tuple:
     """``rows[m][n]``: every class-table entry is (m,n)-vnr, for 1 <= m, n
     <= L = `power_bound`; past L the answer is the one at L."""

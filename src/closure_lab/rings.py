@@ -11,7 +11,7 @@ generator.  `additive_generators` spans the ring as an additive group, and
 product and trivial-extension rings, so a one-shot query on a large ring
 of those kinds never builds `elements`.  Rings are immutable once built;
 `build_ring` memoizes on the spec, so repeated builds of the same spec
-share one object (and its caches).
+share one object, its caches and the tables `per_ring` keeps on it.
 
 Divisibility and literal indexing are per kind (gcd tests for cyclic
 rings, componentwise rules for products, and so on), and so are class
@@ -27,7 +27,7 @@ a zero power, the nonzero non-units, the additive order of 1.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 from itertools import product as iter_product
 
 from .specs import (
@@ -89,7 +89,8 @@ class FiniteRing:
         self.power_bound = order.bit_length()
         self.zero = zero
         self.one = one
-        self._hash = hash(spec)  # once: every cache keyed on a ring hashes it
+        self._hash = hash(spec)  # once: every ideal hashes its ring
+        self.tables: dict = {}  # what is derived from this ring; see `per_ring`
 
     # -- identity ----------------------------------------------------------
 
@@ -106,6 +107,9 @@ class FiniteRing:
 
     def __hash__(self):
         return self._hash
+
+    def __getstate__(self):  # a copy rebuilds its tables on demand
+        return {**self.__dict__, "tables": {}}
 
     # -- arithmetic (unchecked; see element_arithmetic for the checked API) -
 
@@ -239,6 +243,21 @@ class FiniteRing:
             acc = self.add(acc, self.one)
             k += 1
         return k
+
+
+def per_ring(build):
+    """``build(ring, *args)`` once per ring and arguments, kept in `FiniteRing.tables`."""
+
+    @wraps(build)
+    def table(ring, *args):
+        key = (build, *args) if args else build
+        try:
+            return ring.tables[key]
+        except KeyError:
+            value = ring.tables[key] = build(ring, *args)
+            return value
+
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -867,9 +867,12 @@ def _check_vnrfacts_7(family):
             failure = tally.once(rows, partial(_step_walk, tally, ring, x, rows, size))
             if failure is not None:
                 return failure
-        # ring-level rider: von Neumann regular iff (m,n)-regular for all pairs
+        # ring-level rider: von Neumann regular iff (m,n)-regular for all
+        # pairs; answers repeat past L = power_bound >= 2, so cells up to
+        # max(size, L) decide every pair, (2, 1) among them
         regular_21 = is_mn_regular_ring(ring, 2, 1)
-        regular_all = not _unsolvable_cells(partial(is_mn_regular_ring, ring), size)
+        cells = max(size, ring.power_bound)
+        regular_all = not _unsolvable_cells(partial(is_mn_regular_ring, ring), cells)
         if regular_21 != regular_all:
             return tally.fail(
                 **_instance(ring),

@@ -123,6 +123,13 @@ def test_deep_specs_exit_one_with_one_error_line(capsys, tmp_path):
     assert err.startswith("error: line 1: ") and err.count("\n") == 1, err
 
 
+def test_grid_max_below_one_exits_one_with_one_error_line(capsys, tmp_path):
+    path = tmp_path / "nogrid.family"
+    path.write_text("cyclic_max = 8\ngrid_max = 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--family", str(path))
+    assert (code, out, err) == (1, "", "error: grid_max must be at least 1, got 0\n")
+
+
 def test_readme_machine_examples_match_the_cli(capsys):
     check, verdict = re.findall(r"```json\n(.*?)\n```", (ROOT / "README.md").read_text(), re.S)
     code, out, _ = run_cli(

@@ -81,6 +81,16 @@ def test_non_prime_principal_primes_rejected():
     )
 
 
+def test_grid_max_below_one_rejected():
+    # with no cell to walk, every element walk would count a substantive instance
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"grid_max must be at least 1, got {bad}"):
+            make_family(grid_max=bad)
+        with pytest.raises(ValueError, match=f"grid_max must be at least 1, got {bad}"):
+            parse_family_config(f"cyclic_max = 8\ngrid_max = {bad}\n")
+    assert make_family(grid_max=1).grid_max == 1
+
+
 def test_load_family_default_and_file(tmp_path):
     assert load_family("default") == default_family()
     path = tmp_path / "f.family"

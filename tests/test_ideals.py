@@ -1,5 +1,9 @@
 """Ideal construction, enumeration, quotients, primes, dimension."""
 
+import functools
+import gc
+import pickle
+import sys
 import weakref
 from pathlib import Path
 
@@ -23,7 +27,7 @@ from closure_lab import (
     quotient_ring,
     split_product_ideal,
 )
-from closure_lab import closure, ideals, rings
+from closure_lab import cli, closure, ideals, regularity, rings
 from closure_lab.rings import CyclicRing, ProductRing
 
 from _oracles import brute_all_ideals, brute_ideal_lattice, naive_ideal_closure
@@ -151,16 +155,98 @@ def test_tables_are_freed_with_the_last_equal_ideal():
     first, second = ideal_from_generators(r, (2,)), ideal_from_generators(r, (10, 4))
     rows = closure._thresholds(first)
     assert closure._thresholds(second) is rows and second.tables is first.tables
-    key = (r, first.elements)
-    assert ideals._TABLES[key] is first.tables
+    key, stores = first.elements, ideals._stores(r)
+    assert stores[key] is first.tables
     probe = weakref.ref(first.tables)
     del first
-    assert probe() is not None and key in ideals._TABLES
+    assert probe() is not None and key in stores
     del second
-    assert probe() is None and key not in ideals._TABLES
+    assert probe() is None and key not in stores
     # a new equal ideal starts a new store
     third = ideal_from_generators(r, (2,))
-    assert closure._thresholds(third) == rows and ideals._TABLES[key] is third.tables
+    assert closure._thresholds(third) == rows and stores[key] is third.tables
+
+
+def _ask_every_ring_table(r):
+    # its lattice, Krull dimension, vnr and regular rows, and one ideal's grid
+    lattice = enumerate_ideals(r)
+    krull_dim(r)
+    regularity.vnr_rows(r, r.one, 3)
+    regularity.regular_rows(r)
+    closure.status_grid(lattice.proper[-1], 4)
+
+
+def test_ring_tables_are_freed_with_a_fresh_quotient():
+    r = ring("Z2 x Z8")
+    q = quotient_ring(r, ideal_from_generators(r, ((0, 4),)))
+    _ask_every_ring_table(q)
+    probe = weakref.ref(q)
+    del q
+    gc.collect()
+    assert probe() is None
+
+
+def test_ring_tables_are_freed_with_the_spec_cache():
+    r = ring("Z4 (+) Z2")
+    _ask_every_ring_table(r)
+    probe = weakref.ref(r)
+    del r
+    rings._build_cached.cache_clear()
+    gc.collect()
+    assert probe() is None
+
+
+def test_clear_caches_frees_a_ring_with_its_lattice_without_the_collector():
+    # a ring and its lattice refer to each other, and `cli.run` turns
+    # automatic collection off
+    r = ring("Z12")
+    enumerate_ideals(r)
+    probe = weakref.ref(r)
+    del r
+    gc.disable()
+    try:
+        clear_caches()
+        assert probe() is None
+    finally:
+        gc.enable()
+
+
+def test_a_pickled_ring_leaves_its_tables_behind():
+    r = ring("Z12 x Z2")
+    lattice = enumerate_ideals(r)
+    copy = pickle.loads(pickle.dumps(r))
+    assert copy == r and copy is not r and copy.tables == {}
+    assert [i.elements for i in enumerate_ideals(copy).ideals] == [
+        i.elements for i in lattice.ideals
+    ]
+
+
+def test_module_level_caches_are_the_three_keyed_on_values():
+    assert cli  # every closure_lab module is loaded
+    namespaces = [vars(m) for n, m in sys.modules.items() if n.split(".")[0] == "closure_lab"]
+    namespaces += [
+        vars(c)
+        for ns in namespaces
+        for c in ns.values()
+        if isinstance(c, type) and c.__module__.split(".")[0] == "closure_lab"
+    ]
+    caches = {
+        id(obj): obj
+        for ns in namespaces
+        for obj in ns.values()
+        if isinstance(obj, functools._lru_cache_wrapper)
+    }.values()
+    assert sorted(f"{c.__module__}.{c.__qualname__}" for c in caches) == [
+        "closure_lab.closure._signature_grid",
+        "closure_lab.rings._build_cached",
+        "closure_lab.rings._factorize",
+    ]
+    r = ring("Z12 x Z2")
+    closure.status_grid(ideal_from_generators(r, ((2, 0),)), 3)
+    rings._factorize(12)
+    assert all(c.cache_info().currsize for c in caches)
+    clear_caches()
+    assert not any(c.cache_info().currsize for c in caches)
 
 
 def test_quotient_requires_proper():
@@ -186,9 +272,10 @@ def test_krull_dimension_zero(text):
 
 @pytest.fixture
 def fresh_krull_dim():
-    krull_dim.cache_clear()
+    # a fresh ring has no Krull dimension kept yet
+    clear_caches()
     yield
-    krull_dim.cache_clear()
+    clear_caches()
 
 
 @pytest.mark.parametrize(

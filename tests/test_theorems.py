@@ -33,6 +33,7 @@ from closure_lab.rings import (
     IdealizationRing,
     ProductRing,
     QuotientRing,
+    per_ring,
 )
 from closure_lab.theorems import (
     FAIL,
@@ -472,6 +473,14 @@ def test_strong_failure_reports_the_first_weaker_pair(monkeypatch, cell):
     assert ((record["m"], record["n"]), record["weaker_pair"]) == ((4, 3), cell)
 
 
+@pytest.mark.parametrize("grid_max", [1, 2, 6])
+def test_catalog_passes_at_any_grid_max(grid_max):
+    # T-VNRFACTS-7's ring rider compares (2, 1) with every pair; read only
+    # up to grid_max = 1 it missed (2, 1) and failed on Z4
+    verdicts = verify_many(THEOREM_IDS, tiny_family(grid_max=grid_max))
+    assert [v.theorem_id for v in verdicts if v.status != PASS] == []
+
+
 def test_tables_are_built_once_per_value(monkeypatch):
     # a status grid depends on (ring, element set, size) and a vnr table on
     # (ring, class entry, size), so a verify of every theorem builds one per
@@ -499,22 +508,29 @@ def test_tables_are_built_once_per_value(monkeypatch):
         tables.add((ring, x, min(size, ring.order.bit_length())))
         return real_rows(ring, x, size)
 
-    builds = []
-    real_build = closure._grid_of
+    builds, entry_builds = [], []
+    real_build, real_entry = closure._grid_of, regularity._entry_rows.__wrapped__
 
     def build(ideal, size):
         builds.append(size)  # not the ideal: holding it would keep its tables
         return real_build(ideal, size)
 
+    @per_ring
+    def entry(ring, x, size):
+        # the padding step asks `regularity._entry_rows` again, so it counts too
+        entry_builds.append(size)
+        return real_entry(ring, x, size)
+
     for module in (theorems, regularity):
         monkeypatch.setattr(module, "status_grid", grid)
         monkeypatch.setattr(module, "vnr_rows", rows)
     monkeypatch.setattr(closure, "_grid_of", build)
+    monkeypatch.setattr(regularity, "_entry_rows", entry)
     clear_caches()
     assert all(v.status == PASS for v in verify_many(THEOREM_IDS, family))
     assert len(builds) == len(grids) > 0
     assert closure._signature_grid.cache_info().misses == len(signatures) < len(grids)
-    assert regularity._entry_rows.cache_info().misses == len(tables) > 0
+    assert len(entry_builds) == len(tables) > 0
 
 
 def test_catalog_and_searches_leave_no_cyclic_garbage():
@@ -536,20 +552,37 @@ def test_catalog_and_searches_leave_no_cyclic_garbage():
     assert garbage == []
 
 
-def test_catalog_keeps_no_tables_of_quotients_or_principal_rings():
+def test_catalog_keeps_no_tables_of_quotients_or_principal_rings(monkeypatch):
     # T-QUOT's quotients and image ideals, and T-PRINCIPAL's ideals of
     # Z_(p**c), are read by one checker each: their tables go with them
     family = tiny_family()
+    quotients = []
+    real_quotient = theorems.quotient_ring
+
+    def quotient(ring, ideal):
+        made = real_quotient(ring, ideal)
+        quotients.append(weakref.ref(made))
+        return made
+
+    monkeypatch.setattr(theorems, "quotient_ring", quotient)
     clear_caches()
-    verdicts = verify_many(THEOREM_IDS, family)
+    # reference counting alone must free the quotients, as under `cli.run`
+    gc.disable()
+    try:
+        verdicts = verify_many(THEOREM_IDS, family)
+        dead = [q() is None for q in quotients]
+    finally:
+        gc.enable()
     assert all(v.status == PASS for v in verdicts)
     checked = {v.theorem_id: v.instances_checked for v in verdicts}
     assert checked["T-QUOT"] > 0 and checked["T-PRINCIPAL"] > 0
+    assert quotients and all(dead)
     family_rings = set(_family_rings(family))
     principal = {
         build_ring(CyclicZ(p ** c), family.max_order) for p, c in family.principal_cases
     } - family_rings
-    kept = {ring for ring, _ in ideals._TABLES.keys()}
+    # every live ring whose registry still holds a store
+    kept = {r for r in gc.get_objects() if isinstance(r, FiniteRing) and ideals._stores(r)}
     assert principal and not kept & principal
     assert not [r for r in kept if isinstance(r, QuotientRing) and r not in family_rings]
     assert kept <= family_rings | {
