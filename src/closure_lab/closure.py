@@ -5,7 +5,7 @@ weakly (m,n)-closed when that is only required for x**m nonzero.  The
 gap between the two notions is witnessed by unbreakable-zero elements:
 a with a**m == 0 but a**n not in I.
 
-One table per ideal (its element set, whatever its generators) answers
+One table per ideal value (whatever its generators) answers
 closedness, weak radicality and nonzero-power questions: `_thresholds`
 lists, for every entry x of the class table `FiniteRing.representatives`
 (one entry per associate class), the least t with x**t in I and the
@@ -116,7 +116,7 @@ def _threshold_rows(ideal: Ideal) -> tuple:
     Each row is one multiplication chain that stops at zero or at t = L,
     the ring's `power_bound`: tau <= L and nu <= L whenever they exist.
     """
-    ring, members = ideal.ring, ideal.elements
+    ring, members = ideal.ring, ideal.membership()
     mul = ring.mul
     zero = ring.zero
     bound = ring.power_bound
@@ -255,7 +255,7 @@ def _nil_thresholds(ideal: Ideal) -> tuple:
 
 
 def _nil_threshold_rows(ideal: Ideal) -> tuple:
-    ring, members = ideal.ring, ideal.elements
+    ring, members = ideal.ring, ideal.membership()
     rows = []
     for a, nu in ring.nilpotency_indices.items():
         y, tau = a, 1
@@ -349,7 +349,7 @@ def _absorbing_sweep(ideal: Ideal, n: int, weak: bool):
     multiset, or None."""
     ring = ideal.ring
     elements = ring.representatives
-    members = ideal.elements
+    members = ideal.membership()
     mul = ring.mul
     zero = ring.zero
     size = len(elements)

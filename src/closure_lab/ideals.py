@@ -1,12 +1,17 @@
-"""Ideals as explicit element sets: construction, enumeration, quotients.
+"""Ideals by canonical key: construction, enumeration, quotients.
 
 An ideal is its element set: an `Ideal` compares and hashes by ring and
-element set alone, and its generators are presentation only (records,
-quotient literals and enumeration joins read them).  Enumeration is
-complete by construction for every ring kind: structural for cyclic and
-product rings, and for trivial extensions and quotients a fixpoint that
-joins principal ideals until nothing new appears (every ideal is the sum
-of the principal ideals of its members).
+the key of that set alone, and its generators are presentation only
+(records, quotient literals and enumeration joins read them).  Keys are
+closed form on cyclic and product rings: d, with d | n, for dZ_n, and
+the pair of factor keys for I1 x I2 (every ideal of a product, since
+(1, 0) and (0, 1) are idempotents).  Trivial extensions and quotients
+key an ideal by its element set.  Size, containment and meets are read
+off the keys; `elements` and `members` are built on demand, never kept.
+Enumeration is complete by construction for every ring kind: structural
+for cyclic and product rings, and for trivial extensions and quotients a
+fixpoint that joins principal ideals until nothing new appears (every
+ideal is the sum of the principal ideals of its members).
 
 The deciders' per-ideal tables (threshold rows, status grids, nilpotent
 rows, n-absorbing answers) live in one store per ideal value,
@@ -19,9 +24,11 @@ their checker holds them.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product as iter_product
 
 from .rings import (
     CyclicRing,
@@ -43,23 +50,33 @@ class _Tables(dict):
 
 @per_ring
 def _stores(ring: FiniteRing) -> weakref.WeakValueDictionary:
-    # element set -> the tables of that ideal value, while an equal ideal holds them
+    # ideal key -> the tables of that ideal value, while an equal ideal holds them
     return weakref.WeakValueDictionary()
 
 
 class Ideal:
-    """An ideal of a realized finite ring, as an explicit element set; equal
-    ideals share ring and element set, whatever their generators."""
+    """An ideal of a realized finite ring; equal ideals share ring and key,
+    whatever their generators.  Without generators, its members stand in."""
 
-    __slots__ = ("ring", "elements", "generators", "members", "_hash", "_tables")
+    __slots__ = ("ring", "key", "_generators", "_proper", "_tables")
 
-    def __init__(self, ring: FiniteRing, elements: frozenset, generators: tuple):
+    def __init__(self, ring: FiniteRing, key, generators=None):
         self.ring = ring
-        self.elements = elements
-        self.generators = tuple(generators)
-        self.members = tuple(sorted(elements))
-        self._hash = hash((ring, elements))
+        self.key = key
+        self._generators = None if generators is None else tuple(generators)
+        self._proper = None
         self._tables = None
+
+    @property
+    def generators(self) -> tuple:
+        return self.members if self._generators is None else self._generators
+
+    @property
+    def is_proper(self) -> bool:
+        proper = self._proper
+        if proper is None:
+            proper = self._proper = self.ring.one not in self
+        return proper
 
     @property
     def tables(self) -> dict:
@@ -68,9 +85,9 @@ class Ideal:
         tables = self._tables
         if tables is None:
             stores = _stores(self.ring)
-            tables = stores.get(self.elements)
+            tables = stores.get(self.key)
             if tables is None:
-                tables = stores[self.elements] = _Tables()
+                tables = stores[self.key] = _Tables()
             self._tables = tables
         return tables
 
@@ -85,52 +102,136 @@ class Ideal:
             table = tables[key] = build(self, *args)
             return table
 
-    def __contains__(self, x) -> bool:
-        return x in self.elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.members)
+    def membership(self):
+        """A container with a C-speed ``in`` for loops that test many
+        elements: the range dZ_n on Z_n, else the element set."""
+        if isinstance(self.ring, CyclicRing):
+            return range(0, self.ring.n, self.key)
+        return self.elements
 
     @property
-    def is_proper(self) -> bool:
-        return self.ring.one not in self.elements
+    def elements(self) -> frozenset:
+        key = self.key
+        return key if isinstance(key, frozenset) else frozenset(_members(self.ring, key))
+
+    @property
+    def members(self) -> tuple:
+        """The members in canonical (sorted) order."""
+        return tuple(_members(self.ring, self.key))
+
+    def __iter__(self):
+        return iter(_members(self.ring, self.key))
+
+    def __contains__(self, x) -> bool:
+        return _contains(self.ring, self.key, x)
+
+    def __len__(self) -> int:
+        return _size(self.ring, self.key)
+
+    def _meet_key(self, other: Ideal):
+        if self.ring != other.ring:
+            raise ValueError("ideals of different rings")
+        return _meet(self.ring, self.key, other.key)
+
+    def __and__(self, other: Ideal) -> Ideal:
+        """The meet, read off the keys; its generators are its member list."""
+        return Ideal(self.ring, self._meet_key(other))
+
+    def __le__(self, other: Ideal) -> bool:
+        return self._meet_key(other) == self.key
+
+    def __lt__(self, other: Ideal) -> bool:
+        return self.key != other.key and self <= other
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Ideal)
-            and self.ring == other.ring
-            and self.elements == other.elements
-        )
+        return isinstance(other, Ideal) and self.ring == other.ring and self.key == other.key
 
     def __hash__(self):
-        return self._hash
+        return hash((self.ring, self.key))
 
     def __repr__(self):
-        return "{" + ", ".join(str(m) for m in self.members) + "}"
+        return "{" + ", ".join(str(m) for m in self) + "}"
+
+
+def _members(ring: FiniteRing, key):
+    """The members of the ideal `key`, in canonical (sorted) order."""
+    if isinstance(ring, CyclicRing):
+        return range(0, ring.n, key)
+    if isinstance(ring, ProductRing):
+        # pairs in product order are sorted when each factor is
+        return iter_product(*map(_members, (ring.left, ring.right), key))
+    return sorted(key)
+
+
+def _contains(ring: FiniteRing, key, x) -> bool:
+    if isinstance(ring, CyclicRing):
+        return x in range(0, ring.n, key)
+    if isinstance(ring, ProductRing):
+        pair = isinstance(x, tuple) and len(x) == 2
+        return pair and all(map(_contains, (ring.left, ring.right), key, x))
+    return x in key
+
+
+def _size(ring: FiniteRing, key) -> int:
+    if isinstance(ring, CyclicRing):
+        return ring.n // key
+    if isinstance(ring, ProductRing):
+        return math.prod(map(_size, (ring.left, ring.right), key))
+    return len(key)
+
+
+def _meet(ring: FiniteRing, key, other):
+    # dZ_n & d'Z_n = lcm(d, d')Z_n
+    if isinstance(ring, CyclicRing):
+        return math.lcm(key, other)
+    if isinstance(ring, ProductRing):
+        return tuple(map(_meet, (ring.left, ring.right), key, other))
+    return key & other
+
+
+def _key_of(ring: FiniteRing, elements: frozenset):
+    """The key of an element set known to be an ideal: the gcd of its members
+    and n on Z_n, the keys of its projections (a full rectangle) on a product."""
+    if isinstance(ring, CyclicRing):
+        return reduce(math.gcd, elements, ring.n)
+    if isinstance(ring, ProductRing):
+        left, right = map(frozenset, zip(*elements))
+        if len(left) * len(right) != len(elements):
+            raise ValueError(f"not a rectangular ideal of {ring.spec_str}: {sorted(elements)}")
+        return (_key_of(ring.left, left), _key_of(ring.right, right))
+    return elements
+
+
+def _generated_key(ring: FiniteRing, gens):
+    """The key of the ideal generated by `gens`: (g1, ..., gk) is
+    gcd(n, g1, ..., gk)Z_n, and on a product the ideal of the (a_i, b_i)
+    is (a_i) x (b_i), since (1, 0) and (0, 1) are idempotents."""
+    if isinstance(ring, CyclicRing):
+        return reduce(math.gcd, gens, ring.n)
+    if isinstance(ring, ProductRing):
+        left, right = zip(*gens) if gens else ((), ())
+        return (_generated_key(ring.left, left), _generated_key(ring.right, right))
+    return ideal_closure(ring, gens)
 
 
 def ideal_from_generators(ring: FiniteRing, generators) -> Ideal:
     """Smallest ideal containing the generators (empty generators give
     the zero ideal)."""
     gens = tuple(generators)
-    return Ideal(ring, ideal_closure(ring, gens), gens)
+    for g in gens:
+        ring.require_member(g)
+    return Ideal(ring, _generated_key(ring, gens), gens)
 
 
 def ideal_from_elements(ring: FiniteRing, elements) -> Ideal:
     """Wrap an element set already known to be an ideal (for example the
     image of an ideal under a projection); generators default to the
     full member list, which trivially regenerates the set."""
-    members = frozenset(elements)
-    return Ideal(ring, members, tuple(sorted(members)))
+    return Ideal(ring, _key_of(ring, frozenset(elements)))
 
 
 def intersect_ideals(first: Ideal, second: Ideal) -> Ideal:
-    if first.ring != second.ring:
-        raise ValueError("ideals of different rings")
-    return ideal_from_elements(first.ring, first.elements & second.elements)
+    return first & second
 
 
 def is_proper(ideal: Ideal) -> bool:
@@ -150,7 +251,7 @@ class IdealEnumeration:
 
 
 def _sorted_ideals(ideals) -> tuple:
-    return tuple(sorted(ideals, key=lambda i: (len(i.members), i.members)))
+    return tuple(sorted(ideals, key=lambda i: (len(i), i.members)))
 
 
 @per_ring
@@ -168,40 +269,26 @@ def enumerate_ideals(ring: FiniteRing) -> IdealEnumeration:
         ideals = [ideal_from_generators(ring, (g,)) for g in ring.representatives]
         return IdealEnumeration(_sorted_ideals(ideals))
     if isinstance(ring, ProductRing):
-        left = enumerate_ideals(ring.left)
-        right = enumerate_ideals(ring.right)
-        ideals = []
-        for i1 in left.ideals:
-            for i2 in right.ideals:
-                ideals.append(product_ideal(ring, i1, i2))
-        return IdealEnumeration(_sorted_ideals(ideals))
+        pairs = iter_product(enumerate_ideals(ring.left).ideals, enumerate_ideals(ring.right).ideals)
+        return IdealEnumeration(_sorted_ideals(product_ideal(ring, *pair) for pair in pairs))
     return _enumerate_by_generators(ring)
 
 
 def product_ideal(ring: ProductRing, left_ideal: Ideal, right_ideal: Ideal) -> Ideal:
     """The ideal I1 x I2 of a product ring."""
-    elements = frozenset(
-        (a, b) for a in left_ideal.elements for b in right_ideal.elements
-    )
     gens = dict.fromkeys(
         [(g, ring.right.zero) for g in left_ideal.generators]
         + [(ring.left.zero, g) for g in right_ideal.generators]
     )
-    return Ideal(ring, elements, tuple(gens))
+    return Ideal(ring, (left_ideal.key, right_ideal.key), tuple(gens))
 
 
 def split_product_ideal(ring: ProductRing, ideal: Ideal):
-    """Factor an ideal of R1 x R2 into its projections (I1, I2); raises if
-    the element set is not the full rectangle I1 x I2 (it always is for a
-    genuine ideal of a product)."""
-    left = frozenset(a for a, _ in ideal.elements)
-    right = frozenset(b for _, b in ideal.elements)
-    if len(left) * len(right) != len(ideal.elements):
-        raise ValueError(f"not a rectangular ideal of {ring.spec_str}: {ideal!r}")
-    return (
-        ideal_from_elements(ring.left, left),
-        ideal_from_elements(ring.right, right),
-    )
+    """Factor an ideal of R1 x R2 into its projections (I1, I2), each with
+    its member list for generators."""
+    if ideal.ring != ring:
+        raise ValueError("ideal does not belong to this ring")
+    return Ideal(ring.left, ideal.key[0]), Ideal(ring.right, ideal.key[1])
 
 
 def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
@@ -225,8 +312,8 @@ def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
                     found[joined] = new_gens
                     grown.append((joined, new_gens))
         frontier = sorted(grown, key=lambda kv: kv[1])
-    ideals = _sorted_ideals(Ideal(ring, members, gens) for members, gens in found.items())
-    return IdealEnumeration(ideals)
+    ideals = (Ideal(ring, _key_of(ring, members), gens) for members, gens in found.items())
+    return IdealEnumeration(_sorted_ideals(ideals))
 
 
 def _ideal_sum(ring: FiniteRing, first: frozenset, second: frozenset) -> frozenset:
@@ -242,7 +329,7 @@ def _ideal_sum(ring: FiniteRing, first: frozenset, second: frozenset) -> frozens
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
     """The ring of cosets R/I, with `project` as the natural map.
 
-    Built from the element set `ideal` holds, outside the spec cache: each
+    Built from the element set of `ideal`, outside the spec cache: each
     call returns a fresh ring, equal to the one `build_ring` makes from the
     same spec, and freed once nothing holds it.  A quotient is never
     larger than its base, so the base's order cap holds.
@@ -252,7 +339,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
     if not ideal.is_proper:
         raise ValueError(f"cannot quotient {ring.spec_str} by an improper ideal")
     literals = tuple(ring.index_of(g) for g in ideal.generators)
-    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.elements)
+    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.membership())
 
 
 def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:
@@ -261,14 +348,12 @@ def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:
         raise ValueError("ideal does not belong to the base ring")
     # the members are base elements already: read the coset map unchecked
     coset_of = quotient._rep_map
-    elements = frozenset(coset_of[x] for x in ideal.elements)
+    elements = frozenset(coset_of[x] for x in ideal.membership())
     gens = []
     for g in ideal.generators:
         image = quotient.project(g)
         if image not in gens:
             gens.append(image)
-    if not gens and elements != frozenset({quotient.zero}):
-        gens = sorted(elements)
     return Ideal(quotient, elements, tuple(gens))
 
 
@@ -278,7 +363,7 @@ def _prime_failure_scan(ideal: Ideal):
     xy != 0, in nested-loop order over the class table (None when there
     is none).  The sweep stops at the latter."""
     ring = ideal.ring
-    members = ideal.elements
+    members = ideal.membership()
     zero = ring.zero
     outside = [x for x in ring.representatives if x not in members]
     first = None
@@ -307,6 +392,6 @@ def krull_dim(ring: FiniteRing) -> int:
     # `proper` is sorted by size, so every prime inside P comes before P
     chains = []  # (prime, longest chain of primes ending at it)
     for p in (i for i in enumerate_ideals(ring).proper if is_prime_ideal(i)):
-        below = [length for q, length in chains if q.elements < p.elements]
+        below = [length for q, length in chains if q < p]
         chains.append((p, 1 + max(below, default=0)))
     return max((length for _, length in chains), default=0) - 1

@@ -10,8 +10,9 @@ generator.  `additive_generators` spans the ring as an additive group, and
 `element_at` reads one literal.  All three are closed form for cyclic,
 product and trivial-extension rings, so a one-shot query on a large ring
 of those kinds never builds `elements`.  Rings are immutable once built;
-`build_ring` memoizes on the spec, so repeated builds of the same spec
-share one object, its caches and the tables `per_ring` keeps on it.
+`build_ring` memoizes on the spec alone, whatever the order cap, so
+repeated builds of the same spec share one object, its caches and the
+tables `per_ring` keeps on it; the cap is checked on every call.
 
 Divisibility and literal indexing are per kind (gcd tests for cyclic
 rings, componentwise rules for products, and so on), and so are class
@@ -471,7 +472,7 @@ class QuotientRing(FiniteRing):
     element order of the quotient is inherited from the base.
     """
 
-    def __init__(self, spec: Quotient, base: FiniteRing, ideal_members: frozenset):
+    def __init__(self, spec: Quotient, base: FiniteRing, ideal_members):
         rep_map = {}
         reps = []
         for e in base.elements:
@@ -567,20 +568,17 @@ def additive_closure(ring: FiniteRing, seed) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
-    # every kind builds without listing its elements, so the cap is checked
-    # on the built ring; a quotient's base passes its own check before
-    # `QuotientRing` walks it
+def _build_cached(spec: RingSpec) -> FiniteRing:
+    # one ring per spec, whatever the cap; `_build_within` has checked the
+    # parts already, so a quotient walks only a base within the cap
     if isinstance(spec, CyclicZ):
-        ring: FiniteRing = CyclicRing(spec)
-    elif isinstance(spec, Product):
-        left = _build_cached(spec.left, max_order)
-        right = _build_cached(spec.right, max_order)
-        ring = ProductRing(spec, left, right)
-    elif isinstance(spec, Idealization):
-        ring = IdealizationRing(spec)
-    elif isinstance(spec, Quotient):
-        base = _build_cached(spec.base, max_order)
+        return CyclicRing(spec)
+    if isinstance(spec, Product):
+        return ProductRing(spec, _build_cached(spec.left), _build_cached(spec.right))
+    if isinstance(spec, Idealization):
+        return IdealizationRing(spec)
+    if isinstance(spec, Quotient):
+        base = _build_cached(spec.base)
         gen_elements = []
         for literal in spec.generators:
             if literal >= base.order:
@@ -595,9 +593,19 @@ def _build_cached(spec: RingSpec, max_order: int) -> FiniteRing:
                 f"improper quotient ideal: generators {spec.generators} "
                 f"generate the whole of {base.spec_str}"
             )
-        ring = QuotientRing(spec, base, members)
-    else:
-        raise TypeError(f"not a ring spec: {spec!r}")
+        return QuotientRing(spec, base, members)
+    raise TypeError(f"not a ring spec: {spec!r}")
+
+
+def _build_within(spec: RingSpec, max_order: int) -> FiniteRing:
+    # the cap is checked on every call, on the parts first: only a quotient
+    # lists elements to build, and only after its base passes
+    if isinstance(spec, Product):
+        _build_within(spec.left, max_order)
+        _build_within(spec.right, max_order)
+    elif isinstance(spec, Quotient):
+        _build_within(spec.base, max_order)
+    ring = _build_cached(spec)
     if ring.order > max_order:
         raise OrderCapError(
             f"{ring.spec_str} has order {ring.order}, exceeding the cap {max_order}", spec
@@ -611,7 +619,7 @@ def build_ring(spec: RingSpec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteRing
     order-cap error for a part of `spec` (a factor, a quotient's base)
     names `spec` too."""
     try:
-        return _build_cached(spec, max_order)
+        return _build_within(spec, max_order)
     except OrderCapError as exc:
         if exc.spec == spec:
             raise

@@ -306,10 +306,10 @@ def _check_basic_4(family):
         ideals = _proper_ideals(ring)
         grids = _status_grids(ring, family)
         # the meet of two proper ideals is a proper ideal of the ring
-        grid_of = {ideal.elements: grid for ideal, grid in zip(ideals, grids)}
+        grid_of = {ideal.key: grid for ideal, grid in zip(ideals, grids)}
         for i, (first, first_grid) in enumerate(zip(ideals, grids)):
             for second, second_grid in zip(ideals[i + 1 :], grids[i + 1 :]):
-                meet = grid_of[first.elements & second.elements]
+                meet = grid_of[(first & second).key]
 
                 def walk():
                     for m, n in family.all_pairs:
@@ -373,7 +373,8 @@ def _check_nil(family):
     tally = _Tally("T-NIL")
     for ring, ideal, grid in _ideal_grids(family):
         nil = ring.nilpotents
-        inside = ideal.elements <= nil
+        # the nilradical is an ideal: I lies in it iff its generators do
+        inside = nil.issuperset(ideal.generators)
 
         def walk():
             for m, n in family.all_pairs:
@@ -429,7 +430,7 @@ def _check_quot(family):
         for small in ideals:
             quotient = quotient_ring(ring, small)
             for big, grid in zip(ideals, grids):
-                if not small.elements <= big.elements:
+                if not small <= big:
                     continue
                 image = _grid(family, image_ideal(quotient, big))
 
@@ -571,7 +572,7 @@ def _check_prod_weak(family):
 def extend_ideal_to_idealization(ring: IdealizationRing, base_ideal: Ideal) -> Ideal:
     """The ideal I (+) M of Z_n (+) Z_d, for I an ideal of Z_n."""
     elements = frozenset(
-        (i, x) for i in base_ideal.elements for x in range(ring.d)
+        (i, x) for i in base_ideal for x in range(ring.d)
     )
     gens = tuple((g, 0) for g in base_ideal.generators)
     if ring.d > 1:
@@ -648,8 +649,9 @@ def _nil_vanishes(ring, exponents) -> dict:
 def _check_nilideal(family):
     tally = _Tally("T-NILIDEAL")
     for ring in _family_rings(family):
-        nil = ring.nilpotents
-        grids = _distinct(_grid(family, i) for i in _proper_ideals(ring) if i.elements <= nil)
+        nil = ring.nilpotents  # an ideal: I lies in it iff its generators do
+        inside = (i for i in _proper_ideals(ring) if nil.issuperset(i.generators))
+        grids = _distinct(_grid(family, i) for i in inside)
         vanishes = _nil_vanishes(ring, (m for m, _ in family.mn_pairs))
         for m, n in family.mn_pairs:
             all_weak = all(g[m][n] != STATUS_NOT_WEAKLY for g in grids)

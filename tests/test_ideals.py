@@ -4,6 +4,7 @@ import functools
 import gc
 import pickle
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from closure_lab import (
     build_ring,
     clear_caches,
     enumerate_ideals,
+    ideal_from_elements,
     ideal_from_generators,
     image_ideal,
     intersect_ideals,
@@ -155,7 +157,7 @@ def test_tables_are_freed_with_the_last_equal_ideal():
     first, second = ideal_from_generators(r, (2,)), ideal_from_generators(r, (10, 4))
     rows = closure._thresholds(first)
     assert closure._thresholds(second) is rows and second.tables is first.tables
-    key, stores = first.elements, ideals._stores(r)
+    key, stores = first.key, ideals._stores(r)
     assert stores[key] is first.tables
     probe = weakref.ref(first.tables)
     del first
@@ -326,6 +328,9 @@ def test_split_product_ideal():
         assert ideal.elements == frozenset(
             (a, b) for a in left.elements for b in right.elements
         )
+    # the additive subgroup of (2, 3) is no ideal: its projections do not tile it
+    with pytest.raises(ValueError, match="not a rectangular ideal of Z4 x Z6"):
+        ideal_from_elements(r, {(0, 0), (2, 3)})
 
 
 def test_enumeration_is_deterministic():
@@ -404,3 +409,91 @@ def test_proper_ideals_are_listed_once():
     enumeration = enumerate_ideals(ring("Z12 (+) Z6"))
     assert enumeration.proper is enumeration.proper
     assert enumeration.proper == tuple(i for i in enumeration.ideals if is_proper(i))
+
+
+# --- closed forms: ideals of cyclic and product rings by key ----------------
+
+CLOSED_FORM_RINGS = [
+    text for text in KIND_RINGS if isinstance(ring(text), (CyclicRing, ProductRing))
+] + ["Z2 x Z2 x Z4"]
+
+
+@pytest.mark.parametrize("text", CLOSED_FORM_RINGS)
+def test_closed_form_ideals_match_the_lattice_oracle(text):
+    r = ring(text)
+    lattice = enumerate_ideals(r).ideals
+    sets = [i.elements for i in lattice]
+    assert set(sets) == brute_ideal_lattice(r) and len(sets) == len(lattice)
+    for ideal, members in zip(lattice, sets):
+        assert [x for x in r.elements if x in ideal] == sorted(members)
+        assert [x for x in r.elements if x in ideal.membership()] == sorted(members)
+        assert len(ideal) == len(members) and ideal.members == tuple(sorted(members))
+        wrapped = ideal_from_elements(r, members)
+        assert wrapped == ideal and hash(wrapped) == hash(ideal) and wrapped.key == ideal.key
+        for other, other_members in zip(lattice, sets):
+            assert (ideal <= other) == (members <= other_members)
+            assert (ideal < other) == (members < other_members)
+            meet = ideal & other
+            assert meet.elements == members & other_members
+            assert meet == ideal_from_elements(r, members & other_members)
+
+
+def test_cyclic_membership_is_false_off_the_ring():
+    r = ring("Z12")
+    for ideal in enumerate_ideals(r).ideals:
+        d = ideal.key
+        for x in (r.n, r.n + d, -d, (0, 0), (d,)):
+            assert x not in ideal and x not in ideal.membership()
+
+
+def _plain_key(key):
+    return isinstance(key, int) or (
+        isinstance(key, tuple) and len(key) == 2 and all(map(_plain_key, key))
+    )
+
+
+@pytest.mark.parametrize("text", ["Z4096", "Z16 x Z16", "Z2 x Z2 x Z4", "Z12 x Z8"])
+def test_closed_form_ideals_keep_no_element_list(text):
+    r = ring(text)
+    for ideal in enumerate_ideals(r).ideals:
+        closure.status_grid(ideal, 4) if ideal.is_proper else None
+        assert ideal.members and ideal.elements and repr(ideal)  # built, and not kept
+        assert _plain_key(ideal.key)
+        kept = gc.get_referents(ideal)
+        assert not [x for x in kept if isinstance(x, frozenset)]
+        assert not [x for x in kept if isinstance(x, tuple) and len(x) > 3]
+
+
+def _traced(build):
+    """The bytes that ``build()`` allocates and still holds once it
+    returns, and its peak.  A full collection first empties the free
+    lists, which keep freed tuples allocated."""
+    tracemalloc.start()
+    try:
+        kept = build()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept is not None
+    return held, peak
+
+
+def test_a_principal_ideal_of_a_large_cyclic_ring_lists_no_elements():
+    # T-PRINCIPAL's largest ideal, (27) of Z_(3**12): its grid reads the
+    # 13 class-table entries, not the 19683 members
+    clear_caches()
+    r = ring("Z531441")
+    assert len(r.representatives) == 13
+    _, peak = _traced(lambda: closure.status_grid(ideal_from_generators(r, (27,)), 6))
+    assert peak < 64 * 1024
+
+
+def test_a_product_lattice_and_its_grids_stay_small():
+    # 25 ideals of up to 256 members each; their element sets alone took
+    # about 110 KB
+    clear_caches()
+    r = ring("Z16 x Z16")
+    assert len(r.representatives) == 25
+    held, _ = _traced(lambda: [closure.status_grid(i, 6) for i in enumerate_ideals(r).proper])
+    assert held < 120 * 1024

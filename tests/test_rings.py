@@ -13,6 +13,7 @@ from closure_lab import (
     SpecError,
     build_ring,
     characteristic,
+    clear_caches,
     element_arithmetic,
     enumerate_ideals,
     ideal_from_generators,
@@ -69,6 +70,31 @@ def test_order_cap_holds_for_products_with_quotient_factors():
     # a quotient's base is checked before the quotient walks it
     with pytest.raises(OrderCapError, match="^Z1000 has order 1000, exceeding the cap 999"):
         build_ring(parse_ring_spec("Z1000/(0) x Z2"), 999)
+
+
+def test_one_ring_per_spec_whatever_the_cap():
+    spec = parse_ring_spec("Z12 x Z4/(2)")
+    first = build_ring(spec, 64)
+    assert build_ring(spec, 2 ** 20) is first and build_ring(spec, 24) is first
+    assert first.left is build_ring(CyclicZ(12), 12)
+
+
+@pytest.mark.parametrize(
+    "text, cap",
+    [("Z64", 32), ("Z1000 x Z1000/(0)", 1000), ("Z1000/(0) x Z2", 999), ("Z1000/(2)", 999)],
+)
+def test_a_cap_error_is_raised_again_once_the_spec_is_built(text, cap):
+    # the cap is checked on every call, the parts first: a quotient with a
+    # base over the cap fails even once a larger cap has built it
+    spec = parse_ring_spec(text)
+    clear_caches()
+    with pytest.raises(OrderCapError) as fresh:
+        build_ring(spec, cap)
+    build_ring(spec)
+    with pytest.raises(OrderCapError) as rebuilt:
+        build_ring(spec, cap)
+    assert str(rebuilt.value) == str(fresh.value)
+    assert rebuilt.value.spec == fresh.value.spec == spec
 
 
 @pytest.mark.parametrize("text", ["Z100000000000000000039", "Z100000000000000000039 (+) Z1"])

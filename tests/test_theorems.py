@@ -185,12 +185,21 @@ def _oracle_grid(ideal, size):
 
 
 def test_catalog_on_the_oracles_matches_the_fast_path(monkeypatch):
+    _catalog_on_the_oracles(monkeypatch, tiny_family())
+
+
+def test_catalog_on_the_oracles_matches_the_fast_path_on_the_mid_family(monkeypatch):
+    # every cyclic ring up to Z32, and products of Z2, Z3, Z4 and Z8
+    family = tiny_family(cyclic_moduli=tuple(range(2, 33)), product_moduli=(2, 3, 4, 8), m_max=5)
+    _catalog_on_the_oracles(monkeypatch, family)
+
+
+def _catalog_on_the_oracles(monkeypatch, family):
     # every record of the catalog, once as shipped and once with the
     # shortcuts swapped for the definitions: grids cell by cell, n-absorbing
     # answers by a full multiset scan, divisibility by a scan of the ring,
     # every `once` walk run again, and each class table the least members
     # of its associate classes
-    family = tiny_family()
     fast = [json.dumps(v.to_record()) for v in verify_many(THEOREM_IDS, family)]
     least = {}
 
