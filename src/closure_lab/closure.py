@@ -5,12 +5,14 @@ weakly (m,n)-closed when that is only required for x**m nonzero.  The
 gap between the two notions is witnessed by unbreakable-zero elements:
 a with a**m == 0 but a**n not in I.
 
-One table per ideal value (whatever its generators) answers
-closedness, weak radicality and nonzero-power questions: `_thresholds`
-lists, for every entry x of the class table `FiniteRing.representatives`
-(one entry per associate class), the least t with x**t in I and the
-nilpotency index of x.  x breaks (m,n)-closedness exactly when
-n < tau(x) <= m, and weak (m,n)-closedness when also x**m != 0.
+Two numbers per element decide both notions: tau(x), the least t with
+x**t in I, and nu(x), the nilpotency index.  Only tau depends on the
+ideal.  So each ring keeps, once, the power chain x, x**2, ... and nu of
+every entry of its class table `FiniteRing.representatives` (one entry
+per associate class; `power_chains`), and each ideal value keeps one
+`bytes` of tau values aligned with that table, 0 meaning none
+(`_thresholds`).  x breaks (m,n)-closedness exactly when n < tau(x) <= m,
+and weak (m,n)-closedness when also x**m != 0.
 
 Status questions are answered by `status_grid`, which reads the status
 of every (m, n) of an ideal off the distinct (tau, nu) pairs of that
@@ -18,8 +20,8 @@ table at once; callers that ask about many pairs fetch the grid once.
 A grid depends only on those pairs, L and its length, so it is built
 once per such signature (`_signature_grid`): ideals with equal
 signatures share one grid object, which lets callers key on identity.
-Unbreakable zeros are read off a second table per ideal,
-`_nil_thresholds`, which holds tau and nu for every nilpotent.
+Unbreakable zeros are read off a second `bytes` per ideal,
+`_nil_thresholds`, which holds tau for every nilpotent.
 Witness questions are answered by the three closedness deciders
 (`classify`, `is_mn_closed`, `is_weakly_mn_closed`), which read one
 sweep of the table, `_failure_scan`, finding the first failing x and
@@ -30,9 +32,10 @@ it finds the first witness a scan of all elements finds.
 its docstring says why the first witness is unchanged, and why an
 ideal weakly n-absorbing is weakly (n+1)-absorbing.
 
-Where the tables live: threshold rows, status grids, nilpotent rows and
-n-absorbing answers are kept in the ideal's own store (`Ideal.table`),
-once per ideal value, and are freed with the last equal ideal.  The one
+Where the tables live: power chains on their ring (`rings.per_ring`);
+tau bytes, status grids (keyed by size) and n-absorbing answers (keyed by
+a small int, `_absorbing_key`) in the ideal's own store (`Ideal.table`),
+once per ideal value, freed with the last equal ideal.  The one
 module-level cache here, `_signature_grid`, is keyed on small
 signatures, and `closure_lab.clear_caches` empties it.
 """
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ideals import Ideal, _prime_failure_scan
-from .rings import _serialize
+from .rings import FiniteRing, _serialize, per_ring
 
 STATUS_CLOSED = "closed"
 STATUS_WEAKLY_ONLY = "weakly_only"
@@ -101,40 +104,90 @@ def _require_positive(*values):
             raise ValueError("exponents must be positive")
 
 
-def _thresholds(ideal: Ideal) -> tuple:
-    """One row (x, tau, nu) per class-table entry x (see `_threshold_rows`),
-    once per ideal value."""
-    return ideal.table("thresholds", _threshold_rows)
+class PowerChains:
+    """The powers of every class-table entry of one ring (`power_chains`).
 
-
-def _threshold_rows(ideal: Ideal) -> tuple:
-    """One row (x, tau, nu) per class-table entry x, in table order: tau
-    the least t >= 1 with x**t in I, nu the least t >= 1 with x**t == 0,
-    each None when there is none.  tau <= nu whenever nu exists, and
-    x**t lies in I exactly when t >= tau.
-
-    Each row is one multiplication chain that stops at zero or at t = L,
-    the ring's `power_bound`: tau <= L and nu <= L whenever they exist.
+    ``chains[x]`` is (x, x**2, ..., x**k) for the entry x, in table order,
+    with k the least t such that x**(t+1) == x**t, or L = `power_bound`
+    when there is none before L.  So x**t == chains[x][min(t, k) - 1] for
+    every 1 <= t <= L.  ``nus`` holds nu(x), the least t with x**t == 0,
+    aligned with the table: zero is such a fixed point, so nu(x) is k when
+    x**k == 0, and 0 (none) otherwise.
     """
-    ring, members = ideal.ring, ideal.membership()
-    mul = ring.mul
-    zero = ring.zero
-    bound = ring.power_bound
-    rows = []
-    for x in ring.representatives:
-        tau = nu = None
-        y, t = x, 1
-        while True:
-            if tau is None and y in members:
-                tau = t
-            if y == zero:
-                nu = t
+
+    __slots__ = ("chains", "nus")
+
+    def __init__(self, ring: FiniteRing):
+        mul, zero, bound = ring.mul, ring.zero, ring.power_bound
+        chains = {}
+        for x in ring.representatives:
+            chain = [x]
+            y = x
+            while len(chain) < bound:
+                y = mul(y, x)
+                if y == chain[-1]:
+                    break
+                chain.append(y)
+            chains[x] = tuple(chain)
+        self.chains = chains
+        self.nus = bytes(len(c) if c[-1] == zero else 0 for c in chains.values())
+
+
+@per_ring
+def power_chains(ring: FiniteRing) -> PowerChains:
+    """The `PowerChains` of a ring, built once and kept on the ring."""
+    return PowerChains(ring)
+
+
+class Thresholds:
+    """`_thresholds` of one ideal value: the ring's power chains and one
+    byte of tau per class-table entry, 0 meaning none.  Iterating gives
+    the rows (x, tau, nu) in table order, each None when there is none;
+    tau <= nu whenever nu exists, and x**t lies in I exactly when t >= tau.
+    Equal when both read one ring's chains and hold equal taus."""
+
+    __slots__ = ("chains", "taus")
+
+    def __init__(self, chains: PowerChains, taus: bytes):
+        self.chains = chains
+        self.taus = taus
+
+    def __iter__(self):
+        return map(_row, self.chains.chains, self.taus, self.chains.nus)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Thresholds)
+            and self.chains is other.chains
+            and self.taus == other.taus
+        )
+
+
+def _row(x, tau: int, nu: int) -> tuple:
+    return x, tau or None, nu or None
+
+
+def _thresholds(ideal: Ideal) -> Thresholds:
+    """The rows (x, tau, nu) of every class-table entry x, as one kept,
+    re-iterable `Thresholds` per ideal value: tau the least t >= 1 with
+    x**t in I, nu the least t >= 1 with x**t == 0.  tau <= L and nu <= L
+    whenever they exist, so each tau is read off the entry's power chain
+    on the ring (`power_chains`), and the ideal keeps only the tau bytes."""
+    return ideal.table("thresholds", _threshold_table)
+
+
+def _threshold_table(ideal: Ideal) -> Thresholds:
+    chains = power_chains(ideal.ring)
+    members = ideal.membership()
+    taus = bytearray()
+    for chain in chains.chains.values():
+        for t, y in enumerate(chain, 1):
+            if y in members:
+                taus.append(t)
                 break
-            if t >= bound:
-                break
-            y, t = mul(y, x), t + 1
-        rows.append((x, tau, nu))
-    return tuple(rows)
+        else:
+            taus.append(0)
+    return Thresholds(chains, bytes(taus))
 
 
 _STATUSES = (STATUS_CLOSED, STATUS_WEAKLY_ONLY, STATUS_NOT_WEAKLY)
@@ -154,19 +207,18 @@ def status_grid(ideal: Ideal, size: int) -> tuple:
     itself (see `_signature_grid`), so it depends only on those pairs,
     min(size, L) and size: ideals with equal signatures share one grid
     object.
-    One grid per (ideal value, size); the checks run on a miss only, and a
-    failed call is not remembered.
+    One grid per (ideal value, size), kept under the key `size`; the checks
+    run on a miss only, and a failed call is not remembered.
     """
-    return ideal.table(("grid", size), _grid_of, size)
+    return ideal.table(size, _grid_of, size)
 
 
 def _grid_of(ideal: Ideal, size: int) -> tuple:
     """The status grid of `status_grid`, built after its checks."""
     _require_proper(ideal)
     _require_positive(size)
-    pairs = frozenset(
-        (tau, nu) for _, tau, nu in _thresholds(ideal) if tau is not None and tau > 1
-    )
+    table = _thresholds(ideal)
+    pairs = frozenset((tau, nu or None) for tau, nu in zip(table.taus, table.chains.nus) if tau > 1)
     return _signature_grid(pairs, min(size, ideal.ring.power_bound), size)
 
 
@@ -211,12 +263,13 @@ def _failure_scan(ideal: Ideal, m: int, n: int):
     """
     _require_proper(ideal)
     _require_positive(m, n)
+    table = _thresholds(ideal)
     first = None
-    for x, tau, nu in _thresholds(ideal):
-        if tau is not None and n < tau <= m:
+    for x, tau, nu in zip(table.chains.chains, table.taus, table.chains.nus):
+        if n < tau <= m:
             if first is None:
                 first = x
-            if nu is None or nu > m:
+            if not nu or nu > m:
                 return first, x
     return first, None
 
@@ -243,26 +296,29 @@ def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
     """
     _require_proper(ideal)
     _require_positive(m, n)
-    return tuple(a for a, tau, nu in _nil_thresholds(ideal) if nu <= m and n < tau)
+    nil = ideal.ring.nilpotency_indices
+    return tuple(
+        a for (a, nu), tau in zip(nil.items(), _nil_thresholds(ideal)) if nu <= m and n < tau
+    )
 
 
-def _nil_thresholds(ideal: Ideal) -> tuple:
-    """One row (a, tau, nu) per nilpotent a, in canonical order: nu its
-    nilpotency index and tau the least t >= 1 with a**t in I, so tau <= nu
-    (0 lies in I) and a**t lies in I exactly when t >= tau.  Once per ideal
-    value."""
-    return ideal.table("nil_thresholds", _nil_threshold_rows)
+def _nil_thresholds(ideal: Ideal) -> bytes:
+    """One byte per nilpotent a, aligned with `nilpotency_indices`: the
+    least t >= 1 with a**t in I, so tau <= nu(a) (0 lies in I) and a**t
+    lies in I exactly when t >= tau.  Once per ideal value."""
+    return ideal.table("nil_thresholds", _nil_threshold_bytes)
 
 
-def _nil_threshold_rows(ideal: Ideal) -> tuple:
+def _nil_threshold_bytes(ideal: Ideal) -> bytes:
     ring, members = ideal.ring, ideal.membership()
-    rows = []
-    for a, nu in ring.nilpotency_indices.items():
+    mul = ring.mul
+    taus = bytearray()
+    for a in ring.nilpotency_indices:
         y, tau = a, 1
         while y not in members:
-            y, tau = ring.mul(y, a), tau + 1
-        rows.append((a, tau, nu))
-    return tuple(rows)
+            y, tau = mul(y, a), tau + 1
+        taus.append(tau)
+    return bytes(taus)
 
 
 def classify(ideal: Ideal, m: int, n: int) -> ClosednessReport:
@@ -288,8 +344,9 @@ def is_weakly_radical(ideal: Ideal):
     when 1 < tau(x) and x**tau != 0, that is tau(x) < nu(x) or x is not
     nilpotent, and its least t is tau(x)."""
     _require_proper(ideal)
-    for x, tau, nu in _thresholds(ideal):
-        if tau is not None and tau > 1 and (nu is None or tau < nu):
+    table = _thresholds(ideal)
+    for x, tau, nu in zip(table.chains.chains, table.taus, table.chains.nus):
+        if tau > 1 and (not nu or tau < nu):
             return False, (x, tau)
     return True, None
 
@@ -331,14 +388,20 @@ def is_n_absorbing(
     required = ideal.ring.order ** (n + 1)
     if required > budget:
         raise AbsorbingBudgetError(required, budget)
-    witness = ideal.table(("absorbing", n, weak), _absorbing_answer, n, weak)
+    witness = ideal.table(_absorbing_key(n, weak), _absorbing_answer, n, weak)
     return witness is None, witness
+
+
+def _absorbing_key(n: int, weak: bool) -> int:
+    """The store key of an n-absorbing answer: -2n - weak, negative, so it
+    never meets a grid's key (its size) and allocates no tuple."""
+    return -2 * n - weak
 
 
 def _absorbing_answer(ideal: Ideal, n: int, weak: bool):
     # absorbing at n - 1 means absorbing at n (see `is_n_absorbing`); no
     # witness is the empty tuple, so only a kept None at n - 1 matches
-    if ideal.tables.get(("absorbing", n - 1, weak), ()) is None:
+    if ideal.tables.get(_absorbing_key(n - 1, weak), ()) is None:
         return None
     return _absorbing_sweep(ideal, n, weak)
 

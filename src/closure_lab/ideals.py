@@ -5,16 +5,17 @@ the key of that set alone, and its generators are presentation only
 (records, quotient literals and enumeration joins read them).  Keys are
 closed form on cyclic and product rings: d, with d | n, for dZ_n, and
 the pair of factor keys for I1 x I2 (every ideal of a product, since
-(1, 0) and (0, 1) are idempotents).  Trivial extensions and quotients
-key an ideal by its element set.  Size, containment and meets are read
-off the keys; `elements` and `members` are built on demand, never kept.
+(1, 0) and (0, 1) are idempotents).  A trivial extension keys an ideal
+by an int bitmask over element indices (`FiniteRing.index_of`), and a
+quotient by its element set.  Size, containment and meets are read off
+the keys; `elements` and `members` are built on demand, never kept.
 Enumeration is complete by construction for every ring kind: structural
 for cyclic and product rings, and for trivial extensions and quotients a
 fixpoint that joins principal ideals until nothing new appears (every
 ideal is the sum of the principal ideals of its members).
 
-The deciders' per-ideal tables (threshold rows, status grids, nilpotent
-rows, n-absorbing answers) live in one store per ideal value,
+The deciders' per-ideal tables (tau bytes, status grids, nilpotent tau
+bytes, n-absorbing answers) live in one store per ideal value,
 `Ideal.table`: every equal ideal of a ring shares it, and it is freed
 with the last of them, by reference counting alone.  So a table lives
 as long as some ideal that can ask for it: a lattice's ideals as long
@@ -28,11 +29,13 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress, count
 from itertools import product as iter_product
 
 from .rings import (
     CyclicRing,
     FiniteRing,
+    IdealizationRing,
     ProductRing,
     QuotientRing,
     ideal_closure,
@@ -104,7 +107,8 @@ class Ideal:
 
     def membership(self):
         """A container with a C-speed ``in`` for loops that test many
-        elements: the range dZ_n on Z_n, else the element set."""
+        elements: the range dZ_n on Z_n, else the element set, built for
+        the caller alone."""
         if isinstance(self.ring, CyclicRing):
             return range(0, self.ring.n, self.key)
         return self.elements
@@ -160,6 +164,9 @@ def _members(ring: FiniteRing, key):
     if isinstance(ring, ProductRing):
         # pairs in product order are sorted when each factor is
         return iter_product(*map(_members, (ring.left, ring.right), key))
+    if isinstance(ring, IdealizationRing):
+        # the set bits, lowest first: bin() lists the highest first
+        return map(ring.element_at, compress(count(), map("1".__eq__, bin(key)[:1:-1])))
     return sorted(key)
 
 
@@ -169,6 +176,8 @@ def _contains(ring: FiniteRing, key, x) -> bool:
     if isinstance(ring, ProductRing):
         pair = isinstance(x, tuple) and len(x) == 2
         return pair and all(map(_contains, (ring.left, ring.right), key, x))
+    if isinstance(ring, IdealizationRing):
+        return ring.contains(x) and key >> ring.position(x) & 1 == 1
     return x in key
 
 
@@ -177,11 +186,13 @@ def _size(ring: FiniteRing, key) -> int:
         return ring.n // key
     if isinstance(ring, ProductRing):
         return math.prod(map(_size, (ring.left, ring.right), key))
+    if isinstance(ring, IdealizationRing):
+        return key.bit_count()
     return len(key)
 
 
 def _meet(ring: FiniteRing, key, other):
-    # dZ_n & d'Z_n = lcm(d, d')Z_n
+    # dZ_n & d'Z_n = lcm(d, d')Z_n; bitmasks and element sets meet by `&`
     if isinstance(ring, CyclicRing):
         return math.lcm(key, other)
     if isinstance(ring, ProductRing):
@@ -191,7 +202,8 @@ def _meet(ring: FiniteRing, key, other):
 
 def _key_of(ring: FiniteRing, elements: frozenset):
     """The key of an element set known to be an ideal: the gcd of its members
-    and n on Z_n, the keys of its projections (a full rectangle) on a product."""
+    and n on Z_n, the keys of its projections (a full rectangle) on a product,
+    the bitmask of its element indices on a trivial extension."""
     if isinstance(ring, CyclicRing):
         return reduce(math.gcd, elements, ring.n)
     if isinstance(ring, ProductRing):
@@ -199,6 +211,12 @@ def _key_of(ring: FiniteRing, elements: frozenset):
         if len(left) * len(right) != len(elements):
             raise ValueError(f"not a rectangular ideal of {ring.spec_str}: {sorted(elements)}")
         return (_key_of(ring.left, left), _key_of(ring.right, right))
+    if isinstance(ring, IdealizationRing):
+        # one character per element, the highest index first
+        bits = ["0"] * ring.order
+        for x in elements:
+            bits[-1 - ring.position(x)] = "1"
+        return int("".join(bits), 2)
     return elements
 
 
@@ -211,7 +229,7 @@ def _generated_key(ring: FiniteRing, gens):
     if isinstance(ring, ProductRing):
         left, right = zip(*gens) if gens else ((), ())
         return (_generated_key(ring.left, left), _generated_key(ring.right, right))
-    return ideal_closure(ring, gens)
+    return _key_of(ring, ideal_closure(ring, gens))
 
 
 def ideal_from_generators(ring: FiniteRing, generators) -> Ideal:
@@ -223,11 +241,11 @@ def ideal_from_generators(ring: FiniteRing, generators) -> Ideal:
     return Ideal(ring, _generated_key(ring, gens), gens)
 
 
-def ideal_from_elements(ring: FiniteRing, elements) -> Ideal:
+def ideal_from_elements(ring: FiniteRing, elements, generators=None) -> Ideal:
     """Wrap an element set already known to be an ideal (for example the
     image of an ideal under a projection); generators default to the
     full member list, which trivially regenerates the set."""
-    return Ideal(ring, _key_of(ring, frozenset(elements)))
+    return Ideal(ring, _key_of(ring, frozenset(elements)), generators)
 
 
 def intersect_ideals(first: Ideal, second: Ideal) -> Ideal:
@@ -312,8 +330,9 @@ def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
                     found[joined] = new_gens
                     grown.append((joined, new_gens))
         frontier = sorted(grown, key=lambda kv: kv[1])
-    ideals = (Ideal(ring, _key_of(ring, members), gens) for members, gens in found.items())
-    return IdealEnumeration(_sorted_ideals(ideals))
+    # sorted as `_sorted_ideals` sorts, on the element sets in hand
+    ordered = sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    return IdealEnumeration(tuple(Ideal(ring, _key_of(ring, m), gens) for m, gens in ordered))
 
 
 def _ideal_sum(ring: FiniteRing, first: frozenset, second: frozenset) -> frozenset:

@@ -13,15 +13,24 @@ is representable for API completeness but unreachable from finite rings:
 every finite commutative ring is strongly pi-regular, which the profile
 computation asserts by always terminating with a finite k.
 Many-cell questions read `vnr_rows` (one associate class) and `regular_rows`
-(one ring), tables kept on the ring; searches that stop at the first answer
-ask `_is_vnr` one pair at a time, so a one-shot query builds no table.
+(one ring), tables kept on the ring; an entry's table reads its powers off
+the ring's power chains (`closure.power_chains`), and equal tables and
+rows of one ring are one object (`_interned`).  Searches that stop at the
+first answer ask `_is_vnr` one pair at a time, so a one-shot query builds
+no table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import STATUS_CLOSED, STATUS_NOT_WEAKLY, _require_positive, status_grid
+from .closure import (
+    STATUS_CLOSED,
+    STATUS_NOT_WEAKLY,
+    _require_positive,
+    power_chains,
+    status_grid,
+)
 from .ideals import enumerate_ideals
 from .rings import FiniteRing, _serialize, per_ring
 
@@ -82,20 +91,36 @@ def _entry_rows(ring: FiniteRing, x, size: int) -> tuple:
     """`vnr_rows` of the class-table entry x.  x**t R is one ideal for
     every t >= L = `power_bound`, so x**t and x**L are associates: only
     cells up to L are decided, once per entry, and a longer table pads
-    the L table, repeating its last row and column.  Every decided cell
-    is a divisibility test, never read off the B_k shape the theorems
-    test."""
+    the L table, repeating its last row and column.  Within L the powers
+    are read off the entry's power chain (x, ..., x**k), and x**t = x**k
+    for k <= t <= L, so cells past k repeat row and column k too.  Every
+    decided cell is a divisibility test, never read off the B_k shape the
+    theorems test.  Rows and tables are interned per ring, so equal ones
+    are one object."""
     _require_positive(size)
     top = ring.power_bound
     if size > top:
-        pad = size - top
-        rows = [(*row, *row[-1:] * pad) for row in _entry_rows(ring, x, top)]
-        return tuple(rows + rows[-1:] * pad)
-    powers = [ring.power(x, t) for t in range(size + 1)]
-    rows = [(None,) * (size + 1)]
-    for m in range(1, size + 1):
-        rows.append((None, *(ring.divides(powers[m], powers[n]) for n in range(1, size + 1))))
-    return tuple(rows)
+        known, rows = top, list(_entry_rows(ring, x, top))
+    else:
+        chain = power_chains(ring).chains[x]
+        known = min(len(chain), size)
+        powers = (ring.one, *chain[:known])
+        rows = [(None,) * (known + 1)]
+        for m in range(1, known + 1):
+            rows.append((None, *(ring.divides(powers[m], powers[n]) for n in range(1, known + 1))))
+    pad = size - known
+    if pad:
+        rows = [(*row, *row[-1:] * pad) for row in rows]
+        rows += rows[-1:] * pad
+    intern = _interned(ring).setdefault
+    table = tuple(intern(row, row) for row in rows)
+    return intern(table, table)
+
+
+@per_ring
+def _interned(ring: FiniteRing) -> dict:
+    # every distinct vnr row and table of the ring, each its own key
+    return {}
 
 
 def vnr_grid(ring: FiniteRing, x, max_m: int = 6, max_n: int = 6) -> dict:
@@ -129,13 +154,15 @@ def vnr_profile_ring(ring: FiniteRing) -> VnrProfile:
 @per_ring
 def regular_rows(ring: FiniteRing) -> tuple:
     """``rows[m][n]``: every class-table entry is (m,n)-vnr, for 1 <= m, n
-    <= L = `power_bound`; past L the answer is the one at L."""
+    <= L = `power_bound`; past L the answer is the one at L.  Its rows are
+    interned with the entries' (`_interned`)."""
     top = ring.power_bound
     tables = [vnr_rows(ring, x, top) for x in ring.representatives]
     rows = [(None,) * (top + 1)]
     for m in range(1, top + 1):
         rows.append((None, *(all(t[m][n] for t in tables) for n in range(1, top + 1))))
-    return tuple(rows)
+    intern = _interned(ring).setdefault
+    return tuple(intern(row, row) for row in rows)
 
 
 def is_mn_regular_ring(ring: FiniteRing, m: int, n: int) -> bool:

@@ -7,12 +7,14 @@ index of each member, the unit group, the zero-divisors, and the
 characteristic.  `representatives` is the class table that
 first-witness sweeps run over: one entry per principal ideal, its least
 generator.  `additive_generators` spans the ring as an additive group, and
-`element_at` reads one literal.  All three are closed form for cyclic,
-product and trivial-extension rings, so a one-shot query on a large ring
-of those kinds never builds `elements`.  Rings are immutable once built;
+`element_at` reads one literal and `index_of` finds it.  All four are
+closed form for cyclic, product and trivial-extension rings, so a
+one-shot query on a large ring of those kinds never builds `elements`
+(quotients keep an element-to-index map).  Rings are immutable once built;
 `build_ring` memoizes on the spec alone, whatever the order cap, so
 repeated builds of the same spec share one object, its caches and the
-tables `per_ring` keeps on it; the cap is checked on every call.
+tables `per_ring` keeps on it; the cap is checked on every call, against
+the spec's `order_bound` first, and part by part only when that exceeds it.
 
 Divisibility and literal indexing are per kind (gcd tests for cyclic
 rings, componentwise rules for products, and so on), and so are class
@@ -143,14 +145,14 @@ class FiniteRing:
         """``elements[i]``, for 0 <= i < order (unchecked)."""
         return self.elements[i]
 
-    @cached_property
-    def _index(self) -> dict:
-        return {x: i for i, x in enumerate(self.elements)}
+    def position(self, x) -> int:
+        """`index_of` unchecked: x must be an element."""
+        raise NotImplementedError
 
     def index_of(self, x) -> int:
         """Position of x in the canonical element order."""
         self.require_member(x)
-        return self._index[x]
+        return self.position(x)
 
     def divides(self, a, b) -> bool:
         """Whether b lies in the principal ideal aR: a*r == b for some r."""
@@ -323,6 +325,9 @@ class CyclicRing(FiniteRing):
     def element_at(self, i):
         return i
 
+    def position(self, x):
+        return x
+
     @cached_property
     def representatives(self):
         # x and gcd(x, n) are associates, and gcd(x, n) <= x
@@ -371,6 +376,9 @@ class ProductRing(FiniteRing):
     def element_at(self, i):
         q, r = divmod(i, self.right.order)
         return (self.left.element_at(q), self.right.element_at(r))
+
+    def position(self, x):
+        return self.left.position(x[0]) * self.right.order + self.right.position(x[1])
 
     @cached_property
     def representatives(self):
@@ -442,6 +450,9 @@ class IdealizationRing(FiniteRing):
 
     def element_at(self, i):
         return divmod(i, self.d)
+
+    def position(self, x):
+        return x[0] * self.d + x[1]
 
     @cached_property
     def representatives(self):
@@ -515,6 +526,13 @@ class QuotientRing(FiniteRing):
     @cached_property
     def elements(self):
         return self._reps
+
+    @cached_property
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self._reps)}
+
+    def position(self, x):
+        return self._index[x]
 
     @cached_property
     def representatives(self):
@@ -598,8 +616,9 @@ def _build_cached(spec: RingSpec) -> FiniteRing:
 
 
 def _build_within(spec: RingSpec, max_order: int) -> FiniteRing:
-    # the cap is checked on every call, on the parts first: only a quotient
-    # lists elements to build, and only after its base passes
+    # the cap part by part, for a spec whose `order_bound` exceeds it: the
+    # parts first, so that only a quotient lists elements to build, and only
+    # after its base passes
     if isinstance(spec, Product):
         _build_within(spec.left, max_order)
         _build_within(spec.right, max_order)
@@ -618,6 +637,9 @@ def build_ring(spec: RingSpec, max_order: int = DEFAULT_ORDER_CAP) -> FiniteRing
     use and then cached on the ring; the default order cap is 2**20.  An
     order-cap error for a part of `spec` (a factor, a quotient's base)
     names `spec` too."""
+    if spec.order_bound <= max_order:
+        # no part can exceed the cap, so the spec cache answers alone
+        return _build_cached(spec)
     try:
         return _build_within(spec, max_order)
     except OrderCapError as exc:

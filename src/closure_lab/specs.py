@@ -18,6 +18,11 @@ residue.
 
 The canonical printer `format_ring_spec` emits this same grammar, and
 parse/print round-trips are exact.
+
+Every spec carries `order_bound`, set when it is made from its parts'
+bounds: no part of the ring, the ring itself included, has more
+elements.  It is the order itself unless a quotient is among the parts,
+whose order is at most its base's.  It is neither compared nor printed.
 """
 
 from __future__ import annotations
@@ -38,15 +43,21 @@ class SpecSyntaxError(SpecError):
         self.position = position
 
 
+def _bound(spec, value: int):
+    object.__setattr__(spec, "order_bound", value)
+
+
 @dataclass(frozen=True)
 class CyclicZ:
     """The ring Z_n of integers modulo n, n >= 2."""
 
     modulus: int
+    order_bound: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modulus < 2:
             raise SpecError(f"Z{self.modulus}: modulus < 2")
+        _bound(self, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,10 @@ class Product:
 
     left: "RingSpec"
     right: "RingSpec"
+    order_bound: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _bound(self, self.left.order_bound * self.right.order_bound)
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,7 @@ class Idealization:
 
     base_modulus: int
     module_modulus: int
+    order_bound: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, d = self.base_modulus, self.module_modulus
@@ -75,6 +91,7 @@ class Idealization:
             raise SpecError(
                 f"Z{n} (+) Z{d}: d must divide n ({d} does not divide {n})"
             )
+        _bound(self, n * d)
 
 
 @dataclass(frozen=True)
@@ -88,12 +105,14 @@ class Quotient:
 
     base: "RingSpec"
     generators: tuple = field(default=())
+    order_bound: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         for g in self.generators:
             if not isinstance(g, int) or g < 0:
                 raise SpecError(f"quotient generator literal {g!r} is not a non-negative integer")
+        _bound(self, self.base.order_bound)
 
 
 RingSpec = Union[CyclicZ, Product, Idealization, Quotient]

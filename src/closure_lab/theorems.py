@@ -44,6 +44,7 @@ from .families import InstanceFamily, default_family
 from .ideals import (
     Ideal,
     enumerate_ideals,
+    ideal_from_elements,
     ideal_from_generators,
     image_ideal,
     krull_dim,
@@ -577,7 +578,7 @@ def extend_ideal_to_idealization(ring: IdealizationRing, base_ideal: Ideal) -> I
     gens = tuple((g, 0) for g in base_ideal.generators)
     if ring.d > 1:
         gens += ((0, 1),)
-    return Ideal(ring, elements, gens)
+    return ideal_from_elements(ring, elements, gens)
 
 
 def _module_annihilated(ring: IdealizationRing, a: int, m: int) -> bool:

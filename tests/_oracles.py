@@ -213,6 +213,20 @@ def brute_is_prime(ring, members):
     )
 
 
+def brute_krull_dim(ring):
+    """The longest strict chain of prime ideals, minus one, over every
+    ideal of `brute_ideal_lattice`, each tested by `brute_is_prime`."""
+    primes = [
+        group
+        for group in brute_ideal_lattice(ring)
+        if ring.one not in group and brute_is_prime(ring, group)
+    ]
+    longest = {}
+    for p in sorted(primes, key=len):
+        longest[p] = 1 + max((longest[q] for q in longest if q < p), default=0)
+    return max(longest.values(), default=0) - 1
+
+
 def brute_first_weakly_prime_failure(ring, members):
     """First (x, y) in nested-loop order over all elements with x and y
     outside I and 0 != xy in I, or None."""

@@ -32,7 +32,9 @@ from closure_lab import clear_caches, closure
 from closure_lab.closure import (
     _absorbing_sweep,
     _failure_scan,
+    _nil_thresholds,
     _thresholds,
+    power_chains,
     status_grid,
 )
 
@@ -382,6 +384,57 @@ def _assert_thresholds_match_oracle(i):
     assert [x for x, _, _ in rows] == list(r.representatives), i
     expected = brute_power_thresholds(r, i.elements, r.representatives)
     assert {x: (tau, nu) for x, tau, nu in rows} == expected, i
+    # the ideal keeps one byte of tau per entry, 0 for none
+    assert type(rows.taus) is bytes
+    assert rows.taus == bytes(tau or 0 for tau, _ in expected.values()), i
+
+
+@pytest.mark.parametrize("text", KIND_RINGS + ["Z2 x Z2 x Z2", "Z65536", "Z2 x Z1009"])
+def test_power_chains_match_brute_powers(text):
+    # each entry's chain is x, x**2, ... up to the first t with x**(t+1) ==
+    # x**t, or up to L; later powers up to L repeat its last one
+    r = ring(text)
+    bound = r.power_bound
+    chains = power_chains(r)
+    assert power_chains(r) is chains and list(chains.chains) == list(r.representatives)
+    for (x, chain), nu in zip(chains.chains.items(), chains.nus):
+        powers = [brute_power(r, x, t) for t in range(1, bound + 2)]
+        k = next((t for t in range(1, bound) if powers[t] == powers[t - 1]), bound)
+        assert chain == tuple(powers[:k]), x
+        assert all(powers[t - 1] == chain[-1] for t in range(k, bound + 1)), x
+        zero_at = next((t for t, y in enumerate(powers, 1) if y == r.zero), None)
+        assert nu == (zero_at if zero_at is not None and zero_at <= bound else 0), x
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_nil_threshold_bytes_match_the_oracle(text):
+    r = ring(text)
+    nilpotents = list(r.nilpotency_indices)
+    for i in enumerate_ideals(r).proper:
+        taus = _nil_thresholds(i)
+        assert type(taus) is bytes and _nil_thresholds(i) is taus
+        expected = brute_power_thresholds(r, i.elements, nilpotents)
+        assert taus == bytes(tau for tau, _ in expected.values()), i
+
+
+def test_a_threshold_table_is_kept_and_iterates_again():
+    i = ideal("Z12 (+) Z6", (2, 1))
+    rows = _thresholds(i)
+    assert _thresholds(i) is rows and list(rows) == list(rows) != []
+    # equal ideals share the table; another ideal's table is unequal
+    assert _thresholds(ideal("Z12 (+) Z6", (2, 3))) is rows
+    assert _thresholds(ideal("Z12 (+) Z6", (4, 0))) != rows != list(rows)
+
+
+def test_ideal_stores_key_tables_without_tuples():
+    # grids are keyed by size and n-absorbing answers by a small int
+    i = ideal("Z8 (+) Z4", (2, 0))
+    status_grid(i, 4), status_grid(i, 6)
+    for n in (1, 2, 3):
+        is_n_absorbing(i, n), is_n_absorbing(i, n, weak=True)
+    unbreakable_zero_elements(i, 2, 1)
+    keys = set(i.tables)
+    assert keys == {"thresholds", "nil_thresholds", 4, 6, -2, -3, -4, -5, -6, -7}
 
 
 

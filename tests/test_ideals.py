@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closure_lab import (
+    CyclicZ,
+    Idealization,
     Quotient,
     build_ring,
     clear_caches,
@@ -30,7 +32,8 @@ from closure_lab import (
     split_product_ideal,
 )
 from closure_lab import cli, closure, ideals, regularity, rings
-from closure_lab.rings import CyclicRing, ProductRing
+from closure_lab.rings import CyclicRing, IdealizationRing, ProductRing
+from closure_lab.theorems import THEOREM_IDS, verify_many
 
 from _oracles import brute_all_ideals, brute_ideal_lattice, naive_ideal_closure
 from _strategies import KIND_RINGS, small_rings
@@ -411,11 +414,14 @@ def test_proper_ideals_are_listed_once():
     assert enumeration.proper == tuple(i for i in enumeration.ideals if is_proper(i))
 
 
-# --- closed forms: ideals of cyclic and product rings by key ----------------
+# --- closed forms: ideals of cyclic, product and trivial-extension rings by
+#     key ---------------------------------------------------------------------
 
 CLOSED_FORM_RINGS = [
-    text for text in KIND_RINGS if isinstance(ring(text), (CyclicRing, ProductRing))
-] + ["Z2 x Z2 x Z4"]
+    text
+    for text in KIND_RINGS
+    if isinstance(ring(text), (CyclicRing, ProductRing, IdealizationRing))
+] + ["Z2 x Z2 x Z4", "Z16 (+) Z16"]
 
 
 @pytest.mark.parametrize("text", CLOSED_FORM_RINGS)
@@ -452,7 +458,19 @@ def _plain_key(key):
     )
 
 
-@pytest.mark.parametrize("text", ["Z4096", "Z16 x Z16", "Z2 x Z2 x Z4", "Z12 x Z8"])
+def test_a_trivial_extension_keys_an_ideal_by_its_index_bits():
+    r = ring("Z8 (+) Z4")
+    for ideal in enumerate_ideals(r).ideals:
+        assert ideal.key == sum(1 << r.index_of(x) for x in ideal.elements)
+        assert len(ideal) == ideal.key.bit_count()
+    ideal = ideal_from_generators(r, ((2, 1),))
+    for x in ((8, 0), (0, 4), (-2, 0), (2,), (2, 1, 0), "2", None):
+        assert x not in ideal
+
+
+@pytest.mark.parametrize(
+    "text", ["Z4096", "Z16 x Z16", "Z2 x Z2 x Z4", "Z12 x Z8", "Z16 (+) Z16", "Z12 (+) Z6"]
+)
 def test_closed_form_ideals_keep_no_element_list(text):
     r = ring(text)
     for ideal in enumerate_ideals(r).ideals:
@@ -497,3 +515,39 @@ def test_a_product_lattice_and_its_grids_stay_small():
     assert len(r.representatives) == 25
     held, _ = _traced(lambda: [closure.status_grid(i, 6) for i in enumerate_ideals(r).proper])
     assert held < 120 * 1024
+
+
+def test_many_rings_with_their_tables_stay_under_one_ceiling():
+    # Z2 ... Z160 and every trivial extension Z_n (+) Z_d with n <= 16, each
+    # with its lattice, a grid per proper ideal, the vnr table of every
+    # element and its regular rows, all held by the spec cache: 5.8 MB
+    # before the threshold tables became bytes and the vnr tables were
+    # interned, about 3.5 MB after
+    specs = [CyclicZ(n) for n in range(2, 161)]
+    specs += [Idealization(n, d) for n in range(2, 17) for d in range(1, n + 1) if n % d == 0]
+
+    def build():
+        for spec in specs:
+            r = build_ring(spec)
+            for i in enumerate_ideals(r).proper:
+                closure.status_grid(i, 6)
+            for x in r.elements:
+                regularity.vnr_rows(r, x, 7)
+            regularity.regular_rows(r)
+        return specs
+
+    clear_caches()
+    held, _ = _traced(build)
+    clear_caches()
+    assert len(specs) == 208 and held < 4.5 * 2 ** 20
+
+
+def test_the_pinned_catalog_holds_under_three_megabytes():
+    # what the catalog keeps once it is done: rings, lattices and every
+    # table; 5.2 MB before the threshold tables became bytes, the vnr
+    # tables were interned and trivial extensions keyed ideals by bitmask
+    family = load_family(str(PINNED_FAMILY))
+    clear_caches()
+    held, _ = _traced(lambda: verify_many(THEOREM_IDS, family))
+    clear_caches()
+    assert held < 2.9 * 2 ** 20

@@ -34,7 +34,7 @@ from _oracles import (
     brute_power,
     brute_vnr_witness,
 )
-from _strategies import small_rings
+from _strategies import KIND_RINGS, small_rings
 
 
 def ring(text):
@@ -99,6 +99,29 @@ def test_associates_share_one_vnr_table(text):
             assert vnr_rows(r, r.mul(u, x), size) == rows, (x, u)
     with pytest.raises(ForeignElementError):
         vnr_rows(ring("Z8"), 10, 2)
+
+
+@pytest.mark.parametrize("text", KIND_RINGS + ["Z16 (+) Z16", "Z2 x Z2 x Z2"])
+def test_equal_vnr_tables_and_rows_of_a_ring_are_one_object(text):
+    # interned per ring; sizes past L pad the L table, and are interned too
+    r = ring(text)
+    for size in (3, r.power_bound, r.power_bound + 2):
+        tables = [vnr_rows(r, x, size) for x in r.representatives]
+        rows = [row for table in tables for row in table]
+        for found in (tables, rows):
+            first = {}
+            for value in found:
+                assert first.setdefault(value, value) is value
+
+
+def test_a_boolean_ring_keeps_one_vnr_table():
+    # every element of Z2 x Z2 x Z2 is idempotent, so all eight are
+    # (m,n)-vnr everywhere: one table, whose rows past the first are one row
+    r = ring("Z2 x Z2 x Z2")
+    tables = {id(vnr_rows(r, x, 5)): vnr_rows(r, x, 5) for x in r.elements}
+    assert len(tables) == 1
+    (table,) = tables.values()
+    assert len({id(row) for row in table[1:]}) == 1 and all(table[1][1:])
 
 
 def test_profile_element_examples():

@@ -97,6 +97,74 @@ def test_a_cap_error_is_raised_again_once_the_spec_is_built(text, cap):
     assert rebuilt.value.spec == fresh.value.spec == spec
 
 
+def test_a_built_spec_takes_one_cache_lookup(monkeypatch):
+    # a spec within the cap is checked against its `order_bound` alone: a
+    # second build asks the spec cache once, not once per part
+    spec = parse_ring_spec("(Z12 x Z4/(2)) x (Z8 (+) Z4 x Z6)")
+    first = build_ring(spec)
+    lookups = []
+    real = rings._build_cached
+
+    def counted(s):
+        lookups.append(s)
+        return real(s)
+
+    monkeypatch.setattr(rings, "_build_cached", counted)
+    assert build_ring(spec) is first and build_ring(spec, spec.order_bound) is first
+    assert lookups == [spec, spec]
+
+
+@pytest.mark.parametrize(
+    "text", ["Z12", "Z8 (+) Z4", "Z12 x Z4/(2)", "(Z12 x Z4/(2)) x (Z8 (+) Z4 x Z6)", "Z6/(0)"]
+)
+def test_order_bound_is_the_largest_order_among_the_parts(text):
+    spec = parse_ring_spec(text)
+    r = build_ring(spec)
+    parts, orders = [r], []
+    while parts:
+        part = parts.pop()
+        orders.append(part.order)
+        parts += [p for p in (getattr(part, "left", None), getattr(part, "right", None),
+                              getattr(part, "base", None)) if p is not None]
+    assert spec.order_bound >= max(orders)
+    if "/" not in text:
+        assert spec.order_bound == r.order
+    assert "order_bound" not in repr(spec) and spec == parse_ring_spec(text)
+
+
+def test_a_quotient_base_over_the_cap_is_never_listed():
+    # the bound of "Z1000/(2) x Z2" is 2000, over the cap of 1000, so its
+    # parts are checked one by one: the base passes, and the product, of
+    # order 4, is built; at a cap of 999 the base fails before it is walked
+    clear_caches()
+    assert build_ring(parse_ring_spec("Z1000/(2) x Z2"), 1000).order == 4
+    clear_caches()
+    with pytest.raises(OrderCapError, match="^Z1000 has order 1000, exceeding the cap 999"):
+        build_ring(parse_ring_spec("Z1000/(2) x Z2"), 999)
+    assert "elements" not in build_ring(CyclicZ(1000)).__dict__
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_index_of_matches_the_element_order(text):
+    r = ring(text)
+    assert [r.index_of(x) for x in r.elements] == list(range(r.order))
+    with pytest.raises(ForeignElementError):
+        r.index_of("x")
+
+
+def test_index_of_is_closed_form_off_quotients():
+    # literals of large rings are found without listing their elements
+    for text, element, index in (
+        ("Z1048576", 12345, 12345),
+        ("Z512 x Z1024", (4, 3), 4 * 1024 + 3),
+        ("Z1024 (+) Z512", (4, 2), 4 * 512 + 2),
+        ("(Z4 (+) Z2) x Z8", ((3, 1), 5), (3 * 2 + 1) * 8 + 5),
+    ):
+        r = ring(text)
+        assert r.index_of(element) == index and r.element_at(index) == element
+        assert "elements" not in r.__dict__ and "_index" not in r.__dict__, text
+
+
 @pytest.mark.parametrize("text", ["Z100000000000000000039", "Z100000000000000000039 (+) Z1"])
 def test_order_cap_is_checked_before_the_modulus_is_factored(monkeypatch, text):
     # a 21-digit prime modulus: factoring it by trial division would not end

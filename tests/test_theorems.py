@@ -48,10 +48,13 @@ from _oracles import (
     brute_first_absorbing_failure,
     brute_is_mn_closed,
     brute_is_weakly_mn_closed,
+    brute_krull_dim,
     brute_least_associates,
     brute_multiples,
     brute_power,
     brute_power_thresholds,
+    brute_unbreakable,
+    brute_vnr_witness,
 )
 
 
@@ -194,12 +197,47 @@ def test_catalog_on_the_oracles_matches_the_fast_path_on_the_mid_family(monkeypa
     _catalog_on_the_oracles(monkeypatch, family)
 
 
+class _OracleChains:
+    # `closure.PowerChains` from `brute_power`: x, x**2, ... up to the first
+    # repeated power or L, and the first t <= L with x**t == 0 (0 for none)
+
+    def __init__(self, ring):
+        bound = ring.power_bound
+        self.chains = {}
+        nus = []
+        for x in ring.representatives:
+            powers = [brute_power(ring, x, t) for t in range(1, bound + 1)]
+            k = next((t for t in range(1, bound) if powers[t] == powers[t - 1]), bound)
+            self.chains[x] = tuple(powers[:k])
+            nus.append(next((t for t, y in enumerate(powers, 1) if y == ring.zero), 0))
+        self.nus = bytes(nus)
+
+
+def _oracle_thresholds(ideal):
+    # the tau bytes from `brute_power_thresholds`, one per class-table entry
+    ring = ideal.ring
+    found = brute_power_thresholds(ring, ideal.elements, ring.representatives)
+    return closure.Thresholds(closure.power_chains(ring), bytes(t or 0 for t, _ in found.values()))
+
+
+@per_ring
+def _oracle_entry_rows(ring, x, size):
+    # the vnr table cell by cell: x**m r == x**n for some r in the ring
+    rows = [(None,) * (size + 1)]
+    for m in range(1, size + 1):
+        cells = (brute_vnr_witness(ring, x, m, n) is not None for n in range(1, size + 1))
+        rows.append((None, *cells))
+    return tuple(rows)
+
+
 def _catalog_on_the_oracles(monkeypatch, family):
     # every record of the catalog, once as shipped and once with the
     # shortcuts swapped for the definitions: grids cell by cell, n-absorbing
     # answers by a full multiset scan, divisibility by a scan of the ring,
-    # every `once` walk run again, and each class table the least members
-    # of its associate classes
+    # every `once` walk run again, each class table the least members of
+    # its associate classes, power chains and tau bytes from brute powers,
+    # unbreakable zeros, vnr tables cell by cell by witness search, and the
+    # Krull dimension from brute primes over the brute lattice
     fast = [json.dumps(v.to_record()) for v in verify_many(THEOREM_IDS, family)]
     least = {}
 
@@ -217,6 +255,15 @@ def _catalog_on_the_oracles(monkeypatch, family):
         ),
     )
     monkeypatch.setattr(_Tally, "once", lambda self, key, walk: walk())
+    monkeypatch.setattr(closure, "power_chains", per_ring(_OracleChains))
+    monkeypatch.setattr(closure, "_threshold_table", _oracle_thresholds)
+    monkeypatch.setattr(
+        theorems,
+        "unbreakable_zero_elements",
+        lambda ideal, m, n: brute_unbreakable(ideal.ring, ideal.elements, m, n),
+    )
+    monkeypatch.setattr(regularity, "_entry_rows", _oracle_entry_rows)
+    monkeypatch.setattr(theorems, "krull_dim", brute_krull_dim)
     for kind in (CyclicRing, ProductRing, IdealizationRing, QuotientRing):
         if "divides" in vars(kind):
             monkeypatch.setattr(kind, "divides", FiniteRing.divides)
