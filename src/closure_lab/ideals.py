@@ -2,17 +2,19 @@
 
 An ideal is its element set: an `Ideal` compares and hashes by ring and
 the key of that set alone, and its generators are presentation only
-(records, quotient literals and enumeration joins read them).  Keys are
-closed form on cyclic and product rings: d, with d | n, for dZ_n, and
-the pair of factor keys for I1 x I2 (every ideal of a product, since
-(1, 0) and (0, 1) are idempotents).  A trivial extension keys an ideal
-by an int bitmask over element indices (`FiniteRing.index_of`), and a
-quotient by its element set.  Size, containment and meets are read off
-the keys; `elements` and `members` are built on demand, never kept.
-Enumeration is complete by construction for every ring kind: structural
-for cyclic and product rings, and for trivial extensions and quotients a
-fixpoint that joins principal ideals until nothing new appears (every
-ideal is the sum of the principal ideals of its members).
+(records, quotient literals and enumeration joins read them).  Every key
+is closed form: d, with d | n, for dZ_n; the pair of factor keys for
+I1 x I2 on a product (every ideal of a product, since (1, 0) and (0, 1)
+are idempotents); (a, e, c) for {(ra, rc + se)} on Z_n (+) Z_d, the
+Hermite normal form of the ideal as a subgroup of Z_n x Z_d; and on R/J
+the key of the preimage in R (the ideals of R/J are the ideals of R
+that contain J).  Membership, size, containment, meets, sums and
+generation are read off the keys; `elements` and `members` are built on
+demand, never kept.  Enumeration is complete by construction for every
+ring kind: structural for cyclic and product rings, and for trivial
+extensions and quotients a fixpoint that joins principal ideals, key by
+key, until nothing new appears (every ideal is the sum of the principal
+ideals of its members).
 
 The deciders' per-ideal tables (tau bytes, status grids, nilpotent tau
 bytes, n-absorbing answers) live in one store per ideal value,
@@ -29,7 +31,6 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count
 from itertools import product as iter_product
 
 from .rings import (
@@ -38,7 +39,6 @@ from .rings import (
     IdealizationRing,
     ProductRing,
     QuotientRing,
-    ideal_closure,
     per_ring,
 )
 from .specs import Quotient
@@ -106,17 +106,17 @@ class Ideal:
             return table
 
     def membership(self):
-        """A container with a C-speed ``in`` for loops that test many
-        elements: the range dZ_n on Z_n, else the element set, built for
-        the caller alone."""
+        """A container with a C-speed ``in``, built for the caller alone:
+        dZ_n as a range on Z_n, the preimage's on a quotient, else the set."""
         if isinstance(self.ring, CyclicRing):
             return range(0, self.ring.n, self.key)
+        if isinstance(self.ring, QuotientRing):
+            return Ideal(self.ring.base, self.key).membership()
         return self.elements
 
     @property
     def elements(self) -> frozenset:
-        key = self.key
-        return key if isinstance(key, frozenset) else frozenset(_members(self.ring, key))
+        return frozenset(_members(self.ring, self.key))
 
     @property
     def members(self) -> tuple:
@@ -165,9 +165,11 @@ def _members(ring: FiniteRing, key):
         # pairs in product order are sorted when each factor is
         return iter_product(*map(_members, (ring.left, ring.right), key))
     if isinstance(ring, IdealizationRing):
-        # the set bits, lowest first: bin() lists the highest first
-        return map(ring.element_at, compress(count(), map("1".__eq__, bin(key)[:1:-1])))
-    return sorted(key)
+        a, e, c = key
+        return ((x, y) for x in range(0, ring.n, a) for y in range(x // a * c % e, ring.d, e))
+    # the cosets inside the preimage, by their least members: a walk of
+    # R/J, not of the preimage, which can be as large as R
+    return (x for x in ring.elements if _contains(ring.base, key, x))
 
 
 def _contains(ring: FiniteRing, key, x) -> bool:
@@ -177,8 +179,9 @@ def _contains(ring: FiniteRing, key, x) -> bool:
         pair = isinstance(x, tuple) and len(x) == 2
         return pair and all(map(_contains, (ring.left, ring.right), key, x))
     if isinstance(ring, IdealizationRing):
-        return ring.contains(x) and key >> ring.position(x) & 1 == 1
-    return x in key
+        a, e, c = key
+        return ring.contains(x) and x[0] % a == 0 and (x[1] - x[0] // a * c) % e == 0
+    return ring.contains(x) and _contains(ring.base, key, x)
 
 
 def _size(ring: FiniteRing, key) -> int:
@@ -187,49 +190,69 @@ def _size(ring: FiniteRing, key) -> int:
     if isinstance(ring, ProductRing):
         return math.prod(map(_size, (ring.left, ring.right), key))
     if isinstance(ring, IdealizationRing):
-        return key.bit_count()
-    return len(key)
+        return ring.n // key[0] * (ring.d // key[1])
+    # |I / J| = |I| / |J|
+    return _size(ring.base, key) * ring.order // ring.base.order
 
 
 def _meet(ring: FiniteRing, key, other):
-    # dZ_n & d'Z_n = lcm(d, d')Z_n; bitmasks and element sets meet by `&`
     if isinstance(ring, CyclicRing):
+        # dZ_n & d'Z_n = lcm(d, d')Z_n
         return math.lcm(key, other)
     if isinstance(ring, ProductRing):
         return tuple(map(_meet, (ring.left, ring.right), key, other))
-    return key & other
-
-
-def _key_of(ring: FiniteRing, elements: frozenset):
-    """The key of an element set known to be an ideal: the gcd of its members
-    and n on Z_n, the keys of its projections (a full rectangle) on a product,
-    the bitmask of its element indices on a trivial extension."""
-    if isinstance(ring, CyclicRing):
-        return reduce(math.gcd, elements, ring.n)
-    if isinstance(ring, ProductRing):
-        left, right = map(frozenset, zip(*elements))
-        if len(left) * len(right) != len(elements):
-            raise ValueError(f"not a rectangular ideal of {ring.spec_str}: {sorted(elements)}")
-        return (_key_of(ring.left, left), _key_of(ring.right, right))
     if isinstance(ring, IdealizationRing):
-        # one character per element, the highest index first
-        bits = ["0"] * ring.order
-        for x in elements:
-            bits[-1 - ring.position(x)] = "1"
-        return int("".join(bits), 2)
-    return elements
+        # x = kL, L = lcm(a, a'), has a y in both iff (kL/a)c = (kL/a')c' mod
+        # g = gcd(e, e'), iff g / gcd(g, D) | k for D = (L/a)c - (L/a')c';
+        # then y = (a''/a)c mod e and (a''/a')c' mod e': one y mod lcm(e, e')
+        (a, e, c), (a2, e2, c2) = key, other
+        lcm, g = math.lcm(a, a2), math.gcd(e, e2)
+        a3 = lcm * g // math.gcd(g, lcm // a * c - lcm // a2 * c2)
+        r, e3 = a3 // a * c, e * e2 // g
+        t = (a3 // a2 * c2 - r) // g * pow(e // g, -1, e2 // g)
+        return a3, e3, (r + e * t) % e3
+    return _meet(ring.base, key, other)
+
+
+def _sum(ring: FiniteRing, key, other):
+    if isinstance(ring, CyclicRing):
+        return math.gcd(key, other)
+    if isinstance(ring, ProductRing):
+        return tuple(map(_sum, (ring.left, ring.right), key, other))
+    if isinstance(ring, IdealizationRing):
+        return _hermite(key, ((other[0], other[2]), (0, other[1])))
+    return _sum(ring.base, key, other)
+
+
+def _hermite(key, vectors):
+    """The Hermite normal form (a, e, c) of the ideal `key` of Z_n (+) Z_d
+    and `vectors` as a subgroup of Z_n x Z_d: (x, y) takes a to g = gcd(a,
+    x) = ua + vx, with the row u(a, c) + v(x, y), and adds (x/g)(a, c) -
+    (a/g)(x, y), whose first coordinate is 0, to eZ_d."""
+    a, e, c = key
+    for x, y in vectors:
+        g = math.gcd(a, x)
+        v = pow(x // g, -1, a // g)
+        e = math.gcd(e, x // g * c - a // g * y)
+        a, c = g, ((g - v * x) // a * c + v * y) % e
+    return a, e, c
 
 
 def _generated_key(ring: FiniteRing, gens):
     """The key of the ideal generated by `gens`: (g1, ..., gk) is
-    gcd(n, g1, ..., gk)Z_n, and on a product the ideal of the (a_i, b_i)
-    is (a_i) x (b_i), since (1, 0) and (0, 1) are idempotents."""
+    gcd(n, g1, ..., gk)Z_n, on a product the ideal of the (a_i, b_i) is
+    (a_i) x (b_i), since (1, 0) and (0, 1) are idempotents, and on R/J
+    the preimage of (g1, ..., gk) is (g1, ..., gk) + J."""
     if isinstance(ring, CyclicRing):
         return reduce(math.gcd, gens, ring.n)
     if isinstance(ring, ProductRing):
         left, right = zip(*gens) if gens else ((), ())
         return (_generated_key(ring.left, left), _generated_key(ring.right, right))
-    return _key_of(ring, ideal_closure(ring, gens))
+    if isinstance(ring, IdealizationRing):
+        # (x, y)R is spanned by (x, y)(1, 0) and (x, y)(0, 1) = (0, x mod d)
+        spanning = [v for x, y in gens for v in ((x, y), (0, x % ring.d))]
+        return _hermite((ring.n, ring.d, 0), spanning)
+    return _generated_key(ring.base, (*gens, *map(ring.base.element_at, ring.spec.generators)))
 
 
 def ideal_from_generators(ring: FiniteRing, generators) -> Ideal:
@@ -242,10 +265,13 @@ def ideal_from_generators(ring: FiniteRing, generators) -> Ideal:
 
 
 def ideal_from_elements(ring: FiniteRing, elements, generators=None) -> Ideal:
-    """Wrap an element set already known to be an ideal (for example the
-    image of an ideal under a projection); generators default to the
-    full member list, which trivially regenerates the set."""
-    return Ideal(ring, _key_of(ring, frozenset(elements)), generators)
+    """The ideal with element set `elements`, or a `ValueError` when the
+    ideal they generate is larger; generators default to the member list."""
+    members = frozenset(elements)
+    ideal = Ideal(ring, ideal_from_generators(ring, members).key, generators)
+    if len(ideal) != len(members):
+        raise ValueError(f"not an ideal of {ring.spec_str}: {sorted(members)}")
+    return ideal
 
 
 def intersect_ideals(first: Ideal, second: Ideal) -> Ideal:
@@ -311,38 +337,25 @@ def split_product_ideal(ring: ProductRing, ideal: Ideal):
 
 def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
     # the class table holds one entry per principal ideal, in generator order
-    found = {ideal_closure(ring, (x,)): (x,) for x in ring.representatives}
+    found = {_generated_key(ring, (x,)): (x,) for x in ring.representatives}
     # every ideal is the sum of the principal ideals of its members, so
     # joining principal ideals until nothing new appears reaches them all
     principal = list(found.items())
     frontier = principal
     while frontier:
         grown = []
-        for members, gens in frontier:
-            for extra_members, extra_gens in principal:
+        for key, gens in frontier:
+            for extra_key, extra_gens in principal:
                 # J + P is J when P <= J, and the principal P (found
                 # already) when J <= P
-                if extra_members <= members or members <= extra_members:
+                if _meet(ring, key, extra_key) in (key, extra_key):
                     continue
-                joined = _ideal_sum(ring, members, extra_members)
+                joined = _sum(ring, key, extra_key)
                 if joined not in found:
-                    new_gens = gens + extra_gens
-                    found[joined] = new_gens
-                    grown.append((joined, new_gens))
+                    found[joined] = gens + extra_gens
+                    grown.append((joined, found[joined]))
         frontier = sorted(grown, key=lambda kv: kv[1])
-    # sorted as `_sorted_ideals` sorts, on the element sets in hand
-    ordered = sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    return IdealEnumeration(tuple(Ideal(ring, _key_of(ring, m), gens) for m, gens in ordered))
-
-
-def _ideal_sum(ring: FiniteRing, first: frozenset, second: frozenset) -> frozenset:
-    """I + J as a union of cosets b + I for b in J: both are additive
-    groups already, so no closure step is needed."""
-    total = set(first)
-    for b in second:
-        if b not in total:
-            total.update(ring.add(b, a) for a in first)
-    return frozenset(total)
+    return IdealEnumeration(_sorted_ideals(Ideal(ring, key, gens) for key, gens in found.items()))
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
@@ -358,22 +371,16 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
     if not ideal.is_proper:
         raise ValueError(f"cannot quotient {ring.spec_str} by an improper ideal")
     literals = tuple(ring.index_of(g) for g in ideal.generators)
-    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.membership())
+    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.members)
 
 
 def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:
-    """Image of an ideal of the base ring under the natural projection."""
+    """Image of an ideal I of the base ring under the natural projection
+    onto R/J: keyed by its preimage I + J, which is I when I contains J."""
     if ideal.ring != quotient.base:
         raise ValueError("ideal does not belong to the base ring")
-    # the members are base elements already: read the coset map unchecked
-    coset_of = quotient._rep_map
-    elements = frozenset(coset_of[x] for x in ideal.membership())
-    gens = []
-    for g in ideal.generators:
-        image = quotient.project(g)
-        if image not in gens:
-            gens.append(image)
-    return Ideal(quotient, elements, tuple(gens))
+    key = _sum(quotient.base, ideal.key, _generated_key(quotient, ()))
+    return Ideal(quotient, key, dict.fromkeys(map(quotient.project, ideal.generators)))
 
 
 def _prime_failure_scan(ideal: Ideal):

@@ -21,7 +21,9 @@ rings, componentwise rules for products, and so on), and so are class
 tables: the divisors of n on Z_n, pairs of factor entries on products, an
 orbit rule on trivial extensions, the first image of each principal ideal
 on quotients.  The test suite checks each against the exhaustive
-definition on small rings.
+definition on small rings.  Ideals are keyed in closed form in `ideals`;
+the element-set closures here (`ideal_closure`, `additive_closure`) serve
+only a quotient's construction and its class table.
 Units, nilpotents, zero-divisors and the characteristic come from the
 definitions, once, in `FiniteRing`: the divisors of 1, the elements with
 a zero power, the nonzero non-units, the additive order of 1.
@@ -552,13 +554,9 @@ class QuotientRing(FiniteRing):
 
 
 def ideal_closure(ring: FiniteRing, generators) -> frozenset:
-    """Element set of the ideal generated by `generators`.
-
-    Cyclic rings take the gcd shortcut (every ideal of Z_n is dZ_n).
-    Elsewhere gR is the additive span of {g * e} over the ring's
-    `additive_generators`, so the ideal is the additive closure of those
-    products, stepping coset by coset.
-    """
+    """Element set of the ideal generated by `generators`: dZ_n on Z_n,
+    elsewhere the additive closure of the g * e over the ring's
+    `additive_generators` (gR is their additive span)."""
     gens = tuple(generators)
     for g in gens:
         ring.require_member(g)

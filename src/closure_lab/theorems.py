@@ -44,7 +44,6 @@ from .families import InstanceFamily, default_family
 from .ideals import (
     Ideal,
     enumerate_ideals,
-    ideal_from_elements,
     ideal_from_generators,
     image_ideal,
     krull_dim,
@@ -519,11 +518,10 @@ def _check_prod_factor(family):
 
 
 def _nonzero_power_lands_in(ideal, m) -> bool:
-    # 0 != x**m in I: tau(x) <= m < nu(x), read off the threshold table
-    return any(
-        tau is not None and tau <= m and (nu is None or nu > m)
-        for _, tau, nu in closure._thresholds(ideal)
-    )
+    # 0 != x**m in I: tau(x) <= m < nu(x), read off the tau and nu bytes
+    # (0 meaning none)
+    table = closure._thresholds(ideal)
+    return any(0 < tau <= m and (not nu or nu > m) for tau, nu in zip(table.taus, table.chains.nus))
 
 
 def _factor_view(family, ideal):
@@ -572,13 +570,10 @@ def _check_prod_weak(family):
 
 def extend_ideal_to_idealization(ring: IdealizationRing, base_ideal: Ideal) -> Ideal:
     """The ideal I (+) M of Z_n (+) Z_d, for I an ideal of Z_n."""
-    elements = frozenset(
-        (i, x) for i in base_ideal for x in range(ring.d)
-    )
     gens = tuple((g, 0) for g in base_ideal.generators)
     if ring.d > 1:
         gens += ((0, 1),)
-    return ideal_from_elements(ring, elements, gens)
+    return ideal_from_generators(ring, gens)
 
 
 def _module_annihilated(ring: IdealizationRing, a: int, m: int) -> bool:

@@ -128,6 +128,16 @@ def brute_ideal_lattice(ring):
     }
 
 
+def brute_ideal_sum(ring, first, second):
+    """I + J = {a + b : a in I, b in J} for ideals I and J: the union of
+    the cosets b + I over b in J, each coset listed once."""
+    total = set()
+    for b in second:
+        if b not in total:
+            total.update(ring.add(b, a) for a in first)
+    return frozenset(total)
+
+
 def _is_ideal(ring, subset):
     for a in subset:
         if ring.neg(a) not in subset:

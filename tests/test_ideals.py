@@ -2,7 +2,9 @@
 
 import functools
 import gc
+import math
 import pickle
+import re
 import sys
 import tracemalloc
 import weakref
@@ -32,10 +34,15 @@ from closure_lab import (
     split_product_ideal,
 )
 from closure_lab import cli, closure, ideals, regularity, rings
-from closure_lab.rings import CyclicRing, IdealizationRing, ProductRing
+from closure_lab.rings import CyclicRing, ProductRing
 from closure_lab.theorems import THEOREM_IDS, verify_many
 
-from _oracles import brute_all_ideals, brute_ideal_lattice, naive_ideal_closure
+from _oracles import (
+    brute_all_ideals,
+    brute_ideal_lattice,
+    brute_ideal_sum,
+    naive_ideal_closure,
+)
 from _strategies import KIND_RINGS, small_rings
 
 PINNED_FAMILY = Path(__file__).resolve().parent.parent / "perfbench" / "family.conf"
@@ -140,8 +147,7 @@ def test_quotient_ring_is_built_from_the_held_ideal(monkeypatch, text):
         closures.append(generators)
         return real(ring_, generators)
 
-    for module in (rings, ideals):
-        monkeypatch.setattr(module, "ideal_closure", counted)
+    monkeypatch.setattr(rings, "ideal_closure", counted)
     for j in enumerate_ideals(r).proper:
         literals = tuple(r.index_of(g) for g in j.generators)
         spec_built = build_ring(Quotient(r.spec, literals))
@@ -314,6 +320,41 @@ def test_ideal_lattice_maps_onto_quotient_ideals():
             assert len(images) == len(above)
 
 
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_an_image_ideal_is_keyed_by_its_preimage(text):
+    # the ideals of R/J are the ideals of R that contain J: the image of
+    # such an I is keyed by I itself, with no coset walk; the image of any
+    # I is the set of its cosets
+    r = ring(text)
+    lattice = enumerate_ideals(r).ideals
+    for j in enumerate_ideals(r).proper:
+        q = quotient_ring(r, j)
+        for i in lattice:
+            image = image_ideal(q, i)
+            assert image.elements == frozenset(map(q.project, i.elements))
+            assert image == ideal_from_generators(q, map(q.project, i.generators))
+            if j <= i:
+                assert image.key == i.key
+
+
+@pytest.mark.parametrize("literal, code, shown", [("4100", 1, "error:"), ("8", 0, "closed")])
+def test_a_check_on_a_large_trivial_extension_computes_no_closure(
+    monkeypatch, capsys, literal, code, shown
+):
+    # (1025, 0) is a unit of Z8192 (+) Z4, so its ideal is improper, and
+    # (2, 0) generates an ideal of 16384 members: both are keyed in closed
+    # form, with no closure walk
+    calls = []
+    for name in ("ideal_closure", "additive_closure"):
+        real = getattr(rings, name)
+        monkeypatch.setattr(rings, name, lambda *a, real=real: calls.append(a) or real(*a))
+    args = ["check", "--ring", "Z8192 (+) Z4", "--ideal", literal, "--m", "3", "--n", "2"]
+    assert cli.main(args) == code
+    out, err = capsys.readouterr()
+    assert shown in out + err
+    assert calls == []
+
+
 def test_intersection_is_ideal():
     z12 = ring("Z12")
     a = ideal_from_generators(z12, (4,))
@@ -332,8 +373,23 @@ def test_split_product_ideal():
             (a, b) for a in left.elements for b in right.elements
         )
     # the additive subgroup of (2, 3) is no ideal: its projections do not tile it
-    with pytest.raises(ValueError, match="not a rectangular ideal of Z4 x Z6"):
+    with pytest.raises(ValueError, match="not an ideal of Z4 x Z6"):
         ideal_from_elements(r, {(0, 0), (2, 3)})
+
+
+@pytest.mark.parametrize(
+    "text, elements",
+    [
+        ("Z12", {0, 3}),  # (3) = {0, 3, 6, 9}
+        ("Z4 (+) Z2", {(0, 0), (1, 0)}),  # (1, 0) is a unit
+        ("Z24/(8)", {0, 3}),  # 3 + 3 = 6
+        ("Z24/(8) x Z4", {(0, 0), (4, 2)}),  # a subgroup, but no rectangle
+    ],
+)
+def test_a_set_that_is_no_ideal_is_refused(text, elements):
+    # the set generates a larger ideal; it is never wrapped as one
+    with pytest.raises(ValueError, match=re.escape(f"not an ideal of {text}:")):
+        ideal_from_elements(ring(text), elements)
 
 
 def test_enumeration_is_deterministic():
@@ -368,11 +424,11 @@ def test_enumerate_matches_lattice_oracle_beyond_the_family(text):
 
 
 def _fixpoint_without_skip(r):
-    # the join loop as it was before sums J + P with J <= P were skipped:
-    # (element set, generators) of every ideal, in the order found
+    # the join loop as it was before sums J + P with J <= P were skipped,
+    # on element sets: (element set, generators) of every ideal
     found = {}
     for x in r.representatives:
-        found.setdefault(ideals.ideal_closure(r, (x,)), (x,))
+        found.setdefault(naive_ideal_closure(r, (x,)), (x,))
     principal = sorted(found.items(), key=lambda kv: kv[1])
     frontier = principal
     while frontier:
@@ -381,7 +437,7 @@ def _fixpoint_without_skip(r):
             for extra_members, extra_gens in principal:
                 if extra_members <= members:
                     continue
-                joined = ideals._ideal_sum(r, members, extra_members)
+                joined = brute_ideal_sum(r, members, extra_members)
                 if joined not in found:
                     found[joined] = gens + extra_gens
                     grown.append((joined, gens + extra_gens))
@@ -414,14 +470,9 @@ def test_proper_ideals_are_listed_once():
     assert enumeration.proper == tuple(i for i in enumeration.ideals if is_proper(i))
 
 
-# --- closed forms: ideals of cyclic, product and trivial-extension rings by
-#     key ---------------------------------------------------------------------
+# --- closed forms: ideals of every ring kind by key ---------------------------
 
-CLOSED_FORM_RINGS = [
-    text
-    for text in KIND_RINGS
-    if isinstance(ring(text), (CyclicRing, ProductRing, IdealizationRing))
-] + ["Z2 x Z2 x Z4", "Z16 (+) Z16"]
+CLOSED_FORM_RINGS = KIND_RINGS + ["Z2 x Z2 x Z4", "Z16 (+) Z16"]
 
 
 @pytest.mark.parametrize("text", CLOSED_FORM_RINGS)
@@ -431,6 +482,7 @@ def test_closed_form_ideals_match_the_lattice_oracle(text):
     sets = [i.elements for i in lattice]
     assert set(sets) == brute_ideal_lattice(r) and len(sets) == len(lattice)
     for ideal, members in zip(lattice, sets):
+        assert _plain_key(ideal.key)
         assert [x for x in r.elements if x in ideal] == sorted(members)
         assert [x for x in r.elements if x in ideal.membership()] == sorted(members)
         assert len(ideal) == len(members) and ideal.members == tuple(sorted(members))
@@ -453,19 +505,46 @@ def test_cyclic_membership_is_false_off_the_ring():
 
 
 def _plain_key(key):
-    return isinstance(key, int) or (
-        isinstance(key, tuple) and len(key) == 2 and all(map(_plain_key, key))
-    )
+    # an int, a pair of keys, or (a, e, c) on a trivial extension
+    if not isinstance(key, tuple):
+        return isinstance(key, int)
+    if len(key) == 3:
+        return all(isinstance(part, int) for part in key)
+    return len(key) == 2 and all(map(_plain_key, key))
 
 
-def test_a_trivial_extension_keys_an_ideal_by_its_index_bits():
-    r = ring("Z8 (+) Z4")
-    for ideal in enumerate_ideals(r).ideals:
-        assert ideal.key == sum(1 << r.index_of(x) for x in ideal.elements)
-        assert len(ideal) == ideal.key.bit_count()
-    ideal = ideal_from_generators(r, ((2, 1),))
-    for x in ((8, 0), (0, 4), (-2, 0), (2,), (2, 1, 0), "2", None):
-        assert x not in ideal
+def _aec(r, members):
+    # read off the element set: aZ_n its first coordinates, eZ_d its meet
+    # with 0 (+) Z_d, and c the least y with (a, y) in it
+    a = math.gcd(r.n, *(x for x, _ in members))
+    e = math.gcd(r.d, *(y for x, y in members if x == 0))
+    return a, e, min(y for x, y in members if x == a % r.n)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_a_trivial_extension_keys_an_ideal_by_a_e_c(n):
+    # every Z_n (+) Z_d with d | n: the key, members, membership, size,
+    # containment, meet, sum and generated key of every ideal and pair,
+    # against the lattice oracle
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        r = ring(f"Z{n} (+) Z{d}")
+        lattice = enumerate_ideals(r).ideals
+        sets = [i.elements for i in lattice]
+        assert set(sets) == brute_ideal_lattice(r) and len(sets) == len(lattice)
+        for ideal, members in zip(lattice, sets):
+            assert ideal.key == _aec(r, members)
+            assert ideal.members == tuple(sorted(members)) and len(ideal) == len(members)
+            assert [x for x in r.elements if x in ideal] == sorted(members)
+            assert ideal_from_generators(r, ideal.generators).key == ideal.key
+            assert ideal_from_generators(r, members).key == ideal.key
+            for other, other_members in zip(lattice, sets):
+                assert (ideal <= other) == (members <= other_members)
+                assert (ideal & other).key == _aec(r, members & other_members)
+                total = ideals._sum(r, ideal.key, other.key)
+                assert total == _aec(r, brute_ideal_sum(r, members, other_members))
+    # the whole of Z_n (+) Z_n holds no foreign element
+    for x in ((n, 0), (0, n), (-1, 0), (1,), (1, 0, 0), "1", None):
+        assert x not in lattice[-1]
 
 
 @pytest.mark.parametrize(
