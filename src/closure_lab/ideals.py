@@ -3,14 +3,14 @@
 An ideal is its element set: an `Ideal` compares and hashes by ring and
 the key of that set alone, and its generators are presentation only
 (records, quotient literals and enumeration joins read them).  Every key
-is closed form: d, with d | n, for dZ_n; the pair of factor keys for
-I1 x I2 on a product (every ideal of a product, since (1, 0) and (0, 1)
-are idempotents); (a, e, c) for {(ra, rc + se)} on Z_n (+) Z_d, the
-Hermite normal form of the ideal as a subgroup of Z_n x Z_d; and on R/J
-the key of the preimage in R (the ideals of R/J are the ideals of R
-that contain J).  Membership, size, containment, meets, sums and
-generation are read off the keys; `elements` and `members` are built on
-demand, never kept.  Enumeration is complete by construction for every
+is closed form (dZ_n is keyed by d, a product ideal by its factors'
+keys, an ideal of Z_n (+) Z_d by its Hermite normal form (a, e, c), and
+an ideal of R/J by its preimage's key in R), and the key functions of
+`rings` read it: membership, size, containment, meets, sums and
+generation.  `elements` and `members` are built on demand, never kept;
+on R/J they are cosets, never the preimage.  `quotient_ring` builds R/J
+from the key of J, and `image_ideal` keys the image of I by I + J.
+Enumeration is complete by construction for every
 ring kind: structural for cyclic and product rings, and for trivial
 extensions and quotients a fixpoint that joins principal ideals, key by
 key, until nothing new appears (every ideal is the sum of the principal
@@ -27,18 +27,22 @@ their checker holds them.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product as iter_product
 
 from .rings import (
     CyclicRing,
     FiniteRing,
-    IdealizationRing,
     ProductRing,
     QuotientRing,
+    _contains,
+    _generated_key,
+    _meet,
+    _members,
+    _size,
+    _sum,
     per_ring,
 )
 from .specs import Quotient
@@ -107,12 +111,11 @@ class Ideal:
 
     def membership(self):
         """A container with a C-speed ``in``, built for the caller alone:
-        dZ_n as a range on Z_n, the preimage's on a quotient, else the set."""
-        if isinstance(self.ring, CyclicRing):
-            return range(0, self.ring.n, self.key)
-        if isinstance(self.ring, QuotientRing):
-            return Ideal(self.ring.base, self.key).membership()
-        return self.elements
+        the members' range where they form one (dZ_n, and its image in a
+        quotient of Z_n), else their set, which on R/J holds cosets, never
+        the preimage."""
+        members = _members(self.ring, self.key)
+        return members if isinstance(members, range) else frozenset(members)
 
     @property
     def elements(self) -> frozenset:
@@ -155,104 +158,6 @@ class Ideal:
 
     def __repr__(self):
         return "{" + ", ".join(str(m) for m in self) + "}"
-
-
-def _members(ring: FiniteRing, key):
-    """The members of the ideal `key`, in canonical (sorted) order."""
-    if isinstance(ring, CyclicRing):
-        return range(0, ring.n, key)
-    if isinstance(ring, ProductRing):
-        # pairs in product order are sorted when each factor is
-        return iter_product(*map(_members, (ring.left, ring.right), key))
-    if isinstance(ring, IdealizationRing):
-        a, e, c = key
-        return ((x, y) for x in range(0, ring.n, a) for y in range(x // a * c % e, ring.d, e))
-    # the cosets inside the preimage, by their least members: a walk of
-    # R/J, not of the preimage, which can be as large as R
-    return (x for x in ring.elements if _contains(ring.base, key, x))
-
-
-def _contains(ring: FiniteRing, key, x) -> bool:
-    if isinstance(ring, CyclicRing):
-        return x in range(0, ring.n, key)
-    if isinstance(ring, ProductRing):
-        pair = isinstance(x, tuple) and len(x) == 2
-        return pair and all(map(_contains, (ring.left, ring.right), key, x))
-    if isinstance(ring, IdealizationRing):
-        a, e, c = key
-        return ring.contains(x) and x[0] % a == 0 and (x[1] - x[0] // a * c) % e == 0
-    return ring.contains(x) and _contains(ring.base, key, x)
-
-
-def _size(ring: FiniteRing, key) -> int:
-    if isinstance(ring, CyclicRing):
-        return ring.n // key
-    if isinstance(ring, ProductRing):
-        return math.prod(map(_size, (ring.left, ring.right), key))
-    if isinstance(ring, IdealizationRing):
-        return ring.n // key[0] * (ring.d // key[1])
-    # |I / J| = |I| / |J|
-    return _size(ring.base, key) * ring.order // ring.base.order
-
-
-def _meet(ring: FiniteRing, key, other):
-    if isinstance(ring, CyclicRing):
-        # dZ_n & d'Z_n = lcm(d, d')Z_n
-        return math.lcm(key, other)
-    if isinstance(ring, ProductRing):
-        return tuple(map(_meet, (ring.left, ring.right), key, other))
-    if isinstance(ring, IdealizationRing):
-        # x = kL, L = lcm(a, a'), has a y in both iff (kL/a)c = (kL/a')c' mod
-        # g = gcd(e, e'), iff g / gcd(g, D) | k for D = (L/a)c - (L/a')c';
-        # then y = (a''/a)c mod e and (a''/a')c' mod e': one y mod lcm(e, e')
-        (a, e, c), (a2, e2, c2) = key, other
-        lcm, g = math.lcm(a, a2), math.gcd(e, e2)
-        a3 = lcm * g // math.gcd(g, lcm // a * c - lcm // a2 * c2)
-        r, e3 = a3 // a * c, e * e2 // g
-        t = (a3 // a2 * c2 - r) // g * pow(e // g, -1, e2 // g)
-        return a3, e3, (r + e * t) % e3
-    return _meet(ring.base, key, other)
-
-
-def _sum(ring: FiniteRing, key, other):
-    if isinstance(ring, CyclicRing):
-        return math.gcd(key, other)
-    if isinstance(ring, ProductRing):
-        return tuple(map(_sum, (ring.left, ring.right), key, other))
-    if isinstance(ring, IdealizationRing):
-        return _hermite(key, ((other[0], other[2]), (0, other[1])))
-    return _sum(ring.base, key, other)
-
-
-def _hermite(key, vectors):
-    """The Hermite normal form (a, e, c) of the ideal `key` of Z_n (+) Z_d
-    and `vectors` as a subgroup of Z_n x Z_d: (x, y) takes a to g = gcd(a,
-    x) = ua + vx, with the row u(a, c) + v(x, y), and adds (x/g)(a, c) -
-    (a/g)(x, y), whose first coordinate is 0, to eZ_d."""
-    a, e, c = key
-    for x, y in vectors:
-        g = math.gcd(a, x)
-        v = pow(x // g, -1, a // g)
-        e = math.gcd(e, x // g * c - a // g * y)
-        a, c = g, ((g - v * x) // a * c + v * y) % e
-    return a, e, c
-
-
-def _generated_key(ring: FiniteRing, gens):
-    """The key of the ideal generated by `gens`: (g1, ..., gk) is
-    gcd(n, g1, ..., gk)Z_n, on a product the ideal of the (a_i, b_i) is
-    (a_i) x (b_i), since (1, 0) and (0, 1) are idempotents, and on R/J
-    the preimage of (g1, ..., gk) is (g1, ..., gk) + J."""
-    if isinstance(ring, CyclicRing):
-        return reduce(math.gcd, gens, ring.n)
-    if isinstance(ring, ProductRing):
-        left, right = zip(*gens) if gens else ((), ())
-        return (_generated_key(ring.left, left), _generated_key(ring.right, right))
-    if isinstance(ring, IdealizationRing):
-        # (x, y)R is spanned by (x, y)(1, 0) and (x, y)(0, 1) = (0, x mod d)
-        spanning = [v for x, y in gens for v in ((x, y), (0, x % ring.d))]
-        return _hermite((ring.n, ring.d, 0), spanning)
-    return _generated_key(ring.base, (*gens, *map(ring.base.element_at, ring.spec.generators)))
 
 
 def ideal_from_generators(ring: FiniteRing, generators) -> Ideal:
@@ -361,7 +266,7 @@ def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
     """The ring of cosets R/I, with `project` as the natural map.
 
-    Built from the element set of `ideal`, outside the spec cache: each
+    Built from the key of `ideal`, outside the spec cache: each
     call returns a fresh ring, equal to the one `build_ring` makes from the
     same spec, and freed once nothing holds it.  A quotient is never
     larger than its base, so the base's order cap holds.
@@ -371,7 +276,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> QuotientRing:
     if not ideal.is_proper:
         raise ValueError(f"cannot quotient {ring.spec_str} by an improper ideal")
     literals = tuple(ring.index_of(g) for g in ideal.generators)
-    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.members)
+    return QuotientRing(Quotient(ring.spec, literals), ring, ideal.key)
 
 
 def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:
@@ -379,7 +284,7 @@ def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:
     onto R/J: keyed by its preimage I + J, which is I when I contains J."""
     if ideal.ring != quotient.base:
         raise ValueError("ideal does not belong to the base ring")
-    key = _sum(quotient.base, ideal.key, _generated_key(quotient, ()))
+    key = _sum(quotient.base, ideal.key, quotient.key)
     return Ideal(quotient, key, dict.fromkeys(map(quotient.project, ideal.generators)))
 
 

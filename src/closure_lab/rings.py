@@ -6,11 +6,11 @@ aR), and cached structural sets: the nilradical with the nilpotency
 index of each member, the unit group, the zero-divisors, and the
 characteristic.  `representatives` is the class table that
 first-witness sweeps run over: one entry per principal ideal, its least
-generator.  `additive_generators` spans the ring as an additive group, and
-`element_at` reads one literal and `index_of` finds it.  All four are
-closed form for cyclic, product and trivial-extension rings, so a
-one-shot query on a large ring of those kinds never builds `elements`
-(quotients keep an element-to-index map).  Rings are immutable once built;
+generator.  `element_at` reads one literal and `index_of` finds it.  All
+three are closed form for cyclic, product and trivial-extension rings, so
+a one-shot query on a large ring of those kinds never builds `elements`;
+a quotient lists only its own cosets, never its base.  Rings are
+immutable once built;
 `build_ring` memoizes on the spec alone, whatever the order cap, so
 repeated builds of the same spec share one object, its caches and the
 tables `per_ring` keeps on it; the cap is checked on every call, against
@@ -21,12 +21,18 @@ rings, componentwise rules for products, and so on), and so are class
 tables: the divisors of n on Z_n, pairs of factor entries on products, an
 orbit rule on trivial extensions, the first image of each principal ideal
 on quotients.  The test suite checks each against the exhaustive
-definition on small rings.  Ideals are keyed in closed form in `ideals`;
-the element-set closures here (`ideal_closure`, `additive_closure`) serve
-only a quotient's construction and its class table.
+definition on small rings.
 Units, nilpotents, zero-divisors and the characteristic come from the
 definitions, once, in `FiniteRing`: the divisors of 1, the elements with
 a zero power, the nonzero non-units, the additive order of 1.
+
+Every ideal has a closed-form key, and this module alone reads its
+format: the key functions (membership, size, meets, sums, generation,
+members) sit beside the kinds whose parameters they read, and `ideals`
+builds on them.  A quotient R/J is built from the key of J: the least
+member of a coset and the least members of all cosets are read off that
+key (`_least`, `_minima`), so R/J costs what R/J holds, whatever the
+size of R.
 """
 
 from __future__ import annotations
@@ -158,7 +164,7 @@ class FiniteRing:
 
     def divides(self, a, b) -> bool:
         """Whether b lies in the principal ideal aR: a*r == b for some r."""
-        return any(self.mul(a, r) == b for r in self.elements)
+        raise NotImplementedError
 
     @cached_property
     def representatives(self) -> tuple:
@@ -191,12 +197,6 @@ class FiniteRing:
             return x
         self.require_member(x)
         return self._class_entries[x]
-
-    @cached_property
-    def additive_generators(self) -> tuple:
-        """Elements whose sums make up the whole ring, so that aR is the
-        additive span of {a * e} over them (`ideal_closure`)."""
-        raise NotImplementedError
 
     # -- structure ----------------------------------------------------------
 
@@ -317,7 +317,7 @@ class CyclicRing(FiniteRing):
         return isinstance(x, int) and 0 <= x < self.n
 
     def divides(self, a, b):
-        # aZ_n = gcd(a, n)Z_n, the rule `ideal_closure` uses too
+        # aZ_n = gcd(a, n)Z_n, the rule `_generated_key` uses too
         return b % math.gcd(a, self.n) == 0
 
     @cached_property
@@ -334,10 +334,6 @@ class CyclicRing(FiniteRing):
     def representatives(self):
         # x and gcd(x, n) are associates, and gcd(x, n) <= x
         return (0,) + _divisors(self.n)[:-1]
-
-    @cached_property
-    def additive_generators(self):
-        return (1,)
 
 
 class ProductRing(FiniteRing):
@@ -386,12 +382,6 @@ class ProductRing(FiniteRing):
     def representatives(self):
         # classes are C1 x C2, least member (min C1, min C2) in product order
         return tuple(iter_product(self.left.representatives, self.right.representatives))
-
-    @cached_property
-    def additive_generators(self):
-        return tuple((g, self.right.zero) for g in self.left.additive_generators) + tuple(
-            (self.left.zero, g) for g in self.right.additive_generators
-        )
 
 
 class IdealizationRing(FiniteRing):
@@ -471,67 +461,190 @@ class IdealizationRing(FiniteRing):
             entries += [(g, m) for m in range(h) if all(a * m % h >= m for a in scalars)]
         return tuple(entries)
 
-    @cached_property
-    def additive_generators(self):
-        # 1 % d: the module Z1 has no element (0, 1)
-        return ((1, 0), (0, 1 % self.d))
+
+# --- ideal keys ---------------------------------------------------------------
+#
+# The key of an ideal, by the kind of its ring: d, with d | n, for dZ_n;
+# the pair of factor keys for I1 x I2 on a product (every ideal of a
+# product, since (1, 0) and (0, 1) are idempotents); (a, e, c) for
+# {(ra, rc + se)} on Z_n (+) Z_d, the Hermite normal form of the ideal as
+# a subgroup of Z_n x Z_d; and on R/J the key of the preimage in R (the
+# ideals of R/J are the ideals of R that contain J).
+
+
+def _members(ring: FiniteRing, key):
+    """The members of the ideal `key`, in canonical (sorted) order: the
+    least members of the cosets of the zero ideal (on R/J, of J) in it."""
+    return _minima(ring, _generated_key(ring, ()), key)
+
+
+def _contains(ring: FiniteRing, key, x) -> bool:
+    if isinstance(ring, CyclicRing):
+        return x in range(0, ring.n, key)
+    if isinstance(ring, ProductRing):
+        pair = isinstance(x, tuple) and len(x) == 2
+        return pair and all(map(_contains, (ring.left, ring.right), key, x))
+    if isinstance(ring, IdealizationRing):
+        a, e, c = key
+        return ring.contains(x) and x[0] % a == 0 and (x[1] - x[0] // a * c) % e == 0
+    return ring.contains(x) and _contains(ring.base, key, x)
+
+
+def _size(ring: FiniteRing, key) -> int:
+    if isinstance(ring, CyclicRing):
+        return ring.n // key
+    if isinstance(ring, ProductRing):
+        return math.prod(map(_size, (ring.left, ring.right), key))
+    if isinstance(ring, IdealizationRing):
+        return ring.n // key[0] * (ring.d // key[1])
+    # |I / J| = |I| / |J|
+    return _size(ring.base, key) * ring.order // ring.base.order
+
+
+def _meet(ring: FiniteRing, key, other):
+    if isinstance(ring, CyclicRing):
+        # dZ_n & d'Z_n = lcm(d, d')Z_n
+        return math.lcm(key, other)
+    if isinstance(ring, ProductRing):
+        return tuple(map(_meet, (ring.left, ring.right), key, other))
+    if isinstance(ring, IdealizationRing):
+        # x = kL, L = lcm(a, a'), has a y in both iff (kL/a)c = (kL/a')c' mod
+        # g = gcd(e, e'), iff g / gcd(g, D) | k for D = (L/a)c - (L/a')c';
+        # then y = (a''/a)c mod e and (a''/a')c' mod e': one y mod lcm(e, e')
+        (a, e, c), (a2, e2, c2) = key, other
+        lcm, g = math.lcm(a, a2), math.gcd(e, e2)
+        a3 = lcm * g // math.gcd(g, lcm // a * c - lcm // a2 * c2)
+        r, e3 = a3 // a * c, e * e2 // g
+        t = (a3 // a2 * c2 - r) // g * pow(e // g, -1, e2 // g)
+        return a3, e3, (r + e * t) % e3
+    return _meet(ring.base, key, other)
+
+
+def _sum(ring: FiniteRing, key, other):
+    if isinstance(ring, CyclicRing):
+        return math.gcd(key, other)
+    if isinstance(ring, ProductRing):
+        return tuple(map(_sum, (ring.left, ring.right), key, other))
+    if isinstance(ring, IdealizationRing):
+        return _hermite(key, ((other[0], other[2]), (0, other[1])))
+    return _sum(ring.base, key, other)
+
+
+def _hermite(key, vectors):
+    """The Hermite normal form (a, e, c) of the ideal `key` of Z_n (+) Z_d
+    and `vectors` as a subgroup of Z_n x Z_d: (x, y) takes a to g = gcd(a,
+    x) = ua + vx, with the row u(a, c) + v(x, y), and adds (x/g)(a, c) -
+    (a/g)(x, y), whose first coordinate is 0, to eZ_d."""
+    a, e, c = key
+    for x, y in vectors:
+        g = math.gcd(a, x)
+        v = pow(x // g, -1, a // g)
+        e = math.gcd(e, x // g * c - a // g * y)
+        a, c = g, ((g - v * x) // a * c + v * y) % e
+    return a, e, c
+
+
+def _generated_key(ring: FiniteRing, gens):
+    """The key of the ideal generated by `gens`: (g1, ..., gk) is
+    gcd(n, g1, ..., gk)Z_n, on a product the ideal of the (a_i, b_i) is
+    (a_i) x (b_i), since (1, 0) and (0, 1) are idempotents, and on R/J
+    the preimage of (g1, ..., gk) is (g1, ..., gk) + J."""
+    if isinstance(ring, CyclicRing):
+        return reduce(math.gcd, gens, ring.n)
+    if isinstance(ring, ProductRing):
+        left, right = zip(*gens) if gens else ((), ())
+        return (_generated_key(ring.left, left), _generated_key(ring.right, right))
+    if isinstance(ring, IdealizationRing):
+        # (x, y)R is spanned by (x, y)(1, 0) and (x, y)(0, 1) = (0, x mod d)
+        spanning = [v for x, y in gens for v in ((x, y), (0, x % ring.d))]
+        return _hermite((ring.n, ring.d, 0), spanning)
+    return _sum(ring.base, _generated_key(ring.base, gens), ring.key)
+
+
+def _least(ring: FiniteRing, key, x):
+    """The least member of the coset x + I of the ideal `key`, in the
+    ring's canonical order."""
+    if isinstance(ring, CyclicRing):
+        return x % key
+    if isinstance(ring, ProductRing):
+        return (_least(ring.left, key[0], x[0]), _least(ring.right, key[1], x[1]))
+    if isinstance(ring, IdealizationRing):
+        # subtract q(a, c) to bring x0 below a; the members of I with first
+        # coordinate 0 are the (0, se), since e | (n/a)c
+        a, e, c = key
+        q, r = divmod(x[0], a)
+        return r, (x[1] - q * c) % e
+    # the preimage contains R/J's own modulus J, so each of its cosets in R
+    # is a union of cosets of J, and its least member is a member of R/J
+    return _least(ring.base, key, x)
+
+
+def _minima(ring: FiniteRing, key, inside):
+    """The least members of the cosets of the ideal `key` that lie in the
+    ideal `inside`, which contains it, in canonical (sorted) order."""
+    if isinstance(ring, CyclicRing):
+        return range(0, key, inside)
+    if isinstance(ring, ProductRing):
+        # pairs in product order are sorted when each factor is
+        return iter_product(*map(_minima, (ring.left, ring.right), key, inside))
+    if isinstance(ring, IdealizationRing):
+        # the least members have x < a and y < e; since `inside` (a', e',
+        # c') contains `key`, a' | a and e' | e
+        (a, e, _), (a2, e2, c2) = key, inside
+        return ((x, y) for x in range(0, a, a2) for y in range(x // a2 * c2 % e2, e, e2))
+    return _minima(ring.base, key, inside)
 
 
 class QuotientRing(FiniteRing):
-    """Cosets of an ideal, represented by their minimal members.
+    """R/J for the ideal J of the base ring R with closed-form `key`.
 
-    The representative of a coset is its smallest element in the base
-    ring's canonical order, so canonicalization is idempotent and the
-    element order of the quotient is inherited from the base.
+    A coset is represented by its least member in the base's canonical
+    order (`_least`), so canonicalization is idempotent, the element order
+    of the quotient is inherited from the base, and nothing in the base is
+    listed.
     """
 
-    def __init__(self, spec: Quotient, base: FiniteRing, ideal_members):
-        rep_map = {}
-        reps = []
-        for e in base.elements:
-            if e in rep_map:
-                continue
-            # first unassigned element in canonical order is the coset minimum
-            for j in ideal_members:
-                rep_map[base.add(e, j)] = e
-            reps.append(e)
-        order = len(reps)
-        assert order * len(ideal_members) == base.order
-        super().__init__(spec, order, rep_map[base.zero], rep_map[base.one])
+    def __init__(self, spec: Quotient, base: FiniteRing, key):
+        # zero is the least member of every ideal
+        super().__init__(
+            spec, base.order // _size(base, key), base.zero, _least(base, key, base.one)
+        )
         self.base = base
-        self._rep_map = rep_map
-        self._reps = tuple(reps)
+        self.key = key
 
     def project(self, x):
         """Natural projection: base ring element to its coset representative."""
         self.base.require_member(x)
-        return self._rep_map[x]
+        return _least(self.base, self.key, x)
 
     def add(self, x, y):
-        return self._rep_map[self.base.add(x, y)]
+        return _least(self.base, self.key, self.base.add(x, y))
 
     def mul(self, x, y):
-        return self._rep_map[self.base.mul(x, y)]
+        return _least(self.base, self.key, self.base.mul(x, y))
 
     def neg(self, x):
-        return self._rep_map[self.base.neg(x)]
+        return _least(self.base, self.key, self.base.neg(x))
 
     def power(self, x, t):
-        return self._rep_map[self.base.power(x, t)]
+        return _least(self.base, self.key, self.base.power(x, t))
 
     def contains(self, x):
-        try:
-            return self._rep_map.get(x) == x
-        except TypeError:
-            return False
+        return self.base.contains(x) and _least(self.base, self.key, x) == x
+
+    def divides(self, a, b):
+        # b lies in aR/J iff it lies in the preimage aR + J
+        base = self.base
+        return _contains(base, _sum(base, _generated_key(base, (a,)), self.key), b)
 
     @cached_property
     def elements(self):
-        return self._reps
+        base = self.base
+        return tuple(_minima(base, self.key, _generated_key(base, (base.one,))))
 
     @cached_property
     def _index(self) -> dict:
-        return {x: i for i, x in enumerate(self._reps)}
+        return {x: i for i, x in enumerate(self.elements)}
 
     def position(self, x):
         return self._index[x]
@@ -539,54 +652,19 @@ class QuotientRing(FiniteRing):
     @cached_property
     def representatives(self):
         # units lift to R/J, so least class members are images of base
-        # entries: the first image of each principal ideal
-        image = {self._rep_map[x] for x in self.base.representatives}
+        # entries: the first image of each principal ideal, in canonical
+        # (sorted) order
+        image = {_least(self.base, self.key, x) for x in self.base.representatives}
         first: dict = {}
-        for x in self._reps:
-            if x in image:
-                first.setdefault(ideal_closure(self, (x,)), x)
+        for x in sorted(image):
+            first.setdefault(_generated_key(self, (x,)), x)
         return tuple(first.values())
-
-    @cached_property
-    def additive_generators(self):
-        # the projection is additive and onto
-        return tuple(self._rep_map[g] for g in self.base.additive_generators)
-
-
-def ideal_closure(ring: FiniteRing, generators) -> frozenset:
-    """Element set of the ideal generated by `generators`: dZ_n on Z_n,
-    elsewhere the additive closure of the g * e over the ring's
-    `additive_generators` (gR is their additive span)."""
-    gens = tuple(generators)
-    for g in gens:
-        ring.require_member(g)
-    if isinstance(ring, CyclicRing):
-        d = reduce(math.gcd, gens, ring.n)
-        if d == 0:
-            d = ring.n
-        return frozenset(range(0, ring.n, d))
-    spanning = ring.additive_generators
-    return additive_closure(ring, {ring.mul(e, g) for g in gens for e in spanning})
-
-
-def additive_closure(ring: FiniteRing, seed) -> frozenset:
-    """Smallest additive subgroup containing `seed`."""
-    group = {ring.zero}
-    for g in seed:
-        if g in group:
-            continue
-        snapshot = tuple(group)
-        shift = g
-        while shift not in group:
-            group.update(ring.add(shift, h) for h in snapshot)
-            shift = ring.add(shift, g)
-    return frozenset(group)
 
 
 @lru_cache(maxsize=None)
 def _build_cached(spec: RingSpec) -> FiniteRing:
     # one ring per spec, whatever the cap; `_build_within` has checked the
-    # parts already, so a quotient walks only a base within the cap
+    # parts already
     if isinstance(spec, CyclicZ):
         return CyclicRing(spec)
     if isinstance(spec, Product):
@@ -603,20 +681,21 @@ def _build_cached(spec: RingSpec) -> FiniteRing:
                     f"{base.spec_str} (order {base.order})"
                 )
             gen_elements.append(base.element_at(literal))
-        members = ideal_closure(base, gen_elements)
-        if base.one in members:
+        key = _generated_key(base, gen_elements)
+        if _contains(base, key, base.one):
             raise SpecError(
                 f"improper quotient ideal: generators {spec.generators} "
                 f"generate the whole of {base.spec_str}"
             )
-        return QuotientRing(spec, base, members)
+        return QuotientRing(spec, base, key)
     raise TypeError(f"not a ring spec: {spec!r}")
 
 
 def _build_within(spec: RingSpec, max_order: int) -> FiniteRing:
     # the cap part by part, for a spec whose `order_bound` exceeds it: the
-    # parts first, so that only a quotient lists elements to build, and only
-    # after its base passes
+    # parts first, so that a quotient reads its generator literals off a
+    # base (`element_at`, which lists a quotient base's cosets) only after
+    # that base passes
     if isinstance(spec, Product):
         _build_within(spec.left, max_order)
         _build_within(spec.right, max_order)

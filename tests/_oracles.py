@@ -128,6 +128,18 @@ def brute_ideal_lattice(ring):
     }
 
 
+def brute_quotient(ring, members):
+    """{x: the least member of the coset x + I} over every element, for the
+    ideal I with element set `members`: a scan of the ring in canonical
+    order, whose first unassigned element is the least member of its coset."""
+    least = {}
+    for x in ring.elements:
+        if x not in least:
+            for j in members:
+                least[ring.add(x, j)] = x
+    return least
+
+
 def brute_ideal_sum(ring, first, second):
     """I + J = {a + b : a in I, b in J} for ideals I and J: the union of
     the cosets b + I over b in J, each coset listed once."""

@@ -16,6 +16,7 @@ from closure_lab import (
     clear_caches,
     element_arithmetic,
     enumerate_ideals,
+    ideal_from_elements,
     ideal_from_generators,
     nilpotency_index,
     nilradical,
@@ -28,7 +29,6 @@ from closure_lab import (
 )
 from closure_lab import rings, theorems
 from closure_lab.families import tiny_family
-from closure_lab.rings import additive_closure, ideal_closure
 
 from _oracles import (
     brute_additive_order,
@@ -38,6 +38,7 @@ from _oracles import (
     brute_multiples,
     brute_nilpotents,
     brute_power,
+    brute_quotient,
     brute_units,
     brute_zero_divisors,
     exhaustive_ring_axioms,
@@ -494,8 +495,6 @@ def test_large_ring_is_lazy_but_usable():
 def test_element_at_and_additive_generators_on_every_kind(text):
     r = ring(text)
     assert [r.element_at(i) for i in range(r.order)] == list(r.elements)
-    assert all(r.contains(e) for e in r.additive_generators)
-    assert additive_closure(r, r.additive_generators) == frozenset(r.elements)
 
 
 @pytest.mark.parametrize("text", KIND_RINGS)
@@ -506,12 +505,39 @@ def test_ideal_closure_matches_oracles_on_every_kind(text):
     r = ring(text)
     lattice = sorted(brute_ideal_lattice(r), key=len)
     for x in r.elements:
-        assert ideal_closure(r, (x,)) == brute_multiples(r, x), x
+        assert ideal_from_generators(r, (x,)).elements == brute_multiples(r, x), x
     for x in r.elements:
         for y in r.representatives:
             least = next(i for i in lattice if x in i and y in i)
-            assert ideal_closure(r, (x, y)) == least, (x, y)
-    assert ideal_closure(r, ()) == frozenset({r.zero})
+            assert ideal_from_generators(r, (x, y)).elements == least, (x, y)
+    assert ideal_from_generators(r, ()).elements == frozenset({r.zero})
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_quotients_match_the_coset_scan(text):
+    # every quotient by a proper ideal of the lattice oracle, against the
+    # least member of each coset found by a scan of the base
+    r = ring(text)
+    for members in brute_ideal_lattice(r):
+        if r.one in members:
+            continue
+        q = quotient_ring(r, ideal_from_elements(r, members))
+        least = brute_quotient(r, members)
+        reps = [x for x in r.elements if least[x] == x]
+        assert q.elements == tuple(reps), members
+        assert [q.project(x) for x in r.elements] == [least[x] for x in r.elements]
+        assert [q.contains(x) for x in r.elements] == [least[x] == x for x in r.elements]
+        assert (q.order, q.zero, q.one) == (len(reps), least[r.zero], least[r.one])
+        for x in reps:
+            assert q.neg(x) == least[r.neg(x)]
+            assert [q.power(x, t) for t in range(4)] == [
+                least[brute_power(r, x, t)] for t in range(4)
+            ]
+            for y in reps:
+                assert q.add(x, y) == least[r.add(x, y)], (members, x, y)
+                assert q.mul(x, y) == least[r.mul(x, y)], (members, x, y)
+                assert q.divides(x, y) == brute_divides(q, x, y), (members, x, y)
+        assert q.representatives == tuple(sorted(brute_least_associates(q), key=reps.index))
 
 
 @pytest.mark.parametrize("text", KIND_RINGS + ["Z36/(12)"])

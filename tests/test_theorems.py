@@ -24,7 +24,7 @@ from closure_lab import (
     verify_many,
     verify_theorem,
 )
-from closure_lab import closure, ideals, regularity, theorems
+from closure_lab import closure, ideals, regularity, rings, theorems
 from closure_lab.families import make_family, tiny_family
 from closure_lab.ideals import Ideal
 from closure_lab.rings import (
@@ -45,6 +45,7 @@ from closure_lab.theorems import (
 )
 
 from _oracles import (
+    brute_divides,
     brute_first_absorbing_failure,
     brute_is_mn_closed,
     brute_is_weakly_mn_closed,
@@ -53,6 +54,7 @@ from _oracles import (
     brute_multiples,
     brute_power,
     brute_power_thresholds,
+    brute_quotient,
     brute_unbreakable,
     brute_vnr_witness,
 )
@@ -234,17 +236,31 @@ def _catalog_on_the_oracles(monkeypatch, family):
     # every record of the catalog, once as shipped and once with the
     # shortcuts swapped for the definitions: grids cell by cell, n-absorbing
     # answers by a full multiset scan, divisibility by a scan of the ring,
-    # every `once` walk run again, each class table the least members of
-    # its associate classes, power chains and tau bytes from brute powers,
-    # unbreakable zeros, vnr tables cell by cell by witness search, and the
-    # Krull dimension from brute primes over the brute lattice
+    # least coset members (a quotient's elements and arithmetic, and every
+    # member list) by a scan of the ring, every `once` walk run again, each
+    # class table the least members of its associate classes, power chains
+    # and tau bytes from brute powers, unbreakable zeros, vnr tables cell
+    # by cell by witness search, and the Krull dimension from brute primes
+    # over the brute lattice
     fast = [json.dumps(v.to_record()) for v in verify_many(THEOREM_IDS, family)]
     least = {}
+    cosets = {}
+    contains = rings._contains
 
     def representatives(ring):
         if ring not in least:
             least[ring] = tuple(sorted(brute_least_associates(ring)))
         return least[ring]
+
+    def coset_least(ring, key):
+        if (ring, key) not in cosets:
+            members = [x for x in ring.elements if contains(ring, key, x)]
+            cosets[ring, key] = brute_quotient(ring, members)
+        return cosets[ring, key]
+
+    def minima(ring, key, inside):
+        coset = coset_least(ring, key)
+        return [x for x in ring.elements if coset[x] == x and contains(ring, inside, x)]
 
     monkeypatch.setattr(closure, "_grid_of", _oracle_grid)
     monkeypatch.setattr(
@@ -264,9 +280,10 @@ def _catalog_on_the_oracles(monkeypatch, family):
     )
     monkeypatch.setattr(regularity, "_entry_rows", _oracle_entry_rows)
     monkeypatch.setattr(theorems, "krull_dim", brute_krull_dim)
+    monkeypatch.setattr(rings, "_least", lambda ring, key, x: coset_least(ring, key)[x])
+    monkeypatch.setattr(rings, "_minima", minima)
     for kind in (CyclicRing, ProductRing, IdealizationRing, QuotientRing):
-        if "divides" in vars(kind):
-            monkeypatch.setattr(kind, "divides", FiniteRing.divides)
+        monkeypatch.setattr(kind, "divides", brute_divides)
         monkeypatch.setattr(kind, "representatives", property(representatives))
     clear_caches()  # so that every ring, table and sweep is made afresh
     try:
