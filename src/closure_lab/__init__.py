@@ -104,10 +104,11 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty the three module-level caches, all keyed on values: built
-    rings (by spec), factorizations and signature grids.  Ring tables live
-    on their ring and ideal tables on their ideal, so they go with them;
-    the collector runs last, because a ring and its lattice refer to each
-    other and `cli.run` turns automatic collection off."""
+    rings (by spec), factorizations and signature grids.  Every table of a
+    ring or of one of its ideals lives on the ring (`rings.per_ring`), so
+    it goes with the ring; the collector runs last, because a ring and its
+    lattice refer to each other and `cli.run` turns automatic collection
+    off."""
     for cache in (rings._build_cached, rings._factorize, closure._signature_grid):
         cache.cache_clear()
     gc.collect()

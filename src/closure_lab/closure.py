@@ -9,9 +9,8 @@ Two numbers per element decide both notions: tau(x), the least t with
 x**t in I, and nu(x), the nilpotency index.  Only tau depends on the
 ideal.  So each ring keeps, once, the power chain x, x**2, ... and nu of
 every entry of its class table `FiniteRing.representatives` (one entry
-per associate class; `power_chains`), and each ideal value keeps one
-`bytes` of tau values aligned with that table, 0 meaning none
-(`_thresholds`).  x breaks (m,n)-closedness exactly when n < tau(x) <= m,
+per associate class; `power_chains`), and one `bytes` of tau values per
+ideal value, aligned with that table, 0 meaning none (`_thresholds`).  x breaks (m,n)-closedness exactly when n < tau(x) <= m,
 and weak (m,n)-closedness when also x**m != 0.
 
 Status questions are answered by `status_grid`, which reads the status
@@ -32,12 +31,14 @@ it finds the first witness a scan of all elements finds.
 its docstring says why the first witness is unchanged, and why an
 ideal weakly n-absorbing is weakly (n+1)-absorbing.
 
-Where the tables live: power chains on their ring (`rings.per_ring`);
-tau bytes, status grids (keyed by size) and n-absorbing answers (keyed by
-a small int, `_absorbing_key`) in the ideal's own store (`Ideal.table`),
-once per ideal value, freed with the last equal ideal.  The one
-module-level cache here, `_signature_grid`, is keyed on small
-signatures, and `closure_lab.clear_caches` empties it.
+Where the tables live: every table is built through `rings.per_ring`
+and kept on its ring, once per ring and arguments.  Power chains are
+keyed by the ring alone; tau bytes, status grids (by size), nilpotent tau
+bytes and n-absorbing answers (by n and weak) by the ideal's key, so
+every equal ideal of a ring reads one table, and the table lives as long
+as the ring.  No table refers to an ideal or a ring.  Only `closure`
+reads tau bytes.  The one module-level cache here, `_signature_grid`, is
+keyed on small signatures, and `closure_lab.clear_caches` empties it.
 """
 
 from __future__ import annotations
@@ -139,55 +140,27 @@ def power_chains(ring: FiniteRing) -> PowerChains:
     return PowerChains(ring)
 
 
-class Thresholds:
-    """`_thresholds` of one ideal value: the ring's power chains and one
-    byte of tau per class-table entry, 0 meaning none.  Iterating gives
-    the rows (x, tau, nu) in table order, each None when there is none;
-    tau <= nu whenever nu exists, and x**t lies in I exactly when t >= tau.
-    Equal when both read one ring's chains and hold equal taus."""
-
-    __slots__ = ("chains", "taus")
-
-    def __init__(self, chains: PowerChains, taus: bytes):
-        self.chains = chains
-        self.taus = taus
-
-    def __iter__(self):
-        return map(_row, self.chains.chains, self.taus, self.chains.nus)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Thresholds)
-            and self.chains is other.chains
-            and self.taus == other.taus
-        )
+def _thresholds(ideal: Ideal) -> bytes:
+    """tau(x) for every class-table entry x, one byte each in table order,
+    0 meaning none: the least t >= 1 with x**t in I.  tau <= L and tau <=
+    nu(x) whenever they exist, so each tau is read off the entry's power
+    chain (`power_chains`), and x**t lies in I exactly when t >= tau.
+    Callers zip the bytes with ``power_chains(ring)``."""
+    return _threshold_table(ideal.ring, ideal.key)
 
 
-def _row(x, tau: int, nu: int) -> tuple:
-    return x, tau or None, nu or None
-
-
-def _thresholds(ideal: Ideal) -> Thresholds:
-    """The rows (x, tau, nu) of every class-table entry x, as one kept,
-    re-iterable `Thresholds` per ideal value: tau the least t >= 1 with
-    x**t in I, nu the least t >= 1 with x**t == 0.  tau <= L and nu <= L
-    whenever they exist, so each tau is read off the entry's power chain
-    on the ring (`power_chains`), and the ideal keeps only the tau bytes."""
-    return ideal.table("thresholds", _threshold_table)
-
-
-def _threshold_table(ideal: Ideal) -> Thresholds:
-    chains = power_chains(ideal.ring)
-    members = ideal.membership()
+@per_ring
+def _threshold_table(ring: FiniteRing, key) -> bytes:
+    members = Ideal(ring, key).membership()
     taus = bytearray()
-    for chain in chains.chains.values():
+    for chain in power_chains(ring).chains.values():
         for t, y in enumerate(chain, 1):
             if y in members:
                 taus.append(t)
                 break
         else:
             taus.append(0)
-    return Thresholds(chains, bytes(taus))
+    return bytes(taus)
 
 
 _STATUSES = (STATUS_CLOSED, STATUS_WEAKLY_ONLY, STATUS_NOT_WEAKLY)
@@ -207,19 +180,20 @@ def status_grid(ideal: Ideal, size: int) -> tuple:
     itself (see `_signature_grid`), so it depends only on those pairs,
     min(size, L) and size: ideals with equal signatures share one grid
     object.
-    One grid per (ideal value, size), kept under the key `size`; the checks
-    run on a miss only, and a failed call is not remembered.
+    One grid per (ideal value, size), kept on the ring (`_grid_of`); the
+    checks run on a miss only, and a failed call is not remembered.
     """
-    return ideal.table(size, _grid_of, size)
+    return _grid_of(ideal.ring, ideal.key, size)
 
 
-def _grid_of(ideal: Ideal, size: int) -> tuple:
+@per_ring
+def _grid_of(ring: FiniteRing, key, size: int) -> tuple:
     """The status grid of `status_grid`, built after its checks."""
-    _require_proper(ideal)
+    _require_proper(Ideal(ring, key))
     _require_positive(size)
-    table = _thresholds(ideal)
-    pairs = frozenset((tau, nu or None) for tau, nu in zip(table.taus, table.chains.nus) if tau > 1)
-    return _signature_grid(pairs, min(size, ideal.ring.power_bound), size)
+    taus, nus = _threshold_table(ring, key), power_chains(ring).nus
+    pairs = frozenset((tau, nu or None) for tau, nu in zip(taus, nus) if tau > 1)
+    return _signature_grid(pairs, min(size, ring.power_bound), size)
 
 
 # bounded; 113 signatures for the 2852 ideals of the pinned 148-ring family
@@ -263,15 +237,22 @@ def _failure_scan(ideal: Ideal, m: int, n: int):
     """
     _require_proper(ideal)
     _require_positive(m, n)
-    table = _thresholds(ideal)
+    chains = power_chains(ideal.ring)
     first = None
-    for x, tau, nu in zip(table.chains.chains, table.taus, table.chains.nus):
+    for x, tau, nu in zip(chains.chains, _thresholds(ideal), chains.nus):
         if n < tau <= m:
             if first is None:
                 first = x
             if not nu or nu > m:
                 return first, x
     return first, None
+
+
+def _nonzero_power_lands_in(ideal: Ideal, m: int) -> bool:
+    """Whether 0 != x**m lies in I for some x: tau(x) <= m < nu(x), or x
+    is not nilpotent, read off the tau and nu bytes (0 meaning none)."""
+    taus, nus = _thresholds(ideal), power_chains(ideal.ring).nus
+    return any(0 < tau <= m and (not nu or nu > m) for tau, nu in zip(taus, nus))
 
 
 def is_mn_closed(ideal: Ideal, m: int, n: int):
@@ -305,13 +286,14 @@ def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
 def _nil_thresholds(ideal: Ideal) -> bytes:
     """One byte per nilpotent a, aligned with `nilpotency_indices`: the
     least t >= 1 with a**t in I, so tau <= nu(a) (0 lies in I) and a**t
-    lies in I exactly when t >= tau.  Once per ideal value."""
-    return ideal.table("nil_thresholds", _nil_threshold_bytes)
+    lies in I exactly when t >= tau.  Once per ideal value, kept on its
+    ring."""
+    return _nil_threshold_bytes(ideal.ring, ideal.key)
 
 
-def _nil_threshold_bytes(ideal: Ideal) -> bytes:
-    ring, members = ideal.ring, ideal.membership()
-    mul = ring.mul
+@per_ring
+def _nil_threshold_bytes(ring: FiniteRing, key) -> bytes:
+    members, mul = Ideal(ring, key).membership(), ring.mul
     taus = bytearray()
     for a in ring.nilpotency_indices:
         y, tau = a, 1
@@ -344,8 +326,8 @@ def is_weakly_radical(ideal: Ideal):
     when 1 < tau(x) and x**tau != 0, that is tau(x) < nu(x) or x is not
     nilpotent, and its least t is tau(x)."""
     _require_proper(ideal)
-    table = _thresholds(ideal)
-    for x, tau, nu in zip(table.chains.chains, table.taus, table.chains.nus):
+    chains = power_chains(ideal.ring)
+    for x, tau, nu in zip(chains.chains, _thresholds(ideal), chains.nus):
         if tau > 1 and (not nu or tau < nu):
             return False, (x, tau)
     return True, None
@@ -379,8 +361,8 @@ def is_n_absorbing(
     the answer kept for n - 1 is None, the answer at n is None without a
     sweep.
 
-    Each (ideal value, n, weak) answer is kept with the ideal's tables
-    (`Ideal.table`).  Raises `AbsorbingBudgetError` when order**(n+1)
+    Each (ideal value, n, weak) answer is kept on the ring
+    (`_absorbing_answer`).  Raises `AbsorbingBudgetError` when order**(n+1)
     exceeds the budget, checked before any kept answer is read.
     """
     _require_proper(ideal)
@@ -388,22 +370,18 @@ def is_n_absorbing(
     required = ideal.ring.order ** (n + 1)
     if required > budget:
         raise AbsorbingBudgetError(required, budget)
-    witness = ideal.table(_absorbing_key(n, weak), _absorbing_answer, n, weak)
+    witness = _absorbing_answer(ideal.ring, ideal.key, n, weak)
     return witness is None, witness
 
 
-def _absorbing_key(n: int, weak: bool) -> int:
-    """The store key of an n-absorbing answer: -2n - weak, negative, so it
-    never meets a grid's key (its size) and allocates no tuple."""
-    return -2 * n - weak
-
-
-def _absorbing_answer(ideal: Ideal, n: int, weak: bool):
-    # absorbing at n - 1 means absorbing at n (see `is_n_absorbing`); no
-    # witness is the empty tuple, so only a kept None at n - 1 matches
-    if ideal.tables.get(_absorbing_key(n - 1, weak), ()) is None:
+@per_ring
+def _absorbing_answer(ring: FiniteRing, key, n: int, weak: bool):
+    # absorbing at n - 1 means absorbing at n (see `is_n_absorbing`): read
+    # the kept answer at n - 1 without building it; no witness is the
+    # empty tuple, so only a kept None matches
+    if ring.tables.get((_absorbing_answer.__wrapped__, key, n - 1, weak), ()) is None:
         return None
-    return _absorbing_sweep(ideal, n, weak)
+    return _absorbing_sweep(Ideal(ring, key), n, weak)
 
 
 def _absorbing_sweep(ideal: Ideal, n: int, weak: bool):

@@ -16,18 +16,16 @@ extensions and quotients a fixpoint that joins principal ideals, key by
 key, until nothing new appears (every ideal is the sum of the principal
 ideals of its members).
 
-The deciders' per-ideal tables (tau bytes, status grids, nilpotent tau
-bytes, n-absorbing answers) live in one store per ideal value,
-`Ideal.table`: every equal ideal of a ring shares it, and it is freed
-with the last of them, by reference counting alone.  So a table lives
-as long as some ideal that can ask for it: a lattice's ideals as long
-as their ring (`rings.per_ring`), a quotient's image ideals only while
-their checker holds them.
+An `Ideal` holds no table.  The deciders' per-ideal tables (tau bytes,
+status grids, nilpotent tau bytes, n-absorbing answers) are built through
+`rings.per_ring` and kept on the ring under the ideal's key, so every
+equal ideal of a ring reads one table, and it lives as long as the ring.
+A ring holds at most one set of tables per ideal, as its lattice does,
+and a fresh quotient's image ideals' tables go with the quotient.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
@@ -48,31 +46,17 @@ from .rings import (
 from .specs import Quotient
 
 
-class _Tables(dict):
-    """The tables of one ideal value, keyed by table name and arguments;
-    weakly referenceable, so the registry does not keep it alive."""
-
-    __slots__ = ("__weakref__",)
-
-
-@per_ring
-def _stores(ring: FiniteRing) -> weakref.WeakValueDictionary:
-    # ideal key -> the tables of that ideal value, while an equal ideal holds them
-    return weakref.WeakValueDictionary()
-
-
 class Ideal:
     """An ideal of a realized finite ring; equal ideals share ring and key,
     whatever their generators.  Without generators, its members stand in."""
 
-    __slots__ = ("ring", "key", "_generators", "_proper", "_tables")
+    __slots__ = ("ring", "key", "_generators", "_proper")
 
     def __init__(self, ring: FiniteRing, key, generators=None):
         self.ring = ring
         self.key = key
         self._generators = None if generators is None else tuple(generators)
         self._proper = None
-        self._tables = None
 
     @property
     def generators(self) -> tuple:
@@ -84,30 +68,6 @@ class Ideal:
         if proper is None:
             proper = self._proper = self.ring.one not in self
         return proper
-
-    @property
-    def tables(self) -> dict:
-        """The table store of this ideal's value, shared by every equal
-        ideal of its ring and freed with the last of them."""
-        tables = self._tables
-        if tables is None:
-            stores = _stores(self.ring)
-            tables = stores.get(self.key)
-            if tables is None:
-                tables = stores[self.key] = _Tables()
-            self._tables = tables
-        return tables
-
-    def table(self, key, build, *args):
-        """The table `key` of this ideal's value: ``build(self, *args)`` on
-        first use, then kept in `tables`.  A build that raises leaves
-        nothing behind."""
-        tables = self.tables
-        try:
-            return tables[key]
-        except KeyError:
-            table = tables[key] = build(self, *args)
-            return table
 
     def membership(self):
         """A container with a C-speed ``in``, built for the caller alone:

@@ -175,7 +175,7 @@ class FiniteRing:
         factor of a failing tuple for the least member of its class keeps it
         failing and its sorted index tuple pointwise no larger, so the first
         witness in canonical order is made of table entries.  Every sweep
-        and every row of `closure._thresholds` runs over this table, and
+        and every byte of `closure._thresholds` runs over this table, and
         ideal enumeration takes its entries as the principal generators."""
         raise NotImplementedError
 
@@ -254,7 +254,7 @@ def per_ring(build):
     """``build(ring, *args)`` once per ring and arguments, kept in `FiniteRing.tables`."""
 
     @wraps(build)
-    def table(ring, *args):
+    def kept(ring, *args):
         key = (build, *args) if args else build
         try:
             return ring.tables[key]
@@ -262,7 +262,7 @@ def per_ring(build):
             value = ring.tables[key] = build(ring, *args)
             return value
 
-    return table
+    return kept
 
 
 @lru_cache(maxsize=None)

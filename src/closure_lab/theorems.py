@@ -517,18 +517,11 @@ def _check_prod_factor(family):
     return tally.done()
 
 
-def _nonzero_power_lands_in(ideal, m) -> bool:
-    # 0 != x**m in I: tau(x) <= m < nu(x), read off the tau and nu bytes
-    # (0 meaning none)
-    table = closure._thresholds(ideal)
-    return any(0 < tau <= m and (not nu or nu > m) for tau, nu in zip(table.taus, table.chains.nus))
-
-
 def _factor_view(family, ideal):
     # what `_add2_condition` asks of one factor ideal, read once: its
     # `_grid` and the m of the grid for which some 0 != x**m lies in it
     size = family.max_exponent
-    lands = frozenset(m for m in range(1, size + 1) if _nonzero_power_lands_in(ideal, m))
+    lands = frozenset(m for m in range(1, size + 1) if closure._nonzero_power_lands_in(ideal, m))
     return _grid(family, ideal), lands
 
 

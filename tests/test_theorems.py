@@ -2,8 +2,10 @@
 
 import gc
 import json
+import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,13 +20,15 @@ from closure_lab import (
     clear_caches,
     enumerate_ideals,
     ideal_from_generators,
+    load_family,
     parse_ring_spec,
     replay_counterexample,
     search_counterexamples,
     verify_many,
     verify_theorem,
 )
-from closure_lab import closure, ideals, regularity, rings, theorems
+from closure_lab import closure, regularity, rings, theorems
+from closure_lab.closure import _nonzero_power_lands_in
 from closure_lab.families import make_family, tiny_family
 from closure_lab.ideals import Ideal
 from closure_lab.rings import (
@@ -40,7 +44,6 @@ from closure_lab.theorems import (
     PASS,
     _Tally,
     _family_rings,
-    _nonzero_power_lands_in,
     _proper_ideals,
 )
 
@@ -58,6 +61,9 @@ from _oracles import (
     brute_unbreakable,
     brute_vnr_witness,
 )
+
+
+PINNED_FAMILY = Path(__file__).resolve().parent.parent / "perfbench" / "family.conf"
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +177,11 @@ def test_nonzero_power_sweep_matches_every_element(text):
             assert _nonzero_power_lands_in(ideal, m) == expected, (ideal, m)
 
 
-def _oracle_grid(ideal, size):
+@per_ring
+def _oracle_grid(ring, key, size):
     # cell by cell from the definitions, as fresh tuples that no two ideals
     # share, so every identity-keyed walk misses
-    ring, members = ideal.ring, ideal.elements
+    members = Ideal(ring, key).elements
     rows = [(None,) * (size + 1)]
     for m in range(1, size + 1):
         cells = [None]
@@ -215,11 +222,17 @@ class _OracleChains:
         self.nus = bytes(nus)
 
 
-def _oracle_thresholds(ideal):
+@per_ring
+def _oracle_thresholds(ring, key):
     # the tau bytes from `brute_power_thresholds`, one per class-table entry
-    ring = ideal.ring
-    found = brute_power_thresholds(ring, ideal.elements, ring.representatives)
-    return closure.Thresholds(closure.power_chains(ring), bytes(t or 0 for t, _ in found.values()))
+    found = brute_power_thresholds(ring, Ideal(ring, key).elements, ring.representatives)
+    return bytes(t or 0 for t, _ in found.values())
+
+
+@per_ring
+def _oracle_absorbing_answer(ring, key, n, weak):
+    # a full multiset scan for every n, with no shortcut from n - 1
+    return brute_first_absorbing_failure(ring, Ideal(ring, key).elements, n, weak)
 
 
 @per_ring
@@ -263,13 +276,7 @@ def _catalog_on_the_oracles(monkeypatch, family):
         return [x for x in ring.elements if coset[x] == x and contains(ring, inside, x)]
 
     monkeypatch.setattr(closure, "_grid_of", _oracle_grid)
-    monkeypatch.setattr(
-        closure,
-        "_absorbing_answer",
-        lambda ideal, n, weak: brute_first_absorbing_failure(
-            ideal.ring, ideal.elements, n, weak
-        ),
-    )
+    monkeypatch.setattr(closure, "_absorbing_answer", _oracle_absorbing_answer)
     monkeypatch.setattr(_Tally, "once", lambda self, key, walk: walk())
     monkeypatch.setattr(closure, "power_chains", per_ring(_OracleChains))
     monkeypatch.setattr(closure, "_threshold_table", _oracle_thresholds)
@@ -582,11 +589,12 @@ def test_tables_are_built_once_per_value(monkeypatch):
         return real_rows(ring, x, size)
 
     builds, entry_builds = [], []
-    real_build, real_entry = closure._grid_of, regularity._entry_rows.__wrapped__
+    real_build, real_entry = closure._grid_of.__wrapped__, regularity._entry_rows.__wrapped__
 
-    def build(ideal, size):
-        builds.append(size)  # not the ideal: holding it would keep its tables
-        return real_build(ideal, size)
+    @per_ring
+    def build(ring, key, size):
+        builds.append(size)
+        return real_build(ring, key, size)
 
     @per_ring
     def entry(ring, x, size):
@@ -626,8 +634,10 @@ def test_catalog_and_searches_leave_no_cyclic_garbage():
 
 
 def test_catalog_keeps_no_tables_of_quotients_or_principal_rings(monkeypatch):
-    # T-QUOT's quotients and image ideals, and T-PRINCIPAL's ideals of
-    # Z_(p**c), are read by one checker each: their tables go with them
+    # T-QUOT's quotients and image ideals are read by one checker: their
+    # tables go with them.  T-PRINCIPAL's ideals of Z_(p**c) keep their
+    # tables on their ring, whose class table holds one entry per divisor
+    # of p**c, so the checker alone keeps little
     family = tiny_family()
     quotients = []
     real_quotient = theorems.quotient_ring
@@ -651,18 +661,26 @@ def test_catalog_keeps_no_tables_of_quotients_or_principal_rings(monkeypatch):
     assert checked["T-QUOT"] > 0 and checked["T-PRINCIPAL"] > 0
     assert quotients and all(dead)
     family_rings = set(_family_rings(family))
-    principal = {
-        build_ring(CyclicZ(p ** c), family.max_order) for p, c in family.principal_cases
-    } - family_rings
-    # every live ring whose registry still holds a store
-    kept = {r for r in gc.get_objects() if isinstance(r, FiniteRing) and ideals._stores(r)}
-    assert principal and not kept & principal
+    # every live ring that holds a table
+    kept = {r for r in gc.get_objects() if isinstance(r, FiniteRing) and r.tables}
     assert not [r for r in kept if isinstance(r, QuotientRing) and r not in family_rings]
     assert kept <= family_rings | {
         build_ring(CyclicZ(r.n), family.max_order)
         for r in family_rings
         if isinstance(r, IdealizationRing)
-    }
+    } | {build_ring(CyclicZ(p ** c), family.max_order) for p, c in family.principal_cases}
+
+    pinned = load_family(str(PINNED_FAMILY))
+    clear_caches()
+    tracemalloc.start()
+    try:
+        verdict = verify_theorem("T-PRINCIPAL", pinned)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert verdict.status == PASS and held < 192 * 1024
 
 
 def test_ideals_with_one_element_set_share_one_grid():
