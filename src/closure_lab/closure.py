@@ -19,8 +19,8 @@ table at once; callers that ask about many pairs fetch the grid once.
 A grid depends only on those pairs, L and its length, so it is built
 once per such signature (`_signature_grid`): ideals with equal
 signatures share one grid object, which lets callers key on identity.
-Unbreakable zeros are read off a second `bytes` per ideal,
-`_nil_thresholds`, which holds tau for every nilpotent.
+Unbreakable zeros are read off the same bytes: a nilpotent has the tau of
+its class-table entry, found once per ring (`_nil_positions`).
 Witness questions are answered by the three closedness deciders
 (`classify`, `is_mn_closed`, `is_weakly_mn_closed`), which read one
 sweep of the table, `_failure_scan`, finding the first failing x and
@@ -32,13 +32,14 @@ its docstring says why the first witness is unchanged, and why an
 ideal weakly n-absorbing is weakly (n+1)-absorbing.
 
 Where the tables live: every table is built through `rings.per_ring`
-and kept on its ring, once per ring and arguments.  Power chains are
-keyed by the ring alone; tau bytes, status grids (by size), nilpotent tau
-bytes and n-absorbing answers (by n and weak) by the ideal's key, so
-every equal ideal of a ring reads one table, and the table lives as long
-as the ring.  No table refers to an ideal or a ring.  Only `closure`
-reads tau bytes.  The one module-level cache here, `_signature_grid`, is
-keyed on small signatures, and `closure_lab.clear_caches` empties it.
+and kept on its ring, once per ring and arguments.  Power chains and
+the nilpotents' class positions are keyed by the ring alone; tau bytes,
+status grids (by size) and n-absorbing answers (by n and weak) by the
+ideal's key, so every equal ideal of a ring reads one table, and the
+table lives as long as the ring.  No table refers to an ideal or a
+ring.  Only `closure` reads tau bytes.  The one module-level cache here,
+`_signature_grid`, is keyed on small signatures, and
+`closure_lab.clear_caches` empties it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ideals import Ideal, _prime_failure_scan
-from .rings import FiniteRing, _serialize, per_ring
+from .rings import FiniteRing, _generated_key, _serialize, per_ring
 
 STATUS_CLOSED = "closed"
 STATUS_WEAKLY_ONLY = "weakly_only"
@@ -273,34 +274,27 @@ def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
     """All a with a**m == 0 and a**n not in I, in canonical order.
 
     a**m == 0 means nu(a) <= m, and a**n lies outside I exactly when
-    n < tau(a); both are read off `_nil_thresholds`.
+    n < tau(a).  An associate of a class-table entry has the entry's tau,
+    so tau(a) is the `_thresholds` byte at a's class position
+    (`_nil_positions`).
     """
     _require_proper(ideal)
     _require_positive(m, n)
-    nil = ideal.ring.nilpotency_indices
+    ring = ideal.ring
+    taus = _thresholds(ideal)
     return tuple(
-        a for (a, nu), tau in zip(nil.items(), _nil_thresholds(ideal)) if nu <= m and n < tau
+        a
+        for (a, nu), i in zip(ring.nilpotency_indices.items(), _nil_positions(ring))
+        if nu <= m and n < taus[i]
     )
 
 
-def _nil_thresholds(ideal: Ideal) -> bytes:
-    """One byte per nilpotent a, aligned with `nilpotency_indices`: the
-    least t >= 1 with a**t in I, so tau <= nu(a) (0 lies in I) and a**t
-    lies in I exactly when t >= tau.  Once per ideal value, kept on its
-    ring."""
-    return _nil_threshold_bytes(ideal.ring, ideal.key)
-
-
 @per_ring
-def _nil_threshold_bytes(ring: FiniteRing, key) -> bytes:
-    members, mul = Ideal(ring, key).membership(), ring.mul
-    taus = bytearray()
-    for a in ring.nilpotency_indices:
-        y, tau = a, 1
-        while y not in members:
-            y, tau = mul(y, a), tau + 1
-        taus.append(tau)
-    return bytes(taus)
+def _nil_positions(ring: FiniteRing) -> tuple:
+    """The class-table position of every nilpotent, aligned with
+    `nilpotency_indices`: the position of the entry that generates aR."""
+    table = ring._class_positions
+    return tuple(table[_generated_key(ring, (a,))] for a in ring.nilpotency_indices)
 
 
 def classify(ideal: Ideal, m: int, n: int) -> ClosednessReport:

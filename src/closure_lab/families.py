@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .rings import DEFAULT_ORDER_CAP, _is_prime_number
-from .specs import CyclicZ, Idealization, Product, parse_ring_spec
+from .specs import CyclicZ, Idealization, Product, parse_ring_specs
 
 DEFAULT_PRODUCT_MODULI = (2, 3, 4, 8, 9, 16)
 
@@ -156,25 +156,6 @@ class FamilyConfigError(ValueError):
     pass
 
 
-def _split_specs(value: str):
-    # commas inside parentheses belong to quotient generator lists
-    parts = []
-    depth = 0
-    current = []
-    for ch in value:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 def parse_family_config(text: str) -> InstanceFamily:
     """Parse a family config: one ``key = value`` per line, ``#`` comments,
     comma-separated lists.
@@ -202,9 +183,7 @@ def parse_family_config(text: str) -> InstanceFamily:
             elif key in _INT_LIST_KEYS:
                 values[key] = tuple(int(part) for part in value.split(",") if part.strip())
             elif key in _SPEC_LIST_KEYS:
-                values[key] = tuple(
-                    parse_ring_spec(part) for part in _split_specs(value) if part.strip()
-                )
+                values[key] = parse_ring_specs(value)
             else:
                 raise FamilyConfigError(f"line {lineno}: unknown key {key!r}")
         except FamilyConfigError:

@@ -11,13 +11,13 @@ generation.  `elements` and `members` are built on demand, never kept;
 on R/J they are cosets, never the preimage.  `quotient_ring` builds R/J
 from the key of J, and `image_ideal` keys the image of I by I + J.
 Enumeration is complete by construction for every
-ring kind: structural for cyclic and product rings, and for trivial
-extensions and quotients a fixpoint that joins principal ideals, key by
-key, until nothing new appears (every ideal is the sum of the principal
-ideals of its members).
+ring kind: structural for products, and for every other kind a fixpoint
+that starts from the ring's principal ideals (one per class-table entry)
+and joins them, key by key, until nothing new appears (every ideal is
+the sum of the principal ideals of its members).
 
 An `Ideal` holds no table.  The deciders' per-ideal tables (tau bytes,
-status grids, nilpotent tau bytes, n-absorbing answers) are built through
+status grids, n-absorbing answers) are built through
 `rings.per_ring` and kept on the ring under the ideal's key, so every
 equal ideal of a ring reads one table, and it lives as long as the ring.
 A ring holds at most one set of tables per ideal, as its lattice does,
@@ -31,7 +31,6 @@ from functools import cached_property
 from itertools import product as iter_product
 
 from .rings import (
-    CyclicRing,
     FiniteRing,
     ProductRing,
     QuotientRing,
@@ -167,16 +166,14 @@ def _sorted_ideals(ideals) -> tuple:
 def enumerate_ideals(ring: FiniteRing) -> IdealEnumeration:
     """Every ideal of a ring.
 
-    Cyclic rings: the divisor ideals dZ_n.  Products: all I1 x I2
-    combinations of factor ideals.  Other kinds: the principal ideals of
-    the class table, then every sum J + P of a found ideal J and a
-    principal ideal P, until no new ideal appears.  Each ideal keeps the
+    Products: all I1 x I2 combinations of factor ideals, whose generators
+    records print.  Every other kind: the principal ideals of the class
+    table (`FiniteRing._class_positions`), then every sum J + P of a found
+    ideal J and a principal ideal P, until no new ideal appears; on Z_n
+    every ideal is principal, so nothing joins.  Each ideal keeps the
     generators of the first join that reached it (principal generators
     are least class members, joins are tried in generator order).
     """
-    if isinstance(ring, CyclicRing):
-        ideals = [ideal_from_generators(ring, (g,)) for g in ring.representatives]
-        return IdealEnumeration(_sorted_ideals(ideals))
     if isinstance(ring, ProductRing):
         pairs = iter_product(enumerate_ideals(ring.left).ideals, enumerate_ideals(ring.right).ideals)
         return IdealEnumeration(_sorted_ideals(product_ideal(ring, *pair) for pair in pairs))
@@ -201,8 +198,9 @@ def split_product_ideal(ring: ProductRing, ideal: Ideal):
 
 
 def _enumerate_by_generators(ring: FiniteRing) -> IdealEnumeration:
-    # the class table holds one entry per principal ideal, in generator order
-    found = {_generated_key(ring, (x,)): (x,) for x in ring.representatives}
+    # the principal ideals of the class table, in generator order
+    table = ring.representatives
+    found = {key: (table[i],) for key, i in ring._class_positions.items()}
     # every ideal is the sum of the principal ideals of its members, so
     # joining principal ideals until nothing new appears reaches them all
     principal = list(found.items())

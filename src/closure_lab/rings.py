@@ -9,8 +9,10 @@ first-witness sweeps run over: one entry per principal ideal, its least
 generator.  `element_at` reads one literal and `index_of` finds it.  All
 three are closed form for cyclic, product and trivial-extension rings, so
 a one-shot query on a large ring of those kinds never builds `elements`;
-a quotient lists only its own cosets, never its base.  Rings are
-immutable once built;
+a quotient lists only its own cosets, never its base.  The one map of
+principal ideals, `_class_positions`, takes the key of xR to the
+position of its entry, so `class_entry` reads x's associate class off
+the key of xR.  Rings are immutable once built;
 `build_ring` memoizes on the spec alone, whatever the order cap, so
 repeated builds of the same spec share one object, its caches and the
 tables `per_ring` keeps on it; the cap is checked on every call, against
@@ -184,19 +186,19 @@ class FiniteRing:
         return frozenset(self.representatives)
 
     @cached_property
-    def _class_entries(self) -> dict:
-        # {y: the table entry associate to y}: the associates of an entry e
-        # are {ue : u a unit}, and the table holds one entry per class
-        return {self.mul(u, e): e for e in self.representatives for u in self.units}
+    def _class_positions(self) -> dict:
+        """{key of xR: position of x in the class table}, in table order:
+        the table holds one entry per principal ideal, so this is every
+        principal ideal of the ring, each with its least generator."""
+        return {_generated_key(self, (x,)): i for i, x in enumerate(self.representatives)}
 
     def class_entry(self, x):
-        """x itself when x is a class-table entry, else the entry of its
-        associate class.  Only elements outside the table build the
-        element-to-entry map, which lists the units."""
+        """The class-table entry that generates xR, the least associate of
+        x: x itself when x is an entry, else read off `_class_positions`."""
         if x in self._table:
             return x
         self.require_member(x)
-        return self._class_entries[x]
+        return self.representatives[self._class_positions[_generated_key(self, (x,))]]
 
     # -- structure ----------------------------------------------------------
 

@@ -285,6 +285,21 @@ def parse_ring_spec(text: str) -> RingSpec:
     return spec
 
 
+def parse_ring_specs(text: str) -> tuple:
+    """Parse a comma-separated list of ring specs, such as a family's
+    ``extra_rings``; blank items are skipped, and commas inside a
+    quotient's parentheses belong to its generator list."""
+    parser = _Parser(text)
+    specs = []
+    while True:
+        if parser.peek()[0] not in (_T_COMMA, _T_EOF):
+            specs.append(parser.parse_spec())
+        if parser.peek()[0] != _T_COMMA:
+            parser.finish()
+            return tuple(specs)
+        parser.next()
+
+
 def parse_ring_with_ideal(text: str):
     """Parse ``"<spec> ideal(gens = 4, 6)"``; the ideal clause is optional.
 

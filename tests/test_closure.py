@@ -32,7 +32,7 @@ from closure_lab import clear_caches, closure
 from closure_lab.closure import (
     _absorbing_sweep,
     _failure_scan,
-    _nil_thresholds,
+    _nil_positions,
     _thresholds,
     power_chains,
     status_grid,
@@ -408,13 +408,18 @@ def test_power_chains_match_brute_powers(text):
 
 @pytest.mark.parametrize("text", KIND_RINGS)
 def test_nil_threshold_bytes_match_the_oracle(text):
+    # a nilpotent a reads the tau byte at its class position, which is
+    # tau(a) exactly when the entry there generates aR
     r = ring(text)
-    nilpotents = list(r.nilpotency_indices)
+    positions = _nil_positions(r)
+    assert type(positions) is tuple and _nil_positions(r) is positions
+    assert len(positions) == len(r.nilpotency_indices)
+    for a, j in zip(r.nilpotency_indices, positions):
+        assert brute_multiples(r, r.representatives[j]) == brute_multiples(r, a), a
     for i in enumerate_ideals(r).proper:
-        taus = _nil_thresholds(i)
-        assert type(taus) is bytes and _nil_thresholds(i) is taus
-        expected = brute_power_thresholds(r, i.elements, nilpotents)
-        assert taus == bytes(tau for tau, _ in expected.values()), i
+        taus = _thresholds(i)
+        expected = brute_power_thresholds(r, i.elements, list(r.nilpotency_indices))
+        assert bytes(taus[j] for j in positions) == bytes(t for t, _ in expected.values()), i
 
 
 def test_a_threshold_table_is_kept_and_iterates_again():

@@ -54,6 +54,20 @@ def test_parse_family_config_round_trip():
     assert family.absorbing_budget == 4096
 
 
+def test_extra_rings_take_blank_items_a_trailing_comma_and_quotient_lists():
+    def extra(value):
+        family = parse_family_config(
+            f"cyclic_moduli = 4\nproduct_moduli =\nidealization_max = 1\nextra_rings = {value}\n"
+        )
+        return [format_ring_spec(s) for s in family.ring_specs[1:]]
+
+    assert extra("Z6, , (Z4 x Z4)/(5, 6), Z8/(2),,") == ["Z6", "(Z4 x Z4)/(5, 6)", "Z8/(2)"]
+    assert extra("") == extra(",") == extra(" , ") == []
+    for bad in ("Z6 Z8", "Z6, (Z4 x Z4)/(5,", "Z6, Z1", "Z6)"):
+        with pytest.raises(FamilyConfigError, match="^line 2: "):
+            parse_family_config(f"cyclic_max = 4\nextra_rings = {bad}\n")
+
+
 def test_cyclic_max_shorthand():
     family = parse_family_config("cyclic_max = 6\nm_max = 2\n")
     moduli = [s.modulus for s in family.ring_specs if hasattr(s, "modulus")]

@@ -35,7 +35,7 @@ from closure_lab import (
     split_product_ideal,
 )
 from closure_lab import cli, closure, ideals, regularity, rings
-from closure_lab.rings import CyclicRing, FiniteRing, ProductRing
+from closure_lab.rings import FiniteRing, ProductRing
 from closure_lab.theorems import THEOREM_IDS, verify_many
 
 from _oracles import (
@@ -162,14 +162,13 @@ def test_equal_ideals_built_apart_share_every_table():
     def tables(i):
         return [
             closure._thresholds(i),
-            closure._nil_thresholds(i),
             closure.status_grid(i, 4),
             closure.is_n_absorbing(i, 1)[1],
             closure.is_n_absorbing(i, 1, weak=True)[1],
         ]
 
     kept = tables(first)
-    assert kept[3] == kept[4] == (2, 2)  # witnesses, so objects to share
+    assert kept[2] == kept[3] == (2, 2)  # witnesses, so objects to share
     del first
     second = ideal_from_generators(r, (8, 0))
     assert all(a is b for a, b in zip(tables(second), kept, strict=True))
@@ -177,13 +176,14 @@ def test_equal_ideals_built_apart_share_every_table():
 
 def _ask_every_ring_table(r):
     # its lattice, Krull dimension, vnr and regular rows, and every table of
-    # one ideal: tau bytes and grid, nilpotent tau bytes, n-absorbing answers
+    # one ideal: tau bytes and grid, nilpotents' class positions, n-absorbing
+    # answers
     lattice = enumerate_ideals(r)
     krull_dim(r)
     regularity.vnr_rows(r, r.one, 3)
     regularity.regular_rows(r)
     closure.status_grid(lattice.proper[-1], 4)
-    closure._nil_thresholds(lattice.proper[-1])
+    closure.unbreakable_zero_elements(lattice.proper[-1], 2, 1)
     closure.is_n_absorbing(lattice.proper[-1], 2, weak=True)
 
 
@@ -392,11 +392,12 @@ def test_enumeration_is_deterministic():
 
 
 def test_enumerate_matches_lattice_oracle_on_pinned_family():
-    # the fixpoint kinds: every trivial extension of the pinned family
+    # the fixpoint kinds: every cyclic ring and trivial extension of the
+    # pinned family
     family = load_family(str(PINNED_FAMILY))
     rings = [build_ring(spec, family.max_order) for spec in family.ring_specs]
-    rings = [r for r in rings if not isinstance(r, (CyclicRing, ProductRing))]
-    assert len(rings) == 49
+    rings = [r for r in rings if not isinstance(r, ProductRing)]
+    assert len(rings) == 63 + 49
     for r in rings:
         enum = enumerate_ideals(r)
         assert {i.elements for i in enum.ideals} == brute_ideal_lattice(r), r.spec_str
@@ -444,7 +445,7 @@ def test_join_skip_keeps_every_ideal_and_its_generators(text):
     r = ring(text)
     expected = _fixpoint_without_skip(r)
     enumerations = [ideals._enumerate_by_generators(r)]
-    if not isinstance(r, (CyclicRing, ProductRing)):
+    if not isinstance(r, ProductRing):
         enumerations.append(enumerate_ideals(r))
     for enum in enumerations:
         assert {i.elements: i.generators for i in enum.ideals} == expected
@@ -606,7 +607,9 @@ def test_many_rings_with_their_tables_stay_under_one_ceiling():
     # element and its regular rows, all held by the spec cache: 5.8 MB
     # before the threshold tables became bytes and the vnr tables were
     # interned, 3.3 MB before the ideal tables moved from weak per-ideal
-    # stores onto the ring, about 2.8 MB after
+    # stores onto the ring, 2.8 MB before an element's class entry was read
+    # off the key of its principal ideal instead of a map of every element,
+    # about 1.7 MB after
     specs = [CyclicZ(n) for n in range(2, 161)]
     specs += [Idealization(n, d) for n in range(2, 17) for d in range(1, n + 1) if n % d == 0]
 
@@ -623,7 +626,7 @@ def test_many_rings_with_their_tables_stay_under_one_ceiling():
     clear_caches()
     held, _ = _traced(build)
     clear_caches()
-    assert len(specs) == 208 and held < 3.5 * 2 ** 20
+    assert len(specs) == 208 and held < 2.25 * 2 ** 20
 
 
 # the entries the pinned catalog leaves in `FiniteRing.tables`, per build
@@ -636,7 +639,7 @@ PINNED_TABLE_ENTRIES = {
     "_entry_rows": 1359,
     "_grid_of": 949,
     "_interned": 148,
-    "_nil_threshold_bytes": 359,
+    "_nil_positions": 96,
     "_threshold_table": 949,
     "enumerate_ideals": 148,
     "krull_dim": 148,

@@ -251,12 +251,14 @@ def _catalog_on_the_oracles(monkeypatch, family):
     # answers by a full multiset scan, divisibility by a scan of the ring,
     # least coset members (a quotient's elements and arithmetic, and every
     # member list) by a scan of the ring, every `once` walk run again, each
-    # class table the least members of its associate classes, power chains
-    # and tau bytes from brute powers, unbreakable zeros, vnr tables cell
-    # by cell by witness search, and the Krull dimension from brute primes
-    # over the brute lattice
+    # class table the least members of its associate classes, each
+    # element's class entry the least element generating the same ideal,
+    # power chains and tau bytes from brute powers, unbreakable zeros, vnr
+    # tables cell by cell by witness search, and the Krull dimension from
+    # brute primes over the brute lattice
     fast = [json.dumps(v.to_record()) for v in verify_many(THEOREM_IDS, family)]
     least = {}
+    entries = {}
     cosets = {}
     contains = rings._contains
 
@@ -264,6 +266,15 @@ def _catalog_on_the_oracles(monkeypatch, family):
         if ring not in least:
             least[ring] = tuple(sorted(brute_least_associates(ring)))
         return least[ring]
+
+    def class_entry(ring, x):
+        if ring not in entries:
+            generated = {y: brute_multiples(ring, y) for y in ring.elements}
+            first = {}
+            for y, ideal in generated.items():
+                first.setdefault(ideal, y)
+            entries[ring] = {y: first[ideal] for y, ideal in generated.items()}
+        return entries[ring][x]
 
     def coset_least(ring, key):
         if (ring, key) not in cosets:
@@ -292,6 +303,7 @@ def _catalog_on_the_oracles(monkeypatch, family):
     for kind in (CyclicRing, ProductRing, IdealizationRing, QuotientRing):
         monkeypatch.setattr(kind, "divides", brute_divides)
         monkeypatch.setattr(kind, "representatives", property(representatives))
+        monkeypatch.setattr(kind, "class_entry", class_entry)
     clear_caches()  # so that every ring, table and sweep is made afresh
     try:
         oracle = [json.dumps(v.to_record()) for v in verify_many(THEOREM_IDS, family)]
