@@ -44,10 +44,10 @@ ring.  Only `closure` reads tau bytes.  The one module-level cache here,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .ideals import Ideal, _prime_failure_scan
+from .records import Record, _set
 from .rings import FiniteRing, _generated_key, _serialize, per_ring
 
 STATUS_CLOSED = "closed"
@@ -67,8 +67,7 @@ class AbsorbingBudgetError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class ClosednessReport:
+class ClosednessReport(Record):
     """Three-way classification of one (ideal, m, n) instance.
 
     For status "weakly_only" the witness is the first unbreakable-zero
@@ -76,11 +75,20 @@ class ClosednessReport:
     x**n not in I; for "closed" there is no witness.
     """
 
+    __slots__ = _fields = ("ideal", "m", "n", "status", "witness")
     ideal: Ideal
     m: int
     n: int
     status: str
-    witness: object = None
+    witness: object
+
+    def __init__(self, ideal: Ideal, m: int, n: int, status: str, witness: object = None):
+        _set(self, "ideal", ideal)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "status", status)
+        _set(self, "witness", witness)
+        _set(self, "_values", (ideal, m, n, status, witness))
 
     def to_record(self) -> dict:
         record = {

@@ -13,27 +13,58 @@ Custom families are plain key = value files, see `parse_family_config`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
+from .records import Record, _set
 from .rings import DEFAULT_ORDER_CAP, _is_prime_number
 from .specs import CyclicZ, Idealization, Product, parse_ring_specs
 
 DEFAULT_PRODUCT_MODULI = (2, 3, 4, 8, 9, 16)
 
 
-@dataclass(frozen=True)
-class InstanceFamily:
-    ring_specs: tuple
-    principal_cases: tuple  # (prime, exponent) pairs for Z_(p**c)
-    mn_pairs: tuple  # the n < m sweep
-    spot_pairs: tuple  # m <= n spot checks
-    grid_max: int = 6
-    grid_order_cap: int = 32
-    quotient_order_cap: int = 64
-    spr_order_cap: int = 32
-    absorbing_budget: int = 2 ** 18
-    max_order: int = DEFAULT_ORDER_CAP
+class InstanceFamily(Record):
+    _fields = (
+        "ring_specs",
+        "principal_cases",
+        "mn_pairs",
+        "spot_pairs",
+        "grid_max",
+        "grid_order_cap",
+        "quotient_order_cap",
+        "spr_order_cap",
+        "absorbing_budget",
+        "max_order",
+    )
+
+    def __init__(
+        self,
+        ring_specs: tuple,
+        principal_cases: tuple,  # (prime, exponent) pairs for Z_(p**c)
+        mn_pairs: tuple,  # the n < m sweep
+        spot_pairs: tuple,  # m <= n spot checks
+        grid_max: int = 6,
+        grid_order_cap: int = 32,
+        quotient_order_cap: int = 64,
+        spr_order_cap: int = 32,
+        absorbing_budget: int = 2 ** 18,
+        max_order: int = DEFAULT_ORDER_CAP,
+    ):
+        values = (
+            ring_specs,
+            principal_cases,
+            mn_pairs,
+            spot_pairs,
+            grid_max,
+            grid_order_cap,
+            quotient_order_cap,
+            spr_order_cap,
+            absorbing_budget,
+            max_order,
+        )
+        _set(self, "_values", values)
+        # made once per run: the fields go straight into the instance dict,
+        # where `cached_property` keeps its values too
+        self.__dict__.update(zip(self._fields, values))
 
     # computed once: the fields are frozen, and `replace` builds a new instance
     @cached_property
@@ -208,4 +239,4 @@ def load_family(source: str) -> InstanceFamily:
 
 def with_max_order(family: InstanceFamily, max_order: int) -> InstanceFamily:
     principal = tuple((p, c) for p, c in family.principal_cases if p ** c <= max_order)
-    return replace(family, max_order=max_order, principal_cases=principal)
+    return family.replace(max_order=max_order, principal_cases=principal)

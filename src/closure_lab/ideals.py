@@ -26,10 +26,10 @@ and a fresh quotient's image ideals' tables go with the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 
+from .records import Record, _set
 from .rings import (
     FiniteRing,
     ProductRing,
@@ -146,11 +146,15 @@ def is_proper(ideal: Ideal) -> bool:
     return ideal.is_proper
 
 
-@dataclass(frozen=True)
-class IdealEnumeration:
+class IdealEnumeration(Record):
     """Every ideal of the ring, sorted by size and then by members."""
 
+    _fields = ("ideals",)
     ideals: tuple
+
+    def __init__(self, ideals: tuple):
+        _set(self, "ideals", ideals)
+        _set(self, "_values", (ideals,))
 
     @cached_property
     def proper(self) -> tuple:

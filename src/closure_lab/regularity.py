@@ -22,8 +22,6 @@ no table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closure import (
     STATUS_CLOSED,
     STATUS_NOT_WEAKLY,
@@ -32,18 +30,23 @@ from .closure import (
     status_grid,
 )
 from .ideals import enumerate_ideals
+from .records import Record, _set
 from .rings import FiniteRing, _serialize, per_ring
 
 
-@dataclass(frozen=True)
-class VnrProfile:
+class VnrProfile(Record):
     """The pair set B_k (k = None encodes B_omega).
 
     B_k contains (m, n) iff m <= n or n >= k; B_1 is every pair and the
     chain B_1 > B_2 > ... > B_omega is strictly decreasing.
     """
 
+    __slots__ = _fields = ("k",)
     k: int | None
+
+    def __init__(self, k: int | None):
+        _set(self, "k", k)
+        _set(self, "_values", (k,))
 
     @property
     def is_omega(self) -> bool:

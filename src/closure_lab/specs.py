@@ -27,8 +27,7 @@ whose order is at most its base's.  It is neither compared nor printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from .records import Record, _set
 
 
 class SpecError(ValueError):
@@ -43,46 +42,59 @@ class SpecSyntaxError(SpecError):
         self.position = position
 
 
-def _bound(spec, value: int):
-    object.__setattr__(spec, "order_bound", value)
+class RingSpec(Record):
+    """The base of the four spec kinds; `order_bound` is kept beside the
+    fields."""
+
+    __slots__ = ("order_bound", "_hash")
+
+    def _seal(self, values: tuple, order_bound: int):
+        # after the fields: a spec hashes once, since every lookup of its
+        # ring hashes it
+        _set(self, "_values", values)
+        _set(self, "_hash", hash(values))
+        _set(self, "order_bound", order_bound)
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
-class CyclicZ:
+class CyclicZ(RingSpec):
     """The ring Z_n of integers modulo n, n >= 2."""
 
+    __slots__ = _fields = ("modulus",)
     modulus: int
-    order_bound: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise SpecError(f"Z{self.modulus}: modulus < 2")
-        _bound(self, self.modulus)
+    def __init__(self, modulus: int):
+        if modulus < 2:
+            raise SpecError(f"Z{modulus}: modulus < 2")
+        _set(self, "modulus", modulus)
+        self._seal((modulus,), modulus)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(RingSpec):
     """Direct product of two rings, with componentwise operations."""
 
-    left: "RingSpec"
-    right: "RingSpec"
-    order_bound: int = field(init=False, repr=False, compare=False)
+    __slots__ = _fields = ("left", "right")
+    left: RingSpec
+    right: RingSpec
 
-    def __post_init__(self):
-        _bound(self, self.left.order_bound * self.right.order_bound)
+    def __init__(self, left: RingSpec, right: RingSpec):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        self._seal((left, right), left.order_bound * right.order_bound)
 
 
-@dataclass(frozen=True)
-class Idealization:
+class Idealization(RingSpec):
     """Trivial extension Z_n (+) Z_d: pairs (r, m) with
     (r, m)(s, u) = (rs, ru + sm).  Requires d | n."""
 
+    __slots__ = _fields = ("base_modulus", "module_modulus")
     base_modulus: int
     module_modulus: int
-    order_bound: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n, d = self.base_modulus, self.module_modulus
+    def __init__(self, base_modulus: int, module_modulus: int):
+        n, d = base_modulus, module_modulus
         if n < 2:
             raise SpecError(f"Z{n}: modulus < 2")
         if d < 1:
@@ -91,11 +103,12 @@ class Idealization:
             raise SpecError(
                 f"Z{n} (+) Z{d}: d must divide n ({d} does not divide {n})"
             )
-        _bound(self, n * d)
+        _set(self, "base_modulus", n)
+        _set(self, "module_modulus", d)
+        self._seal((n, d), n * d)
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(RingSpec):
     """Quotient of a base ring by the ideal generated by element literals.
 
     Literals index the base ring's canonical element order.  The grammar
@@ -103,19 +116,18 @@ class Quotient:
     any realized ring can be formed programmatically.
     """
 
-    base: "RingSpec"
-    generators: tuple = field(default=())
-    order_bound: int = field(init=False, repr=False, compare=False)
+    __slots__ = _fields = ("base", "generators")
+    base: RingSpec
+    generators: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
+    def __init__(self, base: RingSpec, generators=()):
+        generators = tuple(generators)
+        for g in generators:
             if not isinstance(g, int) or g < 0:
                 raise SpecError(f"quotient generator literal {g!r} is not a non-negative integer")
-        _bound(self, self.base.order_bound)
-
-
-RingSpec = Union[CyclicZ, Product, Idealization, Quotient]
+        _set(self, "base", base)
+        _set(self, "generators", generators)
+        self._seal((base, generators), base.order_bound)
 
 
 def format_ring_spec(spec: RingSpec) -> str:

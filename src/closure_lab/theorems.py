@@ -25,7 +25,6 @@ ring's distinct grids (`_distinct`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product, repeat
 from math import inf
@@ -51,6 +50,7 @@ from .ideals import (
     quotient_ring,
     split_product_ideal,
 )
+from .records import Record, _set
 from .regularity import (
     _is_vnr,
     _weakly_closed_characterization,
@@ -78,13 +78,34 @@ SKIPPED = "skipped(budget)"
 EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(Record):
+    __slots__ = _fields = (
+        "theorem_id",
+        "instances_checked",
+        "vacuous_count",
+        "status",
+        "counterexample",
+    )
     theorem_id: str
     instances_checked: int
     vacuous_count: int
     status: str
-    counterexample: dict | None = None
+    counterexample: dict | None
+
+    def __init__(
+        self,
+        theorem_id: str,
+        instances_checked: int,
+        vacuous_count: int,
+        status: str,
+        counterexample: dict | None = None,
+    ):
+        _set(self, "theorem_id", theorem_id)
+        _set(self, "instances_checked", instances_checked)
+        _set(self, "vacuous_count", vacuous_count)
+        _set(self, "status", status)
+        _set(self, "counterexample", counterexample)
+        _set(self, "_values", (theorem_id, instances_checked, vacuous_count, status, counterexample))
 
     @property
     def substantive_count(self) -> int:
@@ -1173,15 +1194,15 @@ def replay_counterexample(verdict: TheoremVerdict, family: InstanceFamily | None
     record = verdict.counterexample
     narrow = family
     if "ring" in record:
-        narrow = replace(narrow, ring_specs=(parse_ring_spec(record["ring"]),))
+        narrow = narrow.replace(ring_specs=(parse_ring_spec(record["ring"]),))
     if "p" in record and "c" in record:
-        narrow = replace(narrow, principal_cases=((record["p"], record["c"]),))
+        narrow = narrow.replace(principal_cases=((record["p"], record["c"]),))
     if "m" in record and "n" in record:
         m, n = record["m"], record["n"]
         if n < m:
-            narrow = replace(narrow, mn_pairs=((m, n),), spot_pairs=())
+            narrow = narrow.replace(mn_pairs=((m, n),), spot_pairs=())
         else:
-            narrow = replace(narrow, mn_pairs=(), spot_pairs=((m, n),))
+            narrow = narrow.replace(mn_pairs=(), spot_pairs=((m, n),))
     replayed = verify_theorem(verdict.theorem_id, narrow)
     return replayed.status == FAIL
 

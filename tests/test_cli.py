@@ -432,13 +432,15 @@ LAYERS = ("specs", "families", "rings", "ideals", "closure", "regularity", "theo
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only `verify --workers > 1` needs the pool; every layer module is
-    # still loaded by the import
+    # still loaded by the import.  The records are written by hand, so
+    # neither `dataclasses` nor the `inspect` it pulls in is loaded either
     code = (
         "import sys\n"
         "import closure_lab.cli\n"
-        "pool = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "absent = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
+        "loaded = [m for m in absent if m in sys.modules]\n"
         f"layers = [m for m in {LAYERS!r} if 'closure_lab.' + m not in sys.modules]\n"
-        "print(pool, layers)\n"
+        "print(loaded, layers)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env()

@@ -1,7 +1,6 @@
 """Family construction and config-file parsing."""
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -127,7 +126,7 @@ def test_max_exponent_covers_every_exponent_a_checker_asks_for():
     assert make_family(m_max=8, spot_pairs=()).max_exponent == 8
     assert make_family(m_max=3, spot_pairs=((2, 9),)).max_exponent == 9
     assert make_family(m_max=3, spot_pairs=(), grid_max=2).max_exponent == 3
-    family = replace(make_family(m_max=2, spot_pairs=(), grid_max=2), mn_pairs=((1, 4),))
+    family = make_family(m_max=2, spot_pairs=(), grid_max=2).replace(mn_pairs=((1, 4),))
     assert family.max_exponent == 5
 
 
@@ -135,7 +134,7 @@ def test_replace_and_pickle_recompute_nothing_stale():
     # all_pairs, n_values and max_exponent are computed once per instance
     base = make_family(m_max=2, spot_pairs=(), grid_max=2)
     assert (base.all_pairs, base.n_values, base.max_exponent) == (((2, 1),), (1,), 2)
-    family = replace(base, mn_pairs=((1, 4),))
+    family = base.replace(mn_pairs=((1, 4),))
     assert (family.all_pairs, family.n_values, family.max_exponent) == (((1, 4),), (4,), 5)
     copy = pickle.loads(pickle.dumps(family))
     assert copy == family

@@ -4,7 +4,6 @@ import gc
 import json
 import tracemalloc
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -381,7 +380,7 @@ def test_shift_failure_reports_the_first_failing_shift(monkeypatch):
         principal_primes=(), principal_max_exponent=2,
         extra_specs=(parse_ring_spec("Z8 (+) Z8"),),
     )
-    verdict = verify_theorem("T-SHIFT", replace(family, mn_pairs=((3, 1),), spot_pairs=()))
+    verdict = verify_theorem("T-SHIFT", family.replace(mn_pairs=((3, 1),), spot_pairs=()))
     assert verdict.status == FAIL
     record = verdict.counterexample
     assert (record["ring"], record["ideal_gens"], record["m"], record["n"]) == (
