@@ -20,7 +20,16 @@ A grid depends only on those pairs, L and its length, so it is built
 once per such signature (`_signature_grid`): ideals with equal
 signatures share one grid object, which lets callers key on identity.
 Unbreakable zeros are read off the same bytes: a nilpotent has the tau of
-its class-table entry, found once per ring (`_nil_positions`).
+its class-table entry, found once per ring (`_nil_positions`), and so
+are T-SHIFT's triples (`shift_triples`).
+
+The grid of an image ideal I/J in R/J, J inside I, needs no quotient
+(`image_grids`): (x+J)**t lies in I/J iff x**t lies in I, and (x+J)**t =
+0 iff x**t lies in J.  So in R/J the tau of x+J is tau_I(x) and its
+nilpotency index is tau_J(x); both are the same for associates and x ->
+x+J is onto, so R/J's signature is read off the tau bytes of I and J in
+R.
+
 Witness questions are answered by the three closedness deciders
 (`classify`, `is_mn_closed`, `is_weakly_mn_closed`), which read one
 sweep of the table, `_failure_scan`, finding the first failing x and
@@ -28,8 +37,9 @@ the first failing x with x**m != 0; like every first-witness sweep here
 it finds the first witness a scan of all elements finds.
 
 `is_n_absorbing` prunes its multiset sweep and remembers each answer;
-its docstring says why the first witness is unchanged, and why an
-ideal weakly n-absorbing is weakly (n+1)-absorbing.
+its docstring says why the first witness is unchanged, why an ideal
+weakly n-absorbing is weakly (n+1)-absorbing, and why every ideal is
+n-absorbing from n = Omega(|R/I|) on, where no sweep runs.
 
 Where the tables live: every table is built through `rings.per_ring`
 and kept on its ring, once per ring and arguments.  Power chains and
@@ -45,10 +55,11 @@ ring.  Only `closure` reads tau bytes.  The one module-level cache here,
 from __future__ import annotations
 
 from functools import lru_cache
+from math import inf
 
 from .ideals import Ideal, _prime_failure_scan
 from .records import Record, _set
-from .rings import FiniteRing, _generated_key, _serialize, per_ring
+from .rings import FiniteRing, _factorize, _generated_key, _least, _serialize, per_ring
 
 STATUS_CLOSED = "closed"
 STATUS_WEAKLY_ONLY = "weakly_only"
@@ -62,9 +73,14 @@ class AbsorbingBudgetError(RuntimeError):
     should skip the check rather than report a result."""
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"sweep of {required} tuples exceeds budget {budget}")
+        # the message is formatted when asked for: checkers raise and
+        # catch thousands of these per verify and never print them
+        super().__init__(required, budget)
         self.required = required
         self.budget = budget
+
+    def __str__(self):
+        return f"sweep of {self.required} tuples exceeds budget {self.budget}"
 
 
 class ClosednessReport(Record):
@@ -205,7 +221,47 @@ def _grid_of(ring: FiniteRing, key, size: int) -> tuple:
     return _signature_grid(pairs, min(size, ring.power_bound), size)
 
 
-# bounded; 113 signatures for the 2852 ideals of the pinned 148-ring family
+_IN = bytes(t == 1 for t in range(256))  # tau byte -> 1 for members, else 0
+
+
+def image_grids(ideals, size: int) -> list:
+    """The `status_grid` of every image among the proper ideals `ideals`
+    of one ring R: ``grids[j][i]`` is that of I_i/I_j in R/I_j, for I_i =
+    ``ideals[i]`` and I_j = ``ideals[j]``, or None when I_j is not inside
+    I_i.  No quotient is built.
+
+    Correspondence: for J inside I, (x+J)**t lies in I/J iff x**t lies in
+    I, and (x+J)**t = 0 iff x**t lies in J.  So tau of x+J is tau_I(x),
+    and its nilpotency index is tau_J(x), the `_thresholds` bytes of I
+    and J at x.  Both are the same for associates, and x -> x+J is onto,
+    so the (tau, nu) pairs of R/J's class table are those of the pairs
+    (tau_I(x), tau_J(x)) over R's class table, and the grid is the
+    `_signature_grid` of that signature, with R/J's power bound L =
+    (|R|/|J|).bit_length().  J lies inside I iff every class-table entry
+    of J (tau_J = 1) is one of I: every member of J is an associate of
+    an entry of J, so each ideal's entries are read once, as a bit mask.
+    """
+    _require_positive(size)
+    for ideal in ideals:
+        _require_proper(ideal)
+    taus = [_thresholds(ideal) for ideal in ideals]
+    masks = [int.from_bytes(t.translate(_IN), "big") for t in taus]
+    grids = []
+    for modulus, below, inside in zip(ideals, taus, masks):
+        top = min(size, (modulus.ring.order // len(modulus)).bit_length())
+        row = []
+        for t, mask in zip(taus, masks):
+            if mask & inside != inside:
+                row.append(None)
+                continue
+            pairs = frozenset((tau, nu or None) for tau, nu in zip(t, below) if tau > 1)
+            row.append(_signature_grid(pairs, top, size))
+        grids.append(row)
+    return grids
+
+
+# bounded; the pinned family's catalog asks for 2852 grids, 949 of ideals
+# (`_grid_of`) and 1903 of T-QUOT images (`image_grids`), of 113 signatures
 @lru_cache(maxsize=4096)
 def _signature_grid(pairs: frozenset, top: int, size: int) -> tuple:
     """The grid of `status_grid` from its signature: the (tau, nu) pairs
@@ -297,6 +353,40 @@ def unbreakable_zero_elements(ideal: Ideal, m: int, n: int) -> tuple:
     )
 
 
+def shift_triples(ideal: Ideal) -> frozenset:
+    """The distinct (nu(a), tau(a), worst(a)) over the nilpotents a with
+    tau(a) > 1, worst(a) the largest nilpotency index over the coset a + I
+    (inf when it holds a non-nilpotent).  So some unbreakable zero a of
+    (m, n) (`unbreakable_zero_elements`) has (a + i)**m != 0 for some i in
+    I iff some triple has nu <= m, n < tau and worst > m (`_shift_fails`).
+
+    If I lies outside the nilradical, every such coset holds a
+    non-nilpotent (a + i for i in I not nilpotent), so worst is inf.
+    Else the coset of a nilpotent a outside I lies in the nilradical and
+    outside I, so the nilpotents with tau > 1 are grouped by their coset's
+    least member (`rings._least`).  T-SHIFT reads it once per ideal, so
+    it is not kept."""
+    ring, key = ideal.ring, ideal.key
+    taus = _thresholds(ideal)
+    nil = ring.nilpotency_indices
+    positions = _nil_positions(ring)
+    outside = [(a, nu, taus[i]) for (a, nu), i in zip(nil.items(), positions) if taus[i] > 1]
+    if not all(nu for tau, nu in zip(taus, power_chains(ring).nus) if tau == 1):
+        return frozenset((nu, tau, inf) for _, nu, tau in outside)
+    cosets = [_least(ring, key, a) for a, _, _ in outside]
+    worst: dict = {}
+    for coset, (_, nu, _) in zip(cosets, outside):
+        if worst.get(coset, 0) < nu:
+            worst[coset] = nu
+    return frozenset((nu, tau, worst[c]) for c, (_, nu, tau) in zip(cosets, outside))
+
+
+def _shift_fails(triples, m: int, n: int) -> bool:
+    """Whether the `shift_triples` show an unbreakable zero a of (m, n)
+    with (a + i)**m != 0 for some i in I."""
+    return any(nu <= m and n < tau and worst > m for nu, tau, worst in triples)
+
+
 @per_ring
 def _nil_positions(ring: FiniteRing) -> tuple:
     """The class-table position of every nilpotent, aligned with
@@ -363,6 +453,13 @@ def is_n_absorbing(
     the answer kept for n - 1 is None, the answer at n is None without a
     sweep.
 
+    Nor is there a sweep when n >= Omega(|R/I|) (`_length_bound`), for then
+    I is n-absorbing.  Let x_1 ... x_(n+1) lie in I and put J_j = I + (x_1
+    ... x_j): R = J_0 ⊇ J_1 ⊇ ... ⊇ J_(n+1) = I takes n + 1 steps, more
+    than the length of R/I, which is at most Omega(|R/I|).  So J_j =
+    J_(j+1) for some j <= n: x_1 ... x_j = i + r x_1 ... x_(j+1) with i in
+    I, and times x_(j+2) ... x_(n+1) the product without x_(j+1) lies in I.
+
     Each (ideal value, n, weak) answer is kept on the ring
     (`_absorbing_answer`).  Raises `AbsorbingBudgetError` when order**(n+1)
     exceeds the budget, checked before any kept answer is read.
@@ -383,7 +480,17 @@ def _absorbing_answer(ring: FiniteRing, key, n: int, weak: bool):
     # empty tuple, so only a kept None matches
     if ring.tables.get((_absorbing_answer.__wrapped__, key, n - 1, weak), ()) is None:
         return None
-    return _absorbing_sweep(Ideal(ring, key), n, weak)
+    ideal = Ideal(ring, key)
+    if n >= _length_bound(ring.order // len(ideal)):
+        return None
+    return _absorbing_sweep(ideal, n, weak)
+
+
+def _length_bound(order: int) -> int:
+    """Omega(order), the number of prime factors with multiplicity: at
+    least the length of any ring of that order, since each composition
+    factor is a field with at least two elements."""
+    return sum(e for _, e in _factorize(order))
 
 
 def _absorbing_sweep(ideal: Ideal, n: int, weak: bool):

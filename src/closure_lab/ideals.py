@@ -251,10 +251,10 @@ def image_ideal(quotient: QuotientRing, ideal: Ideal) -> Ideal:
 
 
 def _prime_failure_scan(ideal: Ideal):
-    """The one pair sweep behind primality and weak primality: the first
-    (x, y) with x, y outside I and xy in I, and the first such pair with
-    xy != 0, in nested-loop order over the class table (None when there
-    is none).  The sweep stops at the latter."""
+    """The pair sweep behind weak primality: the first (x, y) with x, y
+    outside I and xy in I, and the first such pair with xy != 0, in
+    nested-loop order over the class table (None when there is none).
+    The sweep stops at the latter."""
     ring = ideal.ring
     members = ideal.membership()
     zero = ring.zero
@@ -275,8 +275,15 @@ def is_prime_ideal(ideal: Ideal) -> bool:
     """xy in I forces x in I or y in I, decided exhaustively."""
     if not ideal.is_proper:
         raise ValueError("primality is only defined for proper ideals")
-    first, _ = _prime_failure_scan(ideal)
-    return first is None
+    # over the class table, as `_prime_failure_scan`, but stopping at the
+    # first product in I; xy = yx, so each unordered pair is asked once
+    ring = ideal.ring
+    members = ideal.membership()
+    mul = ring.mul
+    outside = [x for x in ring.representatives if x not in members]
+    return not any(
+        mul(x, y) in members for i, x in enumerate(outside) for y in outside[i:]
+    )
 
 
 @per_ring

@@ -172,7 +172,7 @@ def is_mn_regular_ring(ring: FiniteRing, m: int, n: int) -> bool:
     """Every element is (m,n)-vnr: one cell of `regular_rows`."""
     _require_positive(m, n)
     top = ring.power_bound
-    return regular_rows(ring)[min(m, top)][min(n, top)]
+    return regular_rows(ring)[m if m < top else top][n if n < top else top]
 
 
 def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
@@ -182,11 +182,24 @@ def _weakly_closed_characterization(ring: FiniteRing, m: int, n: int) -> bool:
     from `status_grid`, so this stays an independent cross-check."""
     _require_positive(m, n)
     top = ring.power_bound
+    nil_index, tables = _characterization_summary(ring)
+    m_cell, n_cell = min(m, top), min(n, top)
+    return nil_index <= m and all(t[m_cell][n_cell] for t in tables)
+
+
+@per_ring
+def _characterization_summary(ring: FiniteRing) -> tuple:
+    """What `_weakly_closed_characterization` reads of the class table:
+    the largest nilpotency index among its nilpotent entries, and the
+    distinct (interned) `vnr_rows` tables, up to L, of the others."""
+    top = ring.power_bound
     nil = ring.nilpotency_indices
-    return all(
-        nil[x] <= m if x in nil else vnr_rows(ring, x, top)[min(m, top)][min(n, top)]
-        for x in ring.representatives
-    )
+    distinct = {}
+    for x in ring.representatives:
+        if x not in nil:
+            table = vnr_rows(ring, x, top)
+            distinct[id(table)] = table
+    return max(nil[x] for x in ring.representatives if x in nil), tuple(distinct.values())
 
 
 def all_proper_ideals_weakly_closed(ring: FiniteRing, m: int, n: int) -> bool:

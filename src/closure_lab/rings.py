@@ -218,13 +218,13 @@ class FiniteRing:
 
     @cached_property
     def nilpotency_indices(self) -> dict:
-        """{a: nilpotency index of a} over the nilradical, in canonical order."""
-        indices = {}
-        for x in self.elements:
-            k = self.nilpotency_index(x)
-            if k is not None:
-                indices[x] = k
-        return indices
+        """{a: nilpotency index of a} over the nilradical, in canonical order.
+        An index is at most log2|R| < L = `power_bound`, so x is nilpotent
+        iff x**L == 0: one power decides, and only nilpotents iterate."""
+        power, zero, bound = self.power, self.zero, self.power_bound
+        return {
+            x: self.nilpotency_index(x) for x in self.elements if power(x, bound) == zero
+        }
 
     @cached_property
     def nilpotents(self) -> frozenset:

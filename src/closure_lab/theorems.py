@@ -35,7 +35,10 @@ from .closure import (
     STATUS_CLOSED,
     STATUS_NOT_WEAKLY,
     STATUS_WEAKLY_ONLY,
+    _shift_fails,
+    image_grids,
     is_n_absorbing,
+    shift_triples,
     status_grid,
     unbreakable_zero_elements,
 )
@@ -44,10 +47,8 @@ from .ideals import (
     Ideal,
     enumerate_ideals,
     ideal_from_generators,
-    image_ideal,
     krull_dim,
     product_ideal,
-    quotient_ring,
     split_product_ideal,
 )
 from .records import Record, _set
@@ -67,6 +68,7 @@ from .rings import (
     ProductRing,
     _factorize,
     _is_prime_number,
+    _meet,
     _serialize,
     build_ring,
 )
@@ -142,17 +144,17 @@ class _Tally:
     def skip(self):
         self.skipped += 1
 
-    def agree(self, *statements) -> bool:
+    def agree(self, statement, *others) -> bool:
         """The biconditional rule: the compared statements must agree.
         When they do, the instance counts as substantive if they all hold
         and vacuous if they all fail; returns False on disagreement, and
         the caller then reports the failure."""
-        if any(s != statements[0] for s in statements[1:]):
-            return False
-        if statements[0]:
-            self.substantive()
-        else:
-            self.vacuous()
+        for other in others:
+            if other != statement:
+                return False
+        self.checked += 1
+        if not statement:
+            self.vacuous_count += 1
         return True
 
     def once(self, key, walk):
@@ -326,11 +328,15 @@ def _check_basic_4(family):
     for ring in _family_rings(family):
         ideals = _proper_ideals(ring)
         grids = _status_grids(ring, family)
-        # the meet of two proper ideals is a proper ideal of the ring
-        grid_of = {ideal.key: grid for ideal, grid in zip(ideals, grids)}
+        ids = tally.identity(*grids)
+        # the meet of two proper ideals is a proper ideal of the ring: its
+        # grid and `identity` id by its key, the meet of the two keys
+        keys = [ideal.key for ideal in ideals]
+        grid_of = dict(zip(keys, zip(grids, ids)))
         for i, (first, first_grid) in enumerate(zip(ideals, grids)):
-            for second, second_grid in zip(ideals[i + 1 :], grids[i + 1 :]):
-                meet = grid_of[(first & second).key]
+            for j in range(i + 1, len(ideals)):
+                second, second_grid = ideals[j], grids[j]
+                meet, meet_id = grid_of[_meet(ring, keys[i], keys[j])]
 
                 def walk():
                     for m, n in family.all_pairs:
@@ -346,7 +352,7 @@ def _check_basic_4(family):
                         tally.substantive()
                     return None
 
-                failure = tally.once(tally.identity(first_grid, second_grid, meet), walk)
+                failure = tally.once((ids[i], ids[j], meet_id), walk)
                 if failure is not None:
                     return failure
     return tally.done()
@@ -363,30 +369,40 @@ def _shift_index(ring, a, i):
 def _check_shift(family):
     tally = _Tally("T-SHIFT")
     for ring, ideal, grid in _ideal_grids(family):
-        index = ring.nilpotency_indices
-        # a -> the largest _shift_index(a, i) over i in I, that is the
-        # largest nu over the coset a + I: asked once per coset
-        worst = {}
-        for m, n in family.mn_pairs:
-            # an unbreakable zero a (a**m == 0, a**n not in I) breaks
-            # closedness, so a weakly closed I has one iff it is weakly-only
-            if grid[m][n] != STATUS_WEAKLY_ONLY:
-                tally.vacuous()
-                continue
-            for a in unbreakable_zero_elements(ideal, m, n):
-                if a not in worst:
-                    coset = [ring.add(a, i) for i in ideal.members]
-                    worst.update(dict.fromkeys(coset, max(index.get(b, inf) for b in coset)))
-                if worst[a] > m:
+        # the walk reads the triples at weakly-only cells alone
+        weak = any(grid[m][n] == STATUS_WEAKLY_ONLY for m, n in family.mn_pairs)
+        triples = shift_triples(ideal) if weak else None
+
+        def walk():
+            for m, n in family.mn_pairs:
+                # an unbreakable zero a (a**m == 0, a**n not in I) breaks
+                # closedness, so a weakly closed I has one iff it is weakly-only
+                if grid[m][n] != STATUS_WEAKLY_ONLY:
+                    tally.vacuous()
+                    continue
+                # the scan for the first failing a and i runs only where the
+                # triples of `shift_triples` show a failure
+                if not _shift_fails(triples, m, n):
+                    tally.substantive()
+                    continue
+                for a in unbreakable_zero_elements(ideal, m, n):
                     # the first failing i, as a scan of the members finds it
-                    i = next(i for i in ideal.members if _shift_index(ring, a, i) > m)
-                    return tally.fail(
-                        **_instance(ring, ideal, m, n),
-                        element=_serialize(a),
-                        shifted_by=_serialize(i),
-                        detail="(a + i)**m != 0 for an unbreakable-zero a and i in I",
-                    )
-            tally.substantive()
+                    i = next((i for i in ideal.members if _shift_index(ring, a, i) > m), None)
+                    if i is not None:
+                        return tally.fail(
+                            **_instance(ring, ideal, m, n),
+                            element=_serialize(a),
+                            shifted_by=_serialize(i),
+                            detail="(a + i)**m != 0 for an unbreakable-zero a and i in I",
+                        )
+                tally.substantive()
+            return None
+
+        # the walk reads the grid and the triples; a failing walk always
+        # scans its own ideal
+        failure = tally.once((*tally.identity(grid), triples), walk)
+        if failure is not None:
+            return failure
     return tally.done()
 
 
@@ -444,16 +460,19 @@ def _check_nil_char(family):
 
 
 def _check_quot(family):
+    # the image of I in R/J is I/J, whose grid `image_grids` reads off the
+    # tau bytes of I and J in R, with no quotient built; None when J is not
+    # inside I.  Correspondence: for J inside I, (x+J)**t lies in I/J iff
+    # x**t lies in I, and is 0 iff x**t lies in J, so R/J's tau at x+J is
+    # tau_I(x) and its nilpotency index tau_J(x)
     tally = _Tally("T-QUOT")
     for ring in _family_rings(family, order_cap=family.quotient_order_cap):
         ideals = _proper_ideals(ring)
         grids = _status_grids(ring, family)
-        for small in ideals:
-            quotient = quotient_ring(ring, small)
-            for big, grid in zip(ideals, grids):
-                if not small <= big:
+        for small, images in zip(ideals, image_grids(ideals, family.max_exponent)):
+            for big, grid, image in zip(ideals, grids, images):
+                if image is None:
                     continue
-                image = _grid(family, image_ideal(quotient, big))
 
                 def walk():
                     for m, n in family.mn_pairs:
@@ -560,11 +579,15 @@ def _add2_condition(side, other, m, n) -> bool:
 
 def _check_prod_weak(family):
     tally = _Tally("T-PROD-WEAK")
+    seen = {}  # factor ideal -> `_factor_view`: factors recur across a product's ideals
     for ring, ideal, grid in _ideal_grids(family, kind=ProductRing):
         left, right = split_product_ideal(ring, ideal)
         views = None
         if left.is_proper and right.is_proper:
-            views = (_factor_view(family, left), _factor_view(family, right))
+            for factor in (left, right):
+                if factor not in seen:
+                    seen[factor] = _factor_view(family, factor)
+            views = (seen[left], seen[right])
         for m, n in family.mn_pairs:
             direct = grid[m][n] == STATUS_WEAKLY_ONLY
             condition = views is not None and (

@@ -367,3 +367,28 @@ def brute_power_thresholds(ring, members, elements=None):
                 break
         out[x] = (tau, nu)
     return out
+
+
+def brute_shift_triples(ring, members):
+    """{(nu(a), tau(a), worst(a))} over the nilpotents a with tau(a) > 1:
+    nu the least t with a**t == 0, tau the least t with a**t in I, and
+    worst the largest nu over the coset a + I, inf when it holds a
+    non-nilpotent; each from brute powers and brute sums."""
+
+    def index(x):
+        xt = x
+        for t in range(1, ring.order + 1):
+            if xt == ring.zero:
+                return t
+            xt = ring.mul(xt, x)
+        return float("inf")
+
+    triples = set()
+    for a in ring.elements:
+        nu = index(a)
+        if nu == float("inf"):
+            continue
+        tau = next(t for t in range(1, nu + 1) if brute_power(ring, a, t) in members)
+        if tau > 1:
+            triples.add((nu, tau, max(index(ring.add(a, i)) for i in members)))
+    return frozenset(triples)

@@ -1,5 +1,6 @@
 """Closure-property deciders: worked examples plus invariant properties."""
 
+import pickle
 from pathlib import Path
 
 import pytest
@@ -31,10 +32,12 @@ from closure_lab import (
 from closure_lab import clear_caches, closure
 from closure_lab.closure import (
     _absorbing_sweep,
+    _shift_fails,
     _failure_scan,
     _nil_positions,
     _thresholds,
     power_chains,
+    shift_triples,
     status_grid,
 )
 
@@ -43,6 +46,7 @@ from _oracles import (
     brute_first_failures,
     brute_first_weakly_prime_failure,
     brute_first_weakly_radical_failure,
+    brute_ideal_lattice,
     brute_is_mn_closed,
     brute_is_n_absorbing,
     brute_is_prime,
@@ -50,6 +54,7 @@ from _oracles import (
     brute_multiples,
     brute_power,
     brute_power_thresholds,
+    brute_shift_triples,
     brute_unbreakable,
 )
 from _strategies import KIND_RINGS, small_rings
@@ -211,6 +216,15 @@ def test_n_absorbing_budget():
         is_n_absorbing(ideal("Z8"), 2, budget=100)
 
 
+def test_a_budget_error_keeps_its_message_through_pickling():
+    # the message is formatted on demand; a process pool pickles the error
+    # by its arguments
+    error = AbsorbingBudgetError(4096, 100)
+    clone = pickle.loads(pickle.dumps(error))
+    assert str(clone) == str(error) == "sweep of 4096 tuples exceeds budget 100"
+    assert (clone.required, clone.budget) == (4096, 100)
+
+
 def test_n_absorbing_budget_checked_after_a_remembered_answer():
     i = ideal("Z16", 8)
     for weak in (True, False):
@@ -243,9 +257,10 @@ def test_n_absorbing_weak_and_plain_answers_kept_apart(sweeps):
 
 
 def test_n_absorbing_sweep_runs_once_per_instance(sweeps):
+    # n = 1 < Omega(|Z12 / (6)|) = 2, so the sweep runs, once
     i = ideal("Z12", 6)
-    first = is_n_absorbing(i, 2, weak=True)
-    assert is_n_absorbing(i, 2, weak=True) == first
+    first = is_n_absorbing(i, 1, weak=True)
+    assert is_n_absorbing(i, 1, weak=True) == first
     assert len(sweeps) == 1
 
 
@@ -253,34 +268,123 @@ def test_n_absorbing_sweep_runs_once_per_ideal_value(sweeps):
     # (6) and (6, 0) present one ideal of Z12: one sweep answers both
     r = ring("Z12")
     six = ideal_from_generators(r, (6,))
-    first = is_n_absorbing(six, 2, weak=True)
-    assert is_n_absorbing(ideal_from_generators(r, (6, 0)), 2, weak=True) == first
+    first = is_n_absorbing(six, 1, weak=True)
+    assert is_n_absorbing(ideal_from_generators(r, (6, 0)), 1, weak=True) == first
     assert len(sweeps) == 1
+
+
+def _omega(k):
+    # the number of prime factors of k, with multiplicity, by trial division
+    count, p = 0, 2
+    while k > 1:
+        while k % p == 0:
+            k //= p
+            count += 1
+        p += 1
+    return count
 
 
 @pytest.mark.parametrize("text", KIND_RINGS)
 def test_n_absorbing_is_monotone_in_n(sweeps, text):
-    # an ideal (weakly) absorbing at n - 1 is answered at n without a
-    # sweep; every answer is the sweep's, and the brute force's on rings up
-    # to order 16 (the brute force takes minutes on the larger ones)
+    # an ideal (weakly) absorbing at n - 1, or with n >= Omega(|R/I|), is
+    # answered at n without a sweep; every answer is the sweep's, and the
+    # brute force's on rings up to order 16 (the brute force takes minutes
+    # on the larger ones)
     r = ring(text)
-    skipped = 0
+    skipped = bounded = 0
     for i in enumerate_ideals(r).proper:
+        omega = _omega(r.order // len(i.elements))
         for weak in (True, False):
             below = ()
             for n in (1, 2, 3):
                 before = len(sweeps)
-                ok, witness = is_n_absorbing(i, n, weak=weak, budget=2 ** 30)
-                assert len(sweeps) - before == (below is not None)
+                ok, witness = is_n_absorbing(i, n, weak=weak, budget=2 ** 32)
+                assert len(sweeps) - before == (below is not None and n < omega)
                 skipped += below is None
+                bounded += below is not None and n >= omega
                 expected = _absorbing_sweep(i, n, weak)
                 if r.order <= 16:
                     assert expected == brute_first_absorbing_failure(r, i.elements, n, weak)
-                    if below is None:
-                        assert expected is None
+                if below is None or n >= omega:
+                    assert expected is None
                 assert (ok, witness) == (expected is None, expected), (i, n, weak)
                 below = witness
-    assert skipped > 0
+    assert skipped > 0 and bounded > 0
+
+
+@pytest.mark.parametrize("text", [t for t in KIND_RINGS if ring(t).order <= 16])
+def test_an_ideal_is_absorbing_at_the_length_bound(text):
+    # the bound `_absorbing_answer` reads: at n = Omega(|R/I|) no multiset
+    # of the brute force fails, weak or plain
+    r = ring(text)
+    for i in enumerate_ideals(r).proper:
+        n = _omega(r.order // len(i.elements))
+        for weak in (True, False):
+            assert brute_first_absorbing_failure(r, i.elements, n, weak) is None, (i, weak)
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_the_length_bound_is_at_least_the_longest_chain(text):
+    # Omega(|R/I|) >= the length of the longest chain of ideals from I up
+    # to R in the brute lattice: each step at least doubles the order
+    r = ring(text)
+    lattice = sorted(brute_ideal_lattice(r), key=len, reverse=True)
+    longest = {}
+    for i in lattice:
+        longest[i] = max((1 + longest[j] for j in longest if i < j), default=0)
+    assert max(longest.values()) > 0
+    for i, length in longest.items():
+        assert _omega(r.order // len(i)) >= length, (sorted(i), length)
+
+
+PINNED_FAMILY = Path(__file__).resolve().parent.parent / "perfbench" / "family.conf"
+
+
+def test_image_grids_match_the_quotient_path():
+    # `image_grids` reads the grid of I/J off the tau bytes of I and J in R;
+    # the quotient path builds R/J and the image ideal and asks its grid.
+    # Every J <= I of KIND_RINGS and of the pinned family's rings up to
+    # order 64, at size 6 and at L: one grid object, and None iff J is not
+    # inside I
+    specs = load_family(str(PINNED_FAMILY)).ring_specs
+    rings = [build_ring(spec) for spec in specs] + [ring(text) for text in KIND_RINGS]
+    rings = [r for r in rings if r.order <= 64 or r.spec_str in KIND_RINGS]
+    images = 0
+    for r in rings:
+        ideals = enumerate_ideals(r).proper
+        for size in (6, r.power_bound):
+            grids = closure.image_grids(ideals, size)
+            assert len(grids) == len(ideals) and {len(row) for row in grids} == {len(ideals)}
+            for small, row in zip(ideals, grids):
+                quotient = quotient_ring(r, small)
+                for big, grid in zip(ideals, row):
+                    if not small.elements <= big.elements:
+                        assert grid is None, (r, small, big)
+                        continue
+                    expected = status_grid(image_ideal(quotient, big), size)
+                    assert grid is expected, (r, small, big, size)
+                    images += 1
+    assert len(rings) > 100 and images > 2000
+
+
+@pytest.mark.parametrize("text", KIND_RINGS)
+def test_shift_triples_match_brute_unbreakable_zeros_and_cosets(text):
+    # T-SHIFT's table: the triples are the brute ones, and a cell (m, n)
+    # shows a failure iff some brute unbreakable zero a has a brute shift
+    # a + i, i in I, with (a + i)**m != 0
+    r = ring(text)
+    for i in enumerate_ideals(r).proper:
+        triples = shift_triples(i)
+        assert triples == brute_shift_triples(r, i.elements), i
+        for m in range(1, r.power_bound + 2):
+            for n in range(1, m):
+                shown = _shift_fails(triples, m, n)
+                brute = any(
+                    brute_power(r, r.add(a, j), m) != r.zero
+                    for a in brute_unbreakable(r, i.elements, m, n)
+                    for j in i.elements
+                )
+                assert shown == brute, (i, m, n)
 
 
 @pytest.mark.parametrize(
@@ -465,9 +569,6 @@ def test_thresholds_match_oracle_beyond_the_length_bound(text, gens):
     ideals = enumerate_ideals(r).proper if gens is None else [ideal_from_generators(r, gens)]
     for i in ideals:
         _assert_thresholds_match_oracle(i)
-
-
-PINNED_FAMILY = Path(__file__).resolve().parent.parent / "perfbench" / "family.conf"
 
 
 def test_principal_powers_stabilize_from_the_length_bound():

@@ -4,6 +4,7 @@ import gc
 import json
 import tracemalloc
 import weakref
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,10 @@ from closure_lab import (
     clear_caches,
     enumerate_ideals,
     ideal_from_generators,
+    image_ideal,
     load_family,
     parse_ring_spec,
+    quotient_ring,
     replay_counterexample,
     search_counterexamples,
     verify_many,
@@ -57,6 +60,7 @@ from _oracles import (
     brute_power,
     brute_power_thresholds,
     brute_quotient,
+    brute_shift_triples,
     brute_unbreakable,
     brute_vnr_witness,
 )
@@ -234,6 +238,26 @@ def _oracle_absorbing_answer(ring, key, n, weak):
     return brute_first_absorbing_failure(ring, Ideal(ring, key).elements, n, weak)
 
 
+def _oracle_shift_triples(ideal):
+    # T-SHIFT's triples from brute powers and brute cosets
+    return brute_shift_triples(ideal.ring, ideal.elements)
+
+
+def _quotient_image_grids(ideals, size):
+    # the grid of each I/J read in R/J itself: the quotient built, the
+    # image ideal keyed, and its grid asked for (cell by cell, once
+    # `_grid_of` is swapped); None unless the members of J are members of I
+    grids = []
+    for modulus in ideals:
+        quotient = quotient_ring(modulus.ring, modulus)
+        grids.append([
+            closure.status_grid(image_ideal(quotient, ideal), size)
+            if modulus.elements <= ideal.elements else None
+            for ideal in ideals
+        ])
+    return grids
+
+
 @per_ring
 def _oracle_entry_rows(ring, x, size):
     # the vnr table cell by cell: x**m r == x**n for some r in the ring
@@ -253,8 +277,9 @@ def _catalog_on_the_oracles(monkeypatch, family):
     # class table the least members of its associate classes, each
     # element's class entry the least element generating the same ideal,
     # power chains and tau bytes from brute powers, unbreakable zeros, vnr
-    # tables cell by cell by witness search, and the Krull dimension from
-    # brute primes over the brute lattice
+    # tables cell by cell by witness search, the Krull dimension from
+    # brute primes over the brute lattice, T-QUOT's image grids in the
+    # quotient ring itself, and T-SHIFT's triples from brute cosets
     fast = [json.dumps(v.to_record()) for v in verify_many(THEOREM_IDS, family)]
     least = {}
     entries = {}
@@ -297,6 +322,8 @@ def _catalog_on_the_oracles(monkeypatch, family):
     )
     monkeypatch.setattr(regularity, "_entry_rows", _oracle_entry_rows)
     monkeypatch.setattr(theorems, "krull_dim", brute_krull_dim)
+    monkeypatch.setattr(theorems, "image_grids", _quotient_image_grids)
+    monkeypatch.setattr(theorems, "shift_triples", _oracle_shift_triples)
     monkeypatch.setattr(rings, "_least", lambda ring, key, x: coset_least(ring, key)[x])
     monkeypatch.setattr(rings, "_minima", minima)
     for kind in (CyclicRing, ProductRing, IdealizationRing, QuotientRing):
@@ -360,33 +387,68 @@ def test_false_claim_fails_and_replays(family, monkeypatch):
 
 
 
-def test_shift_failure_reports_the_first_failing_shift(monkeypatch):
-    # On Z8 (+) Z8 the ideal generated by (2, 1) is weakly (3,1)-only and
-    # holds (2, 1) with (2, 1)**3 = (0, 4) != 0.  Appending a = 0 to its
-    # unbreakable zeros forces T-SHIFT to fail: the real witnesses pass,
-    # a + (0, 0) passes, and the first failing shift is i = (2, 1).
-    real = theorems.unbreakable_zero_elements
+def _force_zero_shift(monkeypatch, gens):
+    # the ideal of `gens` gets a = 0 as one more unbreakable zero, after the
+    # real ones, and the triple of `closure.shift_triples` that 0 has as
+    # such: index 1, tau 2 and the largest index over the coset 0 + I
+    real_zeros, real_triples = theorems.unbreakable_zero_elements, theorems.shift_triples
 
-    def forced(ideal, m, n):
-        witnesses = real(ideal, m, n)
-        if ideal.generators == ((2, 1),):
+    def zeros(ideal, m, n):
+        witnesses = real_zeros(ideal, m, n)
+        if ideal.generators == gens:
             assert witnesses
             return witnesses + (ideal.ring.zero,)
         return witnesses
 
-    monkeypatch.setattr(theorems, "unbreakable_zero_elements", forced)
+    def triples(ideal):
+        found = real_triples(ideal)
+        if ideal.generators == gens:
+            index = ideal.ring.nilpotency_indices
+            return found | {(1, 2, max(index.get(i, inf) for i in ideal.members))}
+        return found
+
+    monkeypatch.setattr(theorems, "unbreakable_zero_elements", zeros)
+    monkeypatch.setattr(theorems, "shift_triples", triples)
+
+
+def _shift_family(spec, cell):
     family = make_family(
-        cyclic_moduli=(), product_moduli=(), idealization_max=1, m_max=3,
+        cyclic_moduli=(), product_moduli=(), idealization_max=1, m_max=cell[0],
         principal_primes=(), principal_max_exponent=2,
-        extra_specs=(parse_ring_spec("Z8 (+) Z8"),),
+        extra_specs=(parse_ring_spec(spec),),
     )
-    verdict = verify_theorem("T-SHIFT", family.replace(mn_pairs=((3, 1),), spot_pairs=()))
+    return family.replace(mn_pairs=(cell,), spot_pairs=())
+
+
+def test_shift_failure_reports_the_first_failing_shift(monkeypatch):
+    # On Z8 (+) Z8 the ideal generated by (2, 1) is weakly (3,1)-only and
+    # holds (2, 1) with (2, 1)**3 = (0, 4) != 0.  Forcing a = 0 into its
+    # unbreakable zeros and its triple into `shift_triples` makes T-SHIFT
+    # fail: the real witnesses pass, a + (0, 0) passes, and the first
+    # failing shift is i = (2, 1).
+    _force_zero_shift(monkeypatch, ((2, 1),))
+    verdict = verify_theorem("T-SHIFT", _shift_family("Z8 (+) Z8", (3, 1)))
     assert verdict.status == FAIL
     record = verdict.counterexample
     assert (record["ring"], record["ideal_gens"], record["m"], record["n"]) == (
         "Z8 (+) Z8", [[2, 1]], 3, 1,
     )
     assert (record["element"], record["shifted_by"]) == ([0, 0], [2, 1])
+
+
+def test_the_first_failing_shift_is_past_a_member_of_index_m(monkeypatch):
+    # On Z16 (+) Z16 the ideal ((0, 2), (4, 1)) is weakly (2,1)-only, and
+    # its member (0, 2), of index exactly m = 2, comes before (4, 1), of
+    # index 3: the first failing shift of the forced a = 0 is (4, 1), and a
+    # scan that took index >= m for a failure would stop at (0, 2)
+    _force_zero_shift(monkeypatch, ((0, 2), (4, 1)))
+    verdict = verify_theorem("T-SHIFT", _shift_family("Z16 (+) Z16", (2, 1)))
+    assert verdict.status == FAIL
+    record = verdict.counterexample
+    assert (record["ring"], record["ideal_gens"], record["m"], record["n"]) == (
+        "Z16 (+) Z16", [[0, 2], [4, 1]], 2, 1,
+    )
+    assert (record["element"], record["shifted_by"]) == ([0, 0], [4, 1])
 
 
 # Z8 alone, grid_max 6.  Each case makes one more cell unsolvable and pins
@@ -645,36 +707,30 @@ def test_catalog_and_searches_leave_no_cyclic_garbage():
 
 
 def test_catalog_keeps_no_tables_of_quotients_or_principal_rings(monkeypatch):
-    # T-QUOT's quotients and image ideals are read by one checker: their
-    # tables go with them.  T-PRINCIPAL's ideals of Z_(p**c) keep their
-    # tables on their ring, whose class table holds one entry per divisor
-    # of p**c, so the checker alone keeps little
+    # T-QUOT reads the grid of each image ideal off the tau bytes of the
+    # base ring (`closure.image_grids`), so the catalog builds no quotient
+    # ring at all.  T-PRINCIPAL's ideals of Z_(p**c) keep their tables on
+    # their ring, whose class table holds one entry per divisor of p**c,
+    # so the checker alone keeps little
     family = tiny_family()
     quotients = []
-    real_quotient = theorems.quotient_ring
+    real_init = QuotientRing.__init__
 
-    def quotient(ring, ideal):
-        made = real_quotient(ring, ideal)
-        quotients.append(weakref.ref(made))
-        return made
+    def init(self, *args):
+        quotients.append(self.spec)
+        real_init(self, *args)
 
-    monkeypatch.setattr(theorems, "quotient_ring", quotient)
+    monkeypatch.setattr(QuotientRing, "__init__", init)
     clear_caches()
-    # reference counting alone must free the quotients, as under `cli.run`
-    gc.disable()
-    try:
-        verdicts = verify_many(THEOREM_IDS, family)
-        dead = [q() is None for q in quotients]
-    finally:
-        gc.enable()
+    verdicts = verify_many(THEOREM_IDS, family)
     assert all(v.status == PASS for v in verdicts)
     checked = {v.theorem_id: v.instances_checked for v in verdicts}
     assert checked["T-QUOT"] > 0 and checked["T-PRINCIPAL"] > 0
-    assert quotients and all(dead)
+    assert quotients == []
     family_rings = set(_family_rings(family))
     # every live ring that holds a table
     kept = {r for r in gc.get_objects() if isinstance(r, FiniteRing) and r.tables}
-    assert not [r for r in kept if isinstance(r, QuotientRing) and r not in family_rings]
+    assert not [r for r in kept if isinstance(r, QuotientRing)]
     assert kept <= family_rings | {
         build_ring(CyclicZ(r.n), family.max_order)
         for r in family_rings
@@ -753,6 +809,43 @@ def _flip_grid(ring, members, cell, status):
     return patch
 
 
+def _flip_image(ring, members, modulus, cell, status):
+    """A patch: the grid `theorems.image_grids` gives the image of the
+    ideal of `ring` with element set `members` modulo the ideal with
+    element set `modulus` reads `status` at `cell`."""
+
+    def patch(monkeypatch):
+        real = theorems.image_grids
+
+        def forced(ideals, size):
+            grids = real(ideals, size)
+            target = ((ring, frozenset(members)), frozenset(modulus))
+            for below, row in zip(ideals, grids):
+                for i, ideal in enumerate(ideals):
+                    if row[i] is not None and (_key(ideal), below.elements) == target:
+                        row[i] = _with_cell(row[i], cell, status)
+            return grids
+
+        monkeypatch.setattr(theorems, "image_grids", forced)
+
+    return patch
+
+
+def _flip_rows(ring, element, cell):
+    """A patch: the vnr table of `element` of `ring` reads False at `cell`."""
+
+    def patch(monkeypatch):
+        real = theorems.vnr_rows
+
+        def forced(r, x, size):
+            rows = real(r, x, size)
+            return _with_cell(rows, cell, False) if (r.spec_str, x) == (ring, element) else rows
+
+        monkeypatch.setattr(theorems, "vnr_rows", forced)
+
+    return patch
+
+
 def _force(name, target, args, answer):
     """A patch: `theorems.<name>` answers `answer` when called on `target`
     (a ring spec, or a (ring spec, element set) pair for an ideal) with
@@ -826,7 +919,7 @@ _FORCED_CASES = [
     ),
     pytest.param(
         "T-QUOT",
-        _flip_grid("Z4/(2)", {0}, (3, 1), _NOT_WEAKLY),
+        _flip_image("Z4", {0, 2}, {0, 2}, (3, 1), _NOT_WEAKLY),
         14, 0,
         {"ring": "Z4", "ideal_gens": [2], "ideal": [0, 2], "m": 3, "n": 1,
          "modulus_ideal": [0, 2],
@@ -885,6 +978,15 @@ _FORCED_CASES = [
          "detail": "nil-contained ideals all weakly closed: False, "
                    "w**m == 0 on the nilradical: True"},
         id="T-NILIDEAL",
+    ),
+    pytest.param(
+        "T-VNRFACTS-1",
+        # a diagonal cell: m <= n holds there with equality
+        _flip_rows("Z8", 2, (2, 2)),
+        30, 0,
+        {"ring": "Z8", "m": 2, "n": 2, "element": 2,
+         "detail": "element not (m,n)-vnr despite m <= n"},
+        id="T-VNRFACTS-1-diagonal",
     ),
     pytest.param(
         "T-VNRFACTS-7",
